@@ -2,7 +2,7 @@
 group models, relative Cayley words, glued parabolic thickenings, and the
 derived-word transformation, with seeded measurement harnesses."""
 
-from .graphs import (Graph, QGParams, ball, classify_path, distance_matrix,
+from .graphs import (Graph, QGParams, ball, classify_path,
                      enumerate_geodesics, full_subgraph, hausdorff_distance,
                      interval, is_isometric_subgraph, power_graph, thinness_delta)
 from .helly import (HellyReport, RadiusFamily, analyze, coarse_helly_constant,
@@ -13,7 +13,7 @@ from .relwords import (Component, ConstantReport, RelWord, analyze_word,
                        connected, decompose_components, is_rel_geodesic,
                        k_similar, measure_bcp, measure_delta, measure_triangles,
                        measure_zeta)
-from .gamma import GammaConfig, GammaWindow, build_window, min_n_quotient
+from .gamma import GammaConfig, GammaWindow, min_n_quotient
 from .derived import DerivedResult, derive, verify_derivation_theorems, z_path
 from .quasiconvex import (OrbitSpec, build_delta, quasiconvexity_k,
                           verify_section5)

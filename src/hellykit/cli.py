@@ -2,7 +2,9 @@
 
 Exit codes: 0 for clean runs and estimate-only reports, 1 when a checked
 theorem-grade property is violated (that is a bug, not a measurement), 2 for
-usage errors.  Reports are deterministic given configuration and seed.
+usage errors: bad arguments, unreadable or malformed input, disconnected
+graphs and tripped guards, each reported as one line on stderr.  Reports are
+deterministic given configuration and seed; stdout carries only the report.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .relwords import measure_bcp, measure_delta, measure_triangles, measure_zet
 from .reports import build_report, render
 
 VIOLATION_EXIT = 1
+USAGE_EXIT = 2
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -60,7 +63,7 @@ def _cmd_hellyfy(args) -> int:
               "isometric": True}
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
     _emit(build_report("hellyfy", config, result), args.out)
-    print("helly: true")
+    print("helly: true", file=sys.stderr)
     return 0
 
 
@@ -89,15 +92,17 @@ def _window_sanity(window: GammaWindow) -> list[str]:
     problems = []
     spec = window.config.spec
     expected_free = len(spec.x_letters()) + len(spec.factors)
-    for v in window.vertices():
-        if not window.has_full_neighborhood(v):
+    verts = window.verts
+    for i, v in enumerate(verts):
+        if window.dist_from_base[i] == window.radius:
             continue
-        if v[0] == "free" and window.degree(v) != expected_free:
-            problems.append(f"free vertex degree {window.degree(v)} != {expected_free}")
-        if v[0] == "med" and window.degree(v) != 2:
-            problems.append(f"medial vertex degree {window.degree(v)} != 2")
+        degree = len(window.adj[i])
+        if v[0] == "free" and degree != expected_free:
+            problems.append(f"free vertex degree {degree} != {expected_free}")
+        if v[0] == "med" and degree != 2:
+            problems.append(f"medial vertex degree {degree} != 2")
         if v[0] == "free":
-            if any(w[0] == "free" for w in window.adj[v]):
+            if any(verts[j][0] == "free" for j in window.adj[i]):
                 problems.append("two adjacent free vertices")
     return problems
 
@@ -318,7 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AssertionError as exc:
+        _fail(args, exc)
+        return VIOLATION_EXIT
+    except (ValueError, OSError) as exc:  # input, parse and guard errors
+        _fail(args, exc)
+        return USAGE_EXIT
+
+
+def _fail(args, exc: BaseException) -> None:
+    message = " ".join(str(exc).split())
+    print(f"hellykit {args.command}: {type(exc).__name__}: {message}",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

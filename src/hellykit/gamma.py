@@ -23,6 +23,18 @@ which is what makes the distance certificates below sound: if
 dist(u) + d_window(u, v) <= R, every potentially shorter path would stay
 strictly inside the materialized region, so the window distance is the true
 distance in the infinite graph.
+
+A window interns its vertices as ids 0..n-1 in sorted tuple order when it is
+built, and keeps its adjacency and base distances on those ids.  Id order is
+tuple order, so a walk that picks among neighbours in adjacency order makes
+the same choices on ids as on tuples.
+
+The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
+at that depth and stopped once u is labelled, reaches u exactly when
+dist(u) + d_window(u, v) <= R.  Its levels are complete below d_window(u, v),
+which is all a walk from u down to v reads, so that one BFS both certifies a
+pair and samples a geodesic between it.  An uncertified pair gets no distance:
+window_distance returns (None, False).
 """
 
 from __future__ import annotations
@@ -32,6 +44,8 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
+from .graphs import (bfs_row, count_geodesics, enumerate_geodesics,
+                     sample_geodesic)
 from .groups import Element, GroupError, GroupSpec, Letter
 
 WINDOW_GUARD_DEFAULT = 200_000
@@ -167,7 +181,11 @@ class GammaConfig:
 
 
 class GammaWindow:
-    """BFS closure of the base free vertex to depth R; immutable once built."""
+    """BFS closure of the base free vertex to depth R; immutable once built.
+
+    Vertex i is verts[i] (index maps back), adj[i] lists its neighbour ids in
+    increasing order and dist_from_base[i] is its distance from the base.
+    """
 
     def __init__(self, config: GammaConfig, radius: int,
                  max_vertices: int = WINDOW_GUARD_DEFAULT):
@@ -191,57 +209,71 @@ class GammaWindow:
                     queue.append(w)
                 adj[v].add(w)
                 adj[w].add(v)
-        self.dist_from_base = dist
-        self.adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    def vertices(self) -> list[GammaVertex]:
-        return sorted(self.dist_from_base)
+        self.verts = sorted(dist)
+        self.index = index = {v: i for i, v in enumerate(self.verts)}
+        self.dist_from_base = [dist[v] for v in self.verts]
+        self.adj = tuple(tuple(sorted(index[w] for w in adj[v]))
+                         for v in self.verts)
 
     def free_vertices(self) -> list[GammaVertex]:
-        return [v for v in self.vertices() if v[0] == "free"]
+        return [v for v in self.verts if v[0] == "free"]
 
     def has_full_neighborhood(self, v: GammaVertex) -> bool:
-        return self.dist_from_base[v] < self.radius
+        return self.dist_from_base[self._id(v)] < self.radius
 
     def degree(self, v: GammaVertex) -> int:
-        return len(self.adj[v])
+        return len(self.adj[self._id(v)])
+
+    def _id(self, v: GammaVertex) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise WindowError(f"vertex not in window: {v}") from None
+
+    def _certified_row(self, u: GammaVertex, v: GammaVertex
+                       ) -> tuple[int, Optional[list[int]]]:
+        """(id of u, distance row from v) for a certified pair, where the
+        row comes from one BFS bounded at depth R - dist(u) and stopped once u
+        is labelled; (id of u, None) when that BFS does not reach u."""
+        iu, iv = self._id(u), self._id(v)
+        row = bfs_row(self.adj, iv, depth=self.radius - self.dist_from_base[iu],
+                      stop=iu)
+        return iu, (row if row[iu] >= 0 else None)
 
     def window_distance(self, u: GammaVertex, v: GammaVertex
                         ) -> tuple[Optional[int], bool]:
-        """(BFS distance inside the window, certified).  Certified means the
-        value is provably the distance in the infinite graph."""
-        if u not in self.adj or v not in self.adj:
-            raise WindowError("vertex not in window")
-        level = self._bfs_from(u, stop=v)
-        hops = level.get(v)
-        if hops is None:
-            return None, False
-        return hops, self.dist_from_base[u] + hops <= self.radius
+        """(distance, True) when the pair is certified, where the distance is
+        provably the one in the infinite graph; (None, False) otherwise."""
+        iu, row = self._certified_row(u, v)
+        return (None, False) if row is None else (row[iu], True)
 
-    def _bfs_from(self, u: GammaVertex, stop: Optional[GammaVertex] = None
-                  ) -> dict[GammaVertex, int]:
-        level = {u: 0}
-        queue = deque([u])
-        while queue:
-            z = queue.popleft()
-            if stop is not None and z == stop:
-                break
-            for w in self.adj[z]:
-                if w not in level:
-                    level[w] = level[z] + 1
-                    queue.append(w)
-        return level
+    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
+                        ) -> Optional[list[GammaVertex]]:
+        """A random geodesic u -> v drawn from the certifying BFS, or None
+        when the pair is not certified (no draw is taken from rng then)."""
+        iu, row = self._certified_row(u, v)
+        if row is None:
+            return None
+        return [self.verts[i] for i in sample_geodesic(self.adj, row, iu, rng)]
+
+    def _dag_rows(self, u: GammaVertex, v: GammaVertex
+                  ) -> tuple[list[int], list[int]]:
+        """(du, dv) rows of a certified pair, complete below d(u, v)."""
+        iu, dv = self._certified_row(u, v)
+        if dv is None:
+            raise WindowError("distance not certified; enlarge the window")
+        return bfs_row(self.adj, iu, depth=dv[iu]), dv
 
     # -- path analysis -------------------------------------------------------
 
     def check_path(self, path: list[GammaVertex]) -> None:
         if not path:
             raise WindowError("empty path")
-        for v in path:
-            if v not in self.adj:
-                raise WindowError("path leaves the window")
+        if any(v not in self.index for v in path):
+            raise WindowError("path leaves the window")
         for a, b in zip(path, path[1:]):
-            if b not in self.adj[a] and not self.config.is_edge(a, b):
+            if (self.index[b] not in self.adj[self.index[a]]
+                    and not self.config.is_edge(a, b)):
                 raise WindowError(f"not an edge: {a} - {b}")
 
     def _internal_runs(self, path: list[GammaVertex]) -> list[tuple[int, int]]:
@@ -294,116 +326,58 @@ class GammaWindow:
                           cap: int = 100_000, allow_truncate: bool = False
                           ) -> tuple[list[list[GammaVertex]], bool]:
         """All geodesics between a certified pair, via the distance DAG."""
-        hops, certified = self.window_distance(u, v)
-        if not certified:
-            raise WindowError("distance not certified; enlarge the window")
-        down = self._bfs_from(v)
-        out: list[list[GammaVertex]] = []
-        truncated = False
-
-        def walk(z: GammaVertex, acc: list[GammaVertex]) -> bool:
-            if z == v:
-                out.append(list(acc))
-                return len(out) <= cap
-            for w in self.adj[z]:
-                if down.get(w) == down[z] - 1:
-                    acc.append(w)
-                    ok = walk(w, acc)
-                    acc.pop()
-                    if not ok:
-                        return False
-            return True
-
-        if not walk(u, [u]):
-            if not allow_truncate:
-                raise WindowError(f"more than {cap} geodesics")
-            truncated = True
-            del out[cap:]
-        return out, truncated
+        paths, truncated = enumerate_geodesics(self.adj, *self._dag_rows(u, v),
+                                               cap=cap,
+                                               allow_truncate=allow_truncate)
+        return [[self.verts[i] for i in p] for p in paths], truncated
 
     def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
         """Geodesic count by dynamic programming over the distance DAG; the
         independent cross-check for geodesics_between."""
-        hops, certified = self.window_distance(u, v)
-        if not certified:
-            raise WindowError("distance not certified")
-        up = self._bfs_from(u)
-        down = self._bfs_from(v)
-        on_layer = sorted((z for z in self.adj
-                           if z in up and z in down and up[z] + down[z] == hops),
-                          key=lambda z: (up[z], z))
-        count = {u: 1}
-        for z in on_layer:
-            if z == u:
-                continue
-            count[z] = sum(count.get(w, 0) for w in self.adj[z]
-                           if w in up and up[w] == up[z] - 1
-                           and down.get(w, -1) == down[z] + 1)
-        return count.get(v, 0)
-
-    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
-                        ) -> list[GammaVertex]:
-        hops, certified = self.window_distance(u, v)
-        if not certified:
-            raise WindowError("distance not certified")
-        down = self._bfs_from(v)
-        path = [u]
-        z = u
-        while z != v:
-            nxt = [w for w in self.adj[z] if down.get(w) == down[z] - 1]
-            z = nxt[rng.randrange(len(nxt))]
-            path.append(z)
-        return path
+        return count_geodesics(self.adj, *self._dag_rows(u, v))
 
     # -- export ---------------------------------------------------------------
 
     def kind_counts(self) -> dict[str, int]:
         counts = {"free": 0, "med": 0, "int": 0}
-        for v in self.dist_from_base:
+        for v in self.verts:
             counts[v[0]] += 1
         return counts
 
+    def edges(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, ws in enumerate(self.adj) for b in ws if a < b]
+
     def to_graph(self):
-        """Project the window to a plain graph on 0..n-1 (window vertex order),
-        e.g. to use it as the ambient graph of an orbit analysis.  Returns
-        (graph, vertex list); vertex i of the graph is vertices[i]."""
+        """Project the window to a plain graph on its vertex ids, e.g. to use
+        it as the ambient graph of an orbit analysis.  Returns (graph, vertex
+        list); vertex i of the graph is vertices[i]."""
         from .graphs import Graph
 
-        verts = self.vertices()
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u in verts for v in self.adj[u]
-                 if index[u] < index[v]]
-        labels = {i: v[0] for i, v in enumerate(verts)}
-        return Graph(len(verts), edges, labels=labels), verts
+        labels = {i: v[0] for i, v in enumerate(self.verts)}
+        return Graph(len(self.verts), self.edges(), labels=labels), self.verts
 
     def to_json(self) -> dict:
-        verts = self.vertices()
-        index = {v: i for i, v in enumerate(verts)}
-        edges = sorted((index[u], index[v]) for u in verts for v in self.adj[u]
-                       if index[u] < index[v])
+        verts = self.verts
+        edges = self.edges()
         return {
             "radius": self.radius,
             "n_thick": self.config.n_thick,
             "allow_small_n": self.config.allow_small_n,
             "group": self.config.spec.to_json(),
             "vertices": [vertex_to_obj(v) for v in verts],
-            "dist_from_base": [self.dist_from_base[v] for v in verts],
+            "dist_from_base": self.dist_from_base,
             "edges": [[a, b] for a, b in edges],
             "edge_kinds": [GammaConfig.edge_kind(verts[a], verts[b])
                            for a, b in edges],
         }
 
     def to_dot(self) -> str:
-        verts = self.vertices()
-        index = {v: i for i, v in enumerate(verts)}
         shape = {"free": "circle", "med": "point", "int": "box"}
         lines = ["graph gamma_window {"]
-        for v in verts:
-            lines.append(f'  {index[v]} [shape={shape[v[0]]}, label="{v[0]}"];')
-        for u in verts:
-            for v in self.adj[u]:
-                if index[u] < index[v]:
-                    lines.append(f"  {index[u]} -- {index[v]};")
+        for i, v in enumerate(self.verts):
+            lines.append(f'  {i} [shape={shape[v[0]]}, label="{v[0]}"];')
+        for a, b in self.edges():
+            lines.append(f"  {a} -- {b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -436,7 +410,3 @@ def vertex_to_obj(v: GammaVertex) -> dict:
     return {"kind": "internal", "factor": v[1], "coset": element_to_obj(v[2]),
             "vertex": list(v[3]) if isinstance(v[3], tuple) else v[3]}
 
-
-def build_window(config: GammaConfig, radius: int,
-                 max_vertices: int = WINDOW_GUARD_DEFAULT) -> GammaWindow:
-    return GammaWindow(config, radius, max_vertices=max_vertices)

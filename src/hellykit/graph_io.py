@@ -30,10 +30,6 @@ def read_edge_list(text: str) -> Graph:
     return Graph(top + 1, edges)
 
 
-def write_edge_list(g: Graph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in g.edges()) + "\n"
-
-
 def graph_to_json(g: Graph, meta: Optional[dict] = None) -> dict:
     record = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.labels:

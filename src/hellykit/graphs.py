@@ -8,7 +8,6 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -26,6 +25,33 @@ class NotConnectedError(GraphError):
 
 class GeodesicCapExceeded(GraphError):
     """Raised when geodesic enumeration would silently truncate."""
+
+
+def bfs_row(adj: Sequence[Sequence[int]], source: int,
+            depth: Optional[int] = None, stop: Optional[int] = None) -> list[int]:
+    """Hop distances from source over adjacency lists on 0..n-1, -1 where
+    unreached.
+
+    With depth, vertices farther than depth stay at -1.  With stop, the search
+    ends once stop is labelled; every vertex nearer to source than stop is
+    labelled by then, so the row is complete below d(source, stop).
+    """
+    row = [-1] * len(adj)
+    row[source] = 0
+    frontier = [source]
+    level = 0
+    while frontier and source != stop and (depth is None or level < depth):
+        level += 1
+        nxt = []
+        for z in frontier:
+            for w in adj[z]:
+                if row[w] < 0:
+                    row[w] = level
+                    if w == stop:
+                        return row
+                    nxt.append(w)
+        frontier = nxt
+    return row
 
 
 class Graph:
@@ -62,27 +88,14 @@ class Graph:
         return sum(len(a) for a in self.adj) // 2
 
     def is_connected(self) -> bool:
-        seen = self._bfs(0)
-        return all(d >= 0 for d in seen)
-
-    def _bfs(self, source: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+        return min(bfs_row(self.adj, 0)) >= 0
 
     def dist(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop distances; raises NotConnectedError on disconnected input."""
         if self._dist is None:
             rows = []
             for s in range(self.n):
-                row = self._bfs(s)
+                row = bfs_row(self.adj, s)
                 if any(d < 0 for d in row):
                     raise NotConnectedError("graph not connected")
                 rows.append(tuple(row))
@@ -133,11 +146,6 @@ class PathClass:
     is_geodesic: bool
     is_quasigeodesic: bool
     is_k_local_geodesic: Optional[bool]
-
-
-def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs shortest paths by BFS; symmetric with zero diagonal."""
-    return g.dist()
 
 
 def ball(g: Graph, center: int, rho: int) -> list[int]:
@@ -259,17 +267,22 @@ def hausdorff_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
     return max(ab, ba)
 
 
-def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = GEODESIC_CAP_DEFAULT,
-                        allow_truncate: bool = False) -> tuple[list[tuple[int, ...]], bool]:
+# The geodesic distance DAG of a pair u, v is read off two single-source rows:
+# du from u and dv from v (so u is the vertex at 0 in du).  Rows may leave
+# vertices at -1 beyond d(u, v), as windows do; only the labels below d(u, v),
+# and u's own, are read.
+
+def enumerate_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
+                        dv: Sequence[int], cap: int = GEODESIC_CAP_DEFAULT,
+                        allow_truncate: bool = False
+                        ) -> tuple[list[tuple[int, ...]], bool]:
     """All geodesics u -> v as vertex tuples, lexicographically ordered.
 
     Refuses to truncate silently: if more than `cap` geodesics exist, raises
     GeodesicCapExceeded unless allow_truncate is set, in which case the first
     `cap` are returned with a truncation flag.
     """
-    d = g.dist()
-    du, dv = d[u], d[v]
-    total = du[v]
+    u, v = du.index(0), dv.index(0)
     out: list[tuple[int, ...]] = []
     truncated = False
 
@@ -277,8 +290,8 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = GEODESIC_CAP_DEFAUL
         if z == v:
             out.append(tuple(acc))
             return len(out) <= cap
-        for w in g.adj[z]:
-            if du[w] == du[z] + 1 and du[w] + dv[w] == total:
+        for w in adj[z]:
+            if du[w] == du[z] + 1 and dv[w] == dv[z] - 1:
                 acc.append(w)
                 ok = walk(w, acc)
                 acc.pop()
@@ -295,19 +308,33 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = GEODESIC_CAP_DEFAUL
     return out, truncated
 
 
-def count_geodesics(g: Graph, u: int, v: int) -> int:
+def count_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
+                    dv: Sequence[int]) -> int:
     """Number of geodesics u -> v by dynamic programming over the distance DAG."""
-    d = g.dist()
-    du, dv = d[u], d[v]
+    u, v = du.index(0), dv.index(0)
     total = du[v]
-    layer = sorted((z for z in range(g.n) if du[z] + dv[z] == total), key=lambda z: du[z])
+    layer = sorted((z for z in range(len(adj)) if du[z] + dv[z] == total),
+                   key=lambda z: du[z])
     count = {u: 1}
     for z in layer:
         if z == u:
             continue
-        count[z] = sum(count.get(w, 0) for w in g.adj[z]
-                       if du[w] == du[z] - 1 and du[w] + dv[w] == total)
+        count[z] = sum(count.get(w, 0) for w in adj[z]
+                       if du[w] == du[z] - 1 and dv[w] == dv[z] + 1)
     return count.get(v, 0)
+
+
+def sample_geodesic(adj: Sequence[Sequence[int]], dv: Sequence[int], u: int,
+                    rng) -> list[int]:
+    """A geodesic from u to v, the source of dv: each step is drawn uniformly
+    among the neighbours one step closer to v, listed in adjacency order."""
+    path = [u]
+    z = u
+    while dv[z]:
+        nxt = [w for w in adj[z] if dv[w] == dv[z] - 1]
+        z = nxt[rng.randrange(len(nxt))]
+        path.append(z)
+    return path
 
 
 @dataclass(frozen=True)
@@ -355,14 +382,14 @@ def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
     """
     import random
 
-    g.dist()
+    d = g.dist()
     thin = slim = 0
     checked = 0
     if g.n <= max_exhaustive:
         geos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for u in range(g.n):
             for v in range(g.n):
-                geos[(u, v)], _ = enumerate_geodesics(g, u, v, cap=cap)
+                geos[(u, v)], _ = enumerate_geodesics(g.adj, d[u], d[v], cap=cap)
         for a in range(g.n):
             for b in range(g.n):
                 for c in range(g.n):
@@ -376,22 +403,11 @@ def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
         return ThinnessReport(thin, slim, checked, True, 0)
 
     rng = random.Random(seed)
-
-    def random_geodesic(u: int, v: int) -> list[int]:
-        d = g.dist()
-        path = [u]
-        z = u
-        while z != v:
-            nxt = [w for w in g.adj[z] if d[w][v] == d[z][v] - 1]
-            z = rng.choice(nxt)
-            path.append(z)
-        return path
-
     for _ in range(samples):
         a, b, c = (rng.randrange(g.n) for _ in range(3))
-        p = random_geodesic(a, b)
-        q = random_geodesic(b, c)
-        r = random_geodesic(c, a)
+        p = sample_geodesic(g.adj, d[b], a, rng)
+        q = sample_geodesic(g.adj, d[c], b, rng)
+        r = sample_geodesic(g.adj, d[a], c, rng)
         t, s = _triangle_constants(g, p, q, r)
         thin = max(thin, t)
         slim = max(slim, s)

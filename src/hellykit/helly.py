@@ -296,8 +296,8 @@ def stable_interval_oracle(g: Graph, cap: int = 100_000) -> int:
     for a in range(g.n):
         for u in g.adj[a]:
             for b in range(g.n):
-                paths_ab, _ = enumerate_geodesics(g, a, b, cap=cap)
-                paths_ub, _ = enumerate_geodesics(g, u, b, cap=cap)
+                paths_ab, _ = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
+                paths_ub, _ = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
                 for p in paths_ab:
                     for w in p:
                         reach = min(min(d[w][z] for z in q) for q in paths_ub)

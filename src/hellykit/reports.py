@@ -50,8 +50,3 @@ def validate_report(report: dict) -> None:
     meta = report["meta"]
     if not isinstance(meta, dict) or "tool" not in meta or "version" not in meta:
         raise ReportError("meta must carry tool and version")
-
-
-def write_report(path: str, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(report))

@@ -27,6 +27,11 @@ from hellykit.relwords import (analyze_word, geodesic_word, measure_bcp,
                                measure_triangles)
 
 
+def window_neighbors(w, v):
+    """Neighbours of a tagged vertex, read through the window's int ids."""
+    return [w.verts[j] for j in w.adj[w.index[v]]]
+
+
 def atlas_connected(max_n):
     out = []
     for G in graph_atlas_g():
@@ -181,22 +186,22 @@ def test_criterion_6_window_structure():
         radius = 5 if name == "Zsq*Z2" else 6
         w = GammaWindow(GammaConfig(spec, n), radius)
         expected = len(spec.x_letters()) + len(spec.factors)
-        for v in w.vertices():
+        for v in w.verts:
             assert v[0] in ("free", "med", "int")
             if not w.has_full_neighborhood(v):
                 continue
             if v[0] == "free":
                 assert w.degree(v) == expected, name
-                assert all(u[0] != "free" for u in w.adj[v])
+                assert all(u[0] != "free" for u in window_neighbors(w, v))
             elif v[0] == "med":
                 assert w.degree(v) == 2, name
-            for u in w.adj[v]:
+            for u in window_neighbors(w, v):
                 assert GammaConfig.edge_kind(u, v) in ("free", "connecting",
                                                        "internal")
 
         w_big = GammaWindow(GammaConfig(spec, n), radius + 2)
         rng = random.Random(99)
-        verts = w.vertices()
+        verts = w.verts
         want = 400 if name != "Zsq*Z2" else 250
         done = 0
         while done < want:

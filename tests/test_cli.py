@@ -1,11 +1,13 @@
 """CLI surface: subcommands, report schema, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from hellykit import corpus
+from hellykit import cli, corpus
 from hellykit.cli import main
+from hellykit.gamma import recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.reports import ReportError, validate_report
 
@@ -46,7 +48,7 @@ class TestHellyfy:
         out = tmp_path / "hf.json"
         code = main(["hellyfy", c4_edge_list(tmp_path), "--out", str(out)])
         assert code == 0
-        assert "helly: true" in capsys.readouterr().out
+        assert "helly: true" in capsys.readouterr().err
         report = json.loads(out.read_text())
         g = graph_from_json(report["result"]["graph"])
         assert g.n == 5
@@ -116,6 +118,76 @@ class TestDerive:
         report = json.loads(outs[0])
         assert report["result"]["violations"] == 0
         assert report["result"]["estimate"] is True
+
+
+    # sha256 of the derive report at the least certifying N, R=8, seed 2024
+    # and the default 200 samples; any change to window BFS, certification or
+    # sampling order that moves a seeded draw changes these bytes
+    @pytest.mark.parametrize("group, digest", [
+        (corpus.group_z2_z3,
+         "7f52971386a8983dc630f6149beec03a6d790e91d599291a2fbf37a529b4e055"),
+        (corpus.group_z2_z2,
+         "1a07dfe4f4caeabe83768323a644a6023d45936d34d96cdfb351844274cfbcae"),
+        (corpus.group_zsq_z2,
+         "74d0192891c146bb6d5ce424eb9977e773d40decb1597e5ac25006974c047194"),
+    ])
+    def test_pinned_report_digest(self, tmp_path, group, digest):
+        spec = group()
+        out = tmp_path / "d.json"
+        code = main(["derive", "--group", group_file(tmp_path, spec),
+                     "--N", str(recommended_n(spec)), "--radius", "8",
+                     "--seed", "2024", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestErrorBoundary:
+    """Input, parse and OS errors and tripped guards exit 2 with one line on
+    stderr and nothing on stdout; a failed check exits 1."""
+
+    @pytest.mark.parametrize("case, error", [
+        ("malformed", "ValueError"),
+        ("three_tokens", "GraphError"),
+        ("disconnected", "NotConnectedError"),
+        ("missing", "FileNotFoundError"),
+        ("guard", "WindowError"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, case, error):
+        graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
+                  "disconnected": "0 1\n2 3\n"}
+        if case in graphs:
+            argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
+        elif case == "missing":
+            argv = ["analyze", str(tmp_path / "absent.txt")]
+        else:
+            argv = ["gamma", "build", "--group",
+                    group_file(tmp_path, corpus.group_z2_z3()), "--N", "1",
+                    "--radius", "6", "--guard", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"hellykit {argv[0]}: {error}: ")
+
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("postcondition failed")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        assert main(["analyze", c4_edge_list(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hellykit analyze: AssertionError: "
+                                "postcondition failed\n")
+
+    def test_hellyfy_stdout_is_the_report(self, tmp_path, capsys):
+        assert main(["hellyfy", c4_edge_list(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        validate_report(report)
+        assert report["result"]["helly"] is True
+        assert captured.err == "helly: true\n"
 
 
 class TestMeasure:

@@ -10,6 +10,11 @@ from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
 from hellykit.relwords import analyze_word, value as word_value
 
 
+def window_neighbors(w, v):
+    """Neighbours of a tagged vertex, read through the window's int ids."""
+    return [w.verts[j] for j in w.adj[w.index[v]]]
+
+
 def window_z23(radius=6):
     spec = corpus.group_z2_z3()
     return GammaWindow(GammaConfig(spec, 1), radius)
@@ -27,7 +32,7 @@ class TestZPath:
 
     def test_medial_one_step(self):
         w = window_z23(3)
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         z = z_path(w.config, med)
         assert len(z) == 2 and z[0] == med and z[1][0] == "free"
 
@@ -40,7 +45,7 @@ class TestZPath:
 
     def test_deterministic(self):
         w = window_z23(3)
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         assert z_path(w.config, med) == z_path(w.config, med)
 
 
@@ -48,8 +53,8 @@ class TestDerive:
     def test_medial_hop_gives_x_letter(self):
         w = window_z23(4)
         spec = w.config.spec
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
-        far = [v for v in w.adj[med] if v != w.base][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
+        far = [v for v in window_neighbors(w, med) if v != w.base][0]
         res = derive(w, [w.base, med, far])
         assert len(res.word.letters) == 1
         letter = res.word.letters[0]
@@ -83,8 +88,8 @@ class TestDerive:
     def test_short_prefix_dropped(self):
         # path starting 1 edge before its first free vertex: prefix dropped
         w = window_z23(4)
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
-        far = [v for v in w.adj[med] if v != w.base][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
+        far = [v for v in window_neighbors(w, med) if v != w.base][0]
         res = derive(w, [med, far])
         assert res.word.letters == ()
         assert not res.extended_first and not res.extended_last

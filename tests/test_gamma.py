@@ -2,6 +2,7 @@
 shortenings, penetration, geodesic enumeration."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -9,6 +10,11 @@ from hellykit import corpus
 from hellykit.gamma import (GammaConfig, GammaWindow, WindowError,
                             certified_clauses, min_n_loops, min_n_quotient,
                             recommended_n)
+
+
+def window_neighbors(w, v):
+    """Neighbours of a tagged vertex, read through the window's int ids."""
+    return [w.verts[j] for j in w.adj[w.index[v]]]
 
 
 def ref_window_vertices(spec, n_thick, radius):
@@ -121,7 +127,7 @@ class TestWindow:
         spec = corpus.group_z2_z3()
         config = GammaConfig(spec, 1)
         w0 = GammaWindow(config, 0)
-        assert w0.vertices() == [config.base_vertex()]
+        assert w0.verts == [config.base_vertex()]
         w1 = GammaWindow(config, 1)
         counts = w1.kind_counts()
         assert counts["free"] == 1
@@ -133,32 +139,32 @@ class TestWindow:
         config = GammaConfig(spec, 1)
         w = GammaWindow(config, 4)
         ref = ref_window_vertices(spec, 1, 4)
-        assert set(w.dist_from_base) == ref
+        assert set(w.verts) == ref
 
     def test_counts_match_reference_generator_abelian(self):
         spec = corpus.group_zsq_z2("king")
         config = GammaConfig(spec, 2)
         w = GammaWindow(config, 4)
-        assert set(w.dist_from_base) == ref_window_vertices(spec, 2, 4)
+        assert set(w.verts) == ref_window_vertices(spec, 2, 4)
 
     def test_partition_and_edge_kinds(self):
         spec = corpus.group_z2_z3()
         w = GammaWindow(GammaConfig(spec, 1), 5)
         kinds = {"free": 0, "med": 0, "int": 0}
-        for v in w.vertices():
+        for v in w.verts:
             kinds[v[0]] += 1
         assert sum(kinds.values()) == len(w.dist_from_base)
-        for u in w.vertices():
-            for v in w.adj[u]:
+        for u in w.verts:
+            for v in window_neighbors(w, u):
                 assert GammaConfig.edge_kind(u, v) in ("free", "connecting",
                                                        "internal")
 
     def test_no_adjacent_free_vertices(self):
         spec = corpus.group_z2_z3()
         w = GammaWindow(GammaConfig(spec, 1), 5)
-        for u in w.vertices():
+        for u in w.verts:
             if u[0] == "free":
-                assert all(v[0] != "free" for v in w.adj[u])
+                assert all(v[0] != "free" for v in window_neighbors(w, u))
         # consequence: free-free distances are >= 2
         free = w.free_vertices()
         for v in free[:10]:
@@ -169,9 +175,10 @@ class TestWindow:
     def test_internal_connecting_unique(self):
         spec = corpus.group_zsq_z2("king")
         w = GammaWindow(GammaConfig(spec, 2), 4)
-        for v in w.vertices():
+        for v in w.verts:
             if v[0] == "int" and w.has_full_neighborhood(v):
-                assert sum(1 for u in w.adj[v] if u[0] == "free") == 1
+                free = [u for u in window_neighbors(w, v) if u[0] == "free"]
+                assert len(free) == 1
 
     def test_guard(self):
         spec = corpus.group_zsq_z2("king")
@@ -186,25 +193,26 @@ class TestWindowDistance:
 
     def test_sphere_vertex_certified(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        far = [v for v in w.vertices() if w.dist_from_base[v] == 3]
+        far = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
         assert far
         hops, certified = w.window_distance(w.base, far[0])
         assert hops == 3 and certified
 
     def test_antipodal_sphere_pair_uncertified(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        sphere = [v for v in w.vertices() if w.dist_from_base[v] == 3]
+        sphere = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
         u, v = sphere[0], sphere[-1]
-        hops, certified = w.window_distance(u, v)
-        if hops and hops + 3 > 3:
-            assert not certified
+        # dist(u) = R leaves no room for a positive distance, and an
+        # uncertified pair gets no distance at all
+        assert u != v
+        assert w.window_distance(u, v) == (None, False)
 
     def test_certified_stable_under_enlargement(self):
         spec = corpus.group_z2_z3()
         w5 = GammaWindow(GammaConfig(spec, 1), 5)
         w7 = GammaWindow(GammaConfig(spec, 1), 7)
         rng = random.Random(5)
-        verts = w5.vertices()
+        verts = w5.verts
         pairs = 0
         while pairs < 300:
             u = verts[rng.randrange(len(verts))]
@@ -215,6 +223,41 @@ class TestWindowDistance:
             hops2, certified2 = w7.window_distance(u, v)
             assert certified2 and hops2 == hops
             pairs += 1
+
+
+    def test_bounded_certificate_matches_unbounded_bfs(self):
+        # oracle: a full BFS from u over the whole window, certified when
+        # dist(u) + d(u, v) <= R, against the bounded, early-stopping BFS
+        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 5)
+        rng = random.Random(11)
+        verts = w.verts
+        certified_pairs = 0
+        for _ in range(500):
+            u = verts[rng.randrange(len(verts))]
+            v = verts[rng.randrange(len(verts))]
+            iu, iv = w.index[u], w.index[v]
+            level = {iu: 0}
+            queue = deque([iu])
+            while queue:
+                z = queue.popleft()
+                for y in w.adj[z]:
+                    if y not in level:
+                        level[y] = level[z] + 1
+                        queue.append(y)
+            want = w.dist_from_base[iu] + level[iv] <= w.radius
+            hops, certified = w.window_distance(u, v)
+            assert certified == want
+            assert hops == (level[iv] if want else None)
+            path = w.random_geodesic(random.Random(0), u, v)
+            if not want:
+                assert path is None
+                continue
+            certified_pairs += 1
+            assert len(path) == level[iv] + 1
+            assert path[0] == u and path[-1] == v
+            for a, b in zip(path, path[1:]):
+                assert b in window_neighbors(w, a)
+        assert 50 <= certified_pairs <= 450
 
 
 class TestSingleSyllableDistances:
@@ -249,8 +292,8 @@ class TestPathAnalysis:
         spec = corpus.group_z2_z3()
         w = GammaWindow(GammaConfig(spec, 1), 4)
         base = w.base
-        med = [v for v in w.adj[base] if v[0] == "med"][0]
-        other = [v for v in w.adj[med] if v != base][0]
+        med = [v for v in window_neighbors(w, base) if v[0] == "med"][0]
+        other = [v for v in window_neighbors(w, med) if v != base][0]
         assert w.parabolic_shortenings([base, med, other]) == []
         assert w.penetration_profile([base, med, other]) == []
 
@@ -283,8 +326,10 @@ class TestPathAnalysis:
         config = GammaConfig(spec, 1)
         w = GammaWindow(config, 4)
         base = w.base
-        inside = [v for v in w.adj[base] if v[0] == "int" and v[1] == 1][0]
-        out = [v for v in w.adj[inside] if v[0] == "free" and v != base]
+        inside = [v for v in window_neighbors(w, base)
+                  if v[0] == "int" and v[1] == 1][0]
+        out = [v for v in window_neighbors(w, inside)
+               if v[0] == "free" and v != base]
         path = [base, inside, out[0]] if out else [base, inside, base]
         profile = w.penetration_profile(path)
         assert len(profile) == 1
@@ -295,14 +340,14 @@ class TestPathAnalysis:
 class TestGeodesicEnumeration:
     def test_adjacent_pair(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         paths, truncated = w.geodesics_between(w.base, med)
         assert paths == [[w.base, med]] and not truncated
 
     def test_medial_hop(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        med = [v for v in w.adj[w.base] if v[0] == "med"][0]
-        far = [v for v in w.adj[med] if v != w.base][0]
+        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
+        far = [v for v in window_neighbors(w, med) if v != w.base][0]
         paths, _ = w.geodesics_between(w.base, far)
         assert len(paths) >= 1
         assert all(len(p) == 3 for p in paths)
@@ -311,7 +356,7 @@ class TestGeodesicEnumeration:
         spec = corpus.group_z2_z3()
         w = GammaWindow(GammaConfig(spec, 1), 5)
         rng = random.Random(7)
-        verts = w.vertices()
+        verts = w.verts
         done = 0
         while done < 60:
             u = verts[rng.randrange(len(verts))]
@@ -326,7 +371,7 @@ class TestGeodesicEnumeration:
 
     def test_uncertified_rejected(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        sphere = [v for v in w.vertices() if w.dist_from_base[v] == 3]
+        sphere = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
         u, v = sphere[0], sphere[-1]
         hops, certified = w.window_distance(u, v)
         if not certified:
@@ -354,8 +399,8 @@ class TestExport:
         assert g.n == len(w.dist_from_base)
         assert g.is_connected()
         index = {v: i for i, v in enumerate(verts)}
-        for u in w.vertices():
-            for v in w.adj[u]:
+        for u in w.verts:
+            for v in window_neighbors(w, u):
                 assert index[v] in g.adj[index[u]]
         # projected distances agree with certified window distances
         hops, certified = w.window_distance(w.base, verts[-1])

@@ -7,8 +7,7 @@ import pytest
 from hellykit import corpus
 from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
                              NotConnectedError, QGParams, ball, classify_path,
-                             count_geodesics, distance_matrix,
-                             enumerate_geodesics, full_subgraph,
+                             count_geodesics, enumerate_geodesics, full_subgraph,
                              hausdorff_distance, interval,
                              is_isometric_subgraph, power_graph, thinness_delta)
 
@@ -43,7 +42,7 @@ class TestDistanceMatrix:
 
     def test_complete(self):
         g = corpus.complete(4)
-        d = distance_matrix(g)
+        d = g.dist()
         assert all(d[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
     def test_cycle_diameter(self):
@@ -52,7 +51,7 @@ class TestDistanceMatrix:
     def test_disconnected_raises(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(NotConnectedError):
-            distance_matrix(g)
+            g.dist()
 
     def test_matches_brute_oracle(self):
         for g in random_connected_graphs(25):
@@ -102,9 +101,10 @@ class TestInterval:
 
     def test_equals_union_of_geodesics(self):
         for g in random_connected_graphs(20, n_hi=9, seed=5):
+            d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths, _ = enumerate_geodesics(g, u, v)
+                    paths, _ = enumerate_geodesics(g.adj, d[u], d[v])
                     union = sorted({z for p in paths for z in p})
                     assert union == interval(g, u, v)
 
@@ -208,7 +208,9 @@ class TestClassifyPath:
         rng = random.Random(1)
         for g in random_connected_graphs(10, seed=21):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
-            paths, _ = enumerate_geodesics(g, u, v, cap=50, allow_truncate=True)
+            d = g.dist()
+            paths, _ = enumerate_geodesics(g.adj, d[u], d[v], cap=50,
+                                           allow_truncate=True)
             for p in paths[:5]:
                 for lam, c in ((1, 0), (1, 3), (2, 0), (3, 2)):
                     assert classify_path(g, list(p), QGParams(lam, c)).is_quasigeodesic
@@ -258,18 +260,21 @@ class TestHausdorff:
 class TestGeodesicEnumeration:
     def test_counts_match_dp(self):
         for g in random_connected_graphs(15, n_hi=9, seed=13):
+            d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths, truncated = enumerate_geodesics(g, u, v)
+                    paths, truncated = enumerate_geodesics(g.adj, d[u], d[v])
                     assert not truncated
-                    assert len(paths) == count_geodesics(g, u, v)
+                    assert len(paths) == count_geodesics(g.adj, d[u], d[v])
 
     def test_cap_raises_loudly(self):
         # hypercube-ish king power has many geodesics between far corners
         g = corpus.grid(4, 4)
+        d = g.dist()
         with pytest.raises(GeodesicCapExceeded):
-            enumerate_geodesics(g, 0, 15, cap=3)
-        paths, truncated = enumerate_geodesics(g, 0, 15, cap=3, allow_truncate=True)
+            enumerate_geodesics(g.adj, d[0], d[15], cap=3)
+        paths, truncated = enumerate_geodesics(g.adj, d[0], d[15], cap=3,
+                                               allow_truncate=True)
         assert truncated and len(paths) == 3
 
 
