@@ -213,7 +213,7 @@ def _cmd_corpus(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(out)
+    print(out, file=sys.stderr)
     return 0
 
 

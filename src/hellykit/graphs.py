@@ -105,6 +105,11 @@ class Graph:
     def d(self, u: int, v: int) -> int:
         return self.dist()[u][v]
 
+    def rows(self):
+        """The hop metric in the row form the metric-generic constants below
+        take: rows()(x) is the distance function y -> d(x, y)."""
+        return [row.__getitem__ for row in self.dist()].__getitem__
+
     def eccentricity(self, v: int) -> int:
         return max(self.dist()[v])
 
@@ -257,14 +262,45 @@ def classify_path(g: Graph, path: Sequence[int], q: QGParams) -> PathClass:
     return PathClass(is_geo, is_qg, local)
 
 
+# Metric-generic constants.  A metric is given by rows: row(x) returns the
+# distance function y -> d(x, y).  For a graph that is Graph.rows(); for a group,
+# GroupSpec.x_row or GroupSpec.rel_row, which invert x once per row instead of
+# once per pair.
+
+def directed_hausdorff(row, a: Sequence, b: Sequence) -> int:
+    """max over x in a of min over y in b of d(x, y), for nonempty a and b."""
+    return max(min(map(row(x), b)) for x in a)
+
+
+def thin_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
+    """Thin constant of the triangle p: a->b, q: b->c, r: c->a, given as
+    vertex sequences: at each corner, the vertices of its two sides at equal
+    distance from it are compared, up to that corner's Gromov product."""
+    lp, lq, lr = len(p) - 1, len(q) - 1, len(r) - 1
+    thin = 0
+    for side1, l1, side2, l2, lopp in (
+            (p, lp, r, lr, lq),   # corner a = p_- = r_+
+            (q, lq, p, lp, lr),   # corner b = p_+ = q_-
+            (r, lr, q, lq, lp)):  # corner c = q_+ = r_-
+        for t in range((l1 + l2 - lopp) // 2 + 1):
+            thin = max(thin, row(side1[t])(side2[l2 - t]))
+    return thin
+
+
+def slim_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
+    """Slim constant of a triangle: each side against the union of the other
+    two."""
+    return max(directed_hausdorff(row, p, (*q, *r)),
+               directed_hausdorff(row, q, (*r, *p)),
+               directed_hausdorff(row, r, (*p, *q)))
+
+
 def hausdorff_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
     sa, sb = sorted(set(a)), sorted(set(b))
     if not sa or not sb:
         raise GraphError("hausdorff distance needs nonempty sets")
-    d = g.dist()
-    ab = max(min(d[x][y] for y in sb) for x in sa)
-    ba = max(min(d[y][x] for x in sa) for y in sb)
-    return max(ab, ba)
+    row = g.rows()
+    return max(directed_hausdorff(row, sa, sb), directed_hausdorff(row, sb, sa))
 
 
 # The geodesic distance DAG of a pair u, v is read off two single-source rows:
@@ -346,32 +382,6 @@ class ThinnessReport:
     samples: int
 
 
-def _triangle_constants(g: Graph, p: Sequence[int], q: Sequence[int], r: Sequence[int]
-                        ) -> tuple[int, int]:
-    """(thin, slim) constants of one geodesic triangle p: a->b, q: b->c, r: c->a.
-
-    Thin pairs match vertices at equal distance from a shared corner, up to
-    that corner's Gromov product; slim measures each side against the union of
-    the other two.
-    """
-    d = g.dist()
-    lp, lq, lr = len(p) - 1, len(q) - 1, len(r) - 1
-    thin = 0
-    # corner a = p_- = r_+ : pair p[t] with r[lr - t]
-    for side1, l1, side2, l2, lopp in (
-            (p, lp, r, lr, lq),   # corner a
-            (q, lq, p, lp, lr),   # corner b = p_+ = q_-
-            (r, lr, q, lq, lp)):  # corner c = q_+ = r_-
-        bound = (l1 + l2 - lopp) // 2
-        for t in range(0, bound + 1):
-            thin = max(thin, d[side1[t]][side2[l2 - t]])
-    slim = 0
-    for side, others in ((p, q + r), (q, r + p), (r, p + q)):
-        for u in side:
-            slim = max(slim, min(d[u][w] for w in others))
-    return thin, slim
-
-
 def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
                    seed: int = 0, cap: int = GEODESIC_CAP_DEFAULT) -> ThinnessReport:
     """Max thin and slim constants over geodesic triangles.
@@ -383,6 +393,7 @@ def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
     import random
 
     d = g.dist()
+    row = g.rows()
     thin = slim = 0
     checked = 0
     if g.n <= max_exhaustive:
@@ -396,9 +407,8 @@ def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
                     for p in geos[(a, b)]:
                         for q in geos[(b, c)]:
                             for r in geos[(c, a)]:
-                                t, s = _triangle_constants(g, p, q, r)
-                                thin = max(thin, t)
-                                slim = max(slim, s)
+                                thin = max(thin, thin_constant(row, p, q, r))
+                                slim = max(slim, slim_constant(row, p, q, r))
                                 checked += 1
         return ThinnessReport(thin, slim, checked, True, 0)
 
@@ -408,8 +418,7 @@ def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
         p = sample_geodesic(g.adj, d[b], a, rng)
         q = sample_geodesic(g.adj, d[c], b, rng)
         r = sample_geodesic(g.adj, d[a], c, rng)
-        t, s = _triangle_constants(g, p, q, r)
-        thin = max(thin, t)
-        slim = max(slim, s)
+        thin = max(thin, thin_constant(row, p, q, r))
+        slim = max(slim, slim_constant(row, p, q, r))
         checked += 1
     return ThinnessReport(thin, slim, checked, False, samples)

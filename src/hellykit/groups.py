@@ -28,6 +28,8 @@ from collections import deque
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
+from .graphs import bfs_row
+
 Syllable = tuple
 Element = tuple  # tuple of syllables
 Letter = tuple
@@ -46,39 +48,20 @@ class BallExplosion(GroupError):
     pass
 
 
-class CyclicFactor:
-    """Z/order with generators {1, order-1}; the parabolic graph is its Cayley
-    graph, acted on by right translation (simply transitively)."""
+class _FiniteFactorBase:
+    """A finite factor on elements 0..order-1 with identity 0; subclasses give
+    mul and inv.  Word lengths are one BFS over the Cayley graph."""
 
-    kind = "cyclic"
     is_finite = True
+    identity = 0
 
-    def __init__(self, order: int):
-        if order < 2:
-            raise GroupError("cyclic factor needs order >= 2")
+    def __init__(self, order: int, generators: list[int]):
         self.order = order
-        self.identity = 0
-        self.generators = sorted({1, order - 1})
-        self._wl = self._bfs_lengths()
-
-    def _bfs_lengths(self) -> list[int]:
-        wl = [-1] * self.order
-        wl[0] = 0
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for s in self.generators:
-                b = (a + s) % self.order
-                if wl[b] < 0:
-                    wl[b] = wl[a] + 1
-                    queue.append(b)
-        return wl
-
-    def mul(self, a, b):
-        return (a + b) % self.order
-
-    def inv(self, a):
-        return (-a) % self.order
+        self.generators = generators
+        self._wl = bfs_row([[self.mul(s, a) for s in generators]
+                            for a in range(order)], 0)
+        if min(self._wl) < 0:
+            raise GroupError("generators do not generate the factor")
 
     def elements(self):
         return list(range(self.order))
@@ -95,15 +78,32 @@ class CyclicFactor:
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         return list(range(1, self.order))
 
+
+class CyclicFactor(_FiniteFactorBase):
+    """Z/order with generators {1, order-1}; the parabolic graph is its Cayley
+    graph, acted on by right translation (simply transitively)."""
+
+    kind = "cyclic"
+
+    def __init__(self, order: int):
+        if order < 2:
+            raise GroupError("cyclic factor needs order >= 2")
+        super().__init__(order, sorted({1, order - 1}))
+
+    def mul(self, a, b):
+        return (a + b) % self.order
+
+    def inv(self, a):
+        return (-a) % self.order
+
     def to_json(self):
         return {"kind": "cyclic", "order": self.order}
 
 
-class FiniteFactor:
+class FiniteFactor(_FiniteFactorBase):
     """Finite factor given by a multiplication table with identity 0."""
 
     kind = "finite"
-    is_finite = True
 
     def __init__(self, table: list[list[int]], generators: list[int]):
         n = len(table)
@@ -131,47 +131,14 @@ class FiniteFactor:
         if sorted({inv[g] for g in gens}) != gens:
             raise GroupError("generating set must be symmetric")
         self.table = tuple(tuple(row) for row in table)
-        self.order = n
-        self.identity = 0
-        self.generators = gens
         self._inv = inv
-        self._wl = self._bfs_lengths()
-        if any(w < 0 for w in self._wl):
-            raise GroupError("generators do not generate the factor")
-
-    def _bfs_lengths(self) -> list[int]:
-        wl = [-1] * self.order
-        wl[0] = 0
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for s in self.generators:
-                b = self.table[s][a]
-                if wl[b] < 0:
-                    wl[b] = wl[a] + 1
-                    queue.append(b)
-        return wl
+        super().__init__(n, gens)
 
     def mul(self, a, b):
         return self.table[a][b]
 
     def inv(self, a):
         return self._inv[a]
-
-    def elements(self):
-        return list(range(self.order))
-
-    def word_length(self, h) -> int:
-        return self._wl[h]
-
-    def graph_distance(self, u, v) -> int:
-        return self._wl[self.mul(v, self._inv[u])]
-
-    def near(self, u, n: int) -> list:
-        return sorted(v for v in range(self.order) if 1 <= self.graph_distance(u, v) <= n)
-
-    def nontrivial_elements(self, cap: Optional[int] = None) -> list:
-        return list(range(1, self.order))
 
     def to_json(self):
         return {"kind": "finite", "table": [list(r) for r in self.table],
@@ -383,6 +350,16 @@ class GroupSpec:
 
     def d_x(self, g: Element, h: Element) -> int:
         return self.x_length(self.multiply(h, self.invert(g)))
+
+    def rel_row(self, g: Element):
+        """h -> d_rel(g, h), inverting g once for every h."""
+        inv, multiply, length = self.invert(g), self.multiply, self.rel_length
+        return lambda h: length(multiply(h, inv))
+
+    def x_row(self, g: Element):
+        """h -> d_x(g, h), inverting g once for every h."""
+        inv, multiply, length = self.invert(g), self.multiply, self.x_length
+        return lambda h: length(multiply(h, inv))
 
     # -- letters -----------------------------------------------------------
 

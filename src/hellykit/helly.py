@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, enumerate_geodesics, interval
+from .graphs import (Graph, GraphError, directed_hausdorff, enumerate_geodesics,
+                     interval)
 
 EXTREMAL_VERTEX_BOUND = 14
 ORACLE_VERTEX_BOUND = 8
@@ -144,12 +145,18 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     So a non-distance extremal function IS a pairwise intersecting family with
     empty total intersection, and is returned as the witness.
     """
-    fs = extremal_functions(g, max_vertices=max_vertices)
+    witness = _witness(g, extremal_functions(g, max_vertices=max_vertices))
+    return witness is None, witness
+
+
+def _witness(g: Graph, fs: list[tuple[int, ...]]) -> Optional[RadiusFamily]:
+    """The first extremal function that is not a distance row, as a ball
+    family; None when there is none, i.e. when the graph is Helly."""
     rows = set(g.dist())
     for f in fs:
         if f not in rows:
-            return False, RadiusFamily.from_map({v: f[v] for v in range(g.n)})
-    return True, None
+            return RadiusFamily.from_map({v: f[v] for v in range(g.n)})
+    return None
 
 
 def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> int:
@@ -162,7 +169,10 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
     min_x max_v (d(x,v) - f(v))_+, and that value is attained by the family f
     itself.  Zero exactly when the graph is Helly.
     """
-    fs = extremal_functions(g, max_vertices=max_vertices)
+    return _xi(g, extremal_functions(g, max_vertices=max_vertices))
+
+
+def _xi(g: Graph, fs: list[tuple[int, ...]]) -> int:
     d = g.dist()
     xi = 0
     for f in fs:
@@ -277,15 +287,13 @@ def stable_interval_constant(g: Graph) -> int:
     from w to the nearest vertex of interval(u,b) is exactly the best
     achievable over geodesic choices; maximize over all (a, b, u, w).
     """
-    d = g.dist()
+    row = g.rows()
     best = 1  # the defining property quantifies over beta >= 1
     for a in range(g.n):
         for u in g.adj[a]:
             for b in range(g.n):
-                iab = interval(g, a, b)
-                iub = interval(g, u, b)
-                for w in iab:
-                    best = max(best, min(d[w][z] for z in iub))
+                best = max(best, directed_hausdorff(row, interval(g, a, b),
+                                                    interval(g, u, b)))
     return best
 
 
@@ -352,8 +360,12 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
 
 def analyze(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> HellyReport:
-    helly, witness = is_helly(g, max_vertices=max_vertices)
-    xi = 0 if helly else coarse_helly_constant(g, max_vertices=max_vertices)
+    """Helly verdict, witness and xi read off one extremal-function
+    enumeration, plus pseudo-modularity and beta."""
+    fs = extremal_functions(g, max_vertices=max_vertices)
+    witness = _witness(g, fs)
+    helly = witness is None
+    xi = 0 if helly else _xi(g, fs)
     pm, _ = is_pseudo_modular(g)
     beta = stable_interval_constant(g)
     return HellyReport(helly, xi, pm, beta, witness)

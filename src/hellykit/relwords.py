@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .graphs import directed_hausdorff, slim_constant, thin_constant
 from .groups import Element, GroupSpec, Letter, random_element
 
 
@@ -108,22 +109,34 @@ def reverse_word(spec: GroupSpec, w: RelWord) -> RelWord:
 
 def decompose_components(spec: GroupSpec, w: RelWord) -> list[Component]:
     """Ordered maximal parabolic runs; letters outside them are X-letters."""
-    verts = vertices(spec, w)
+    return _components(w.letters, vertices(spec, w))
+
+
+def _components(letters: Sequence[Letter], verts: Sequence[Element]
+                ) -> list[Component]:
     comps = []
     i = 0
-    n = len(w.letters)
+    n = len(letters)
     while i < n:
-        letter = w.letters[i]
+        letter = letters[i]
         if letter[0] != "h":
             i += 1
             continue
         j = letter[1]
         k = i
-        while k + 1 < n and w.letters[k + 1][0] == "h" and w.letters[k + 1][1] == j:
+        while k + 1 < n and letters[k + 1][0] == "h" and letters[k + 1][1] == j:
             k += 1
         comps.append(Component(j, i, k, verts[i], verts[k + 1]))
         i = k + 1
     return comps
+
+
+def _phase_indices(comps: Sequence[Component], n: int) -> tuple[int, ...]:
+    """Vertex positions 0..n that are not interior to a component."""
+    interior = set()
+    for c in comps:
+        interior.update(range(c.start_index + 1, c.end_index + 1))
+    return tuple(i for i in range(n + 1) if i not in interior)
 
 
 def _in_parabolic(q: Element, j: Optional[int] = None) -> bool:
@@ -157,9 +170,7 @@ def analyze_word(spec: GroupSpec, w: RelWord) -> WordAnalysis:
 
     n = len(w.letters)
     vertex_backtracks = False
-    prefix = [spec.identity]
-    for letter in w.letters:
-        prefix.append(spec.multiply(spec.letter_image(letter), prefix[-1]))
+    prefix = vertices(spec, RelWord(spec.identity, w.letters))
     for i in range(n + 1):
         if vertex_backtracks:
             break
@@ -169,12 +180,8 @@ def analyze_word(spec: GroupSpec, w: RelWord) -> WordAnalysis:
                 vertex_backtracks = True
                 break
 
-    interior = set()
-    for c in comps:
-        interior.update(range(c.start_index + 1, c.end_index + 1))
-    phase = tuple(i for i in range(n + 1) if i not in interior)
-    return WordAnalysis(backtracks, vertex_backtracks, tuple(isolated), phase,
-                        tuple(comps))
+    return WordAnalysis(backtracks, vertex_backtracks, tuple(isolated),
+                        _phase_indices(comps, n), tuple(comps))
 
 
 def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
@@ -184,9 +191,7 @@ def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
 def is_quasigeodesic(spec: GroupSpec, w: RelWord, lam, c) -> bool:
     """Exact (lam,c)-quasigeodesic check over every subword, via rel_length."""
     lam, c = Fraction(lam), Fraction(c)
-    prefix = [spec.identity]
-    for letter in w.letters:
-        prefix.append(spec.multiply(spec.letter_image(letter), prefix[-1]))
+    prefix = vertices(spec, RelWord(spec.identity, w.letters))
     n = len(w.letters)
     for i in range(n + 1):
         inv_i = spec.invert(prefix[i])
@@ -255,19 +260,9 @@ def perturbed_word(spec: GroupSpec, rng: random.Random, start: Element,
 
 
 def _phase_elements(spec: GroupSpec, w: RelWord) -> list[Element]:
-    analysis = analyze_word(spec, w)
     verts = vertices(spec, w)
-    return [verts[i] for i in analysis.phase_vertices]
-
-
-def _max_min_dx(spec: GroupSpec, sources: Sequence[Element],
-                targets: Sequence[Element]) -> int:
-    worst = 0
-    for u in sources:
-        inv_u = spec.invert(u)
-        best = min(spec.x_length(spec.multiply(v, inv_u)) for v in targets)
-        worst = max(worst, best)
-    return worst
+    comps = _components(w.letters, verts)
+    return [verts[i] for i in _phase_indices(comps, len(w.letters))]
 
 
 def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
@@ -276,8 +271,8 @@ def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
     closeness of connected components.  Measured in both directions."""
     phase_p = _phase_elements(spec, wp)
     phase_q = _phase_elements(spec, wq)
-    phase_defect = max(_max_min_dx(spec, phase_q, phase_p),
-                       _max_min_dx(spec, phase_p, phase_q))
+    phase_defect = max(directed_hausdorff(spec.x_row, phase_q, phase_p),
+                       directed_hausdorff(spec.x_row, phase_p, phase_q))
 
     comps_p = decompose_components(spec, wp)
     comps_q = decompose_components(spec, wq)
@@ -304,7 +299,8 @@ def triangle_mu_defects(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> 
     worst = 0
     for wa, wb, wc in triangles:
         phase_ab = _phase_elements(spec, wa) + _phase_elements(spec, wb)
-        worst = max(worst, _max_min_dx(spec, _phase_elements(spec, wc), phase_ab))
+        worst = max(worst, directed_hausdorff(spec.x_row, _phase_elements(spec, wc),
+                                              phase_ab))
         comps_a = decompose_components(spec, wa)
         comps_b = decompose_components(spec, wb)
         for cc in decompose_components(spec, wc):
@@ -325,29 +321,8 @@ def triangle_mu_defects(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> 
 
 
 def triangle_nu_defect(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> int:
-    vp, vq, vr = (vertices(spec, w) for w in (p, q, r))
-    return max(_max_min_dx(spec, vp, vq + vr),
-               _max_min_dx(spec, vq, vr + vp),
-               _max_min_dx(spec, vr, vp + vq))
-
-
-def _rel_thin_slim(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord
-                   ) -> tuple[int, int]:
-    vp, vq, vr = (vertices(spec, w) for w in (p, q, r))
-    lp, lq, lr = len(p), len(q), len(r)
-    thin = 0
-    for side1, l1, side2, l2, lopp in ((vp, lp, vr, lr, lq),
-                                       (vq, lq, vp, lp, lr),
-                                       (vr, lr, vq, lq, lp)):
-        for t in range((l1 + l2 - lopp) // 2 + 1):
-            thin = max(thin, spec.d_rel(side1[t], side2[l2 - t]))
-    slim = 0
-    for side, others in ((vp, vq + vr), (vq, vr + vp), (vr, vp + vq)):
-        for u in side:
-            inv_u = spec.invert(u)
-            slim = max(slim, min(spec.rel_length(spec.multiply(v, inv_u))
-                                 for v in others))
-    return thin, slim
+    """Slim constant of a triangle in d_X."""
+    return slim_constant(spec.x_row, *(vertices(spec, w) for w in (p, q, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +400,9 @@ def measure_delta(spec: GroupSpec, samples: int, seed: int, radius: int = 6,
     thin = slim = 0
     for _ in range(samples):
         wp, wq, wr, _ = _sample_triangle(spec, rng, 1, 0, radius, parabolic_cap)
-        t, s = _rel_thin_slim(spec, wp, wq, wr)
-        thin = max(thin, t)
-        slim = max(slim, s)
+        vp, vq, vr = (vertices(spec, w) for w in (wp, wq, wr))
+        thin = max(thin, thin_constant(spec.rel_row, vp, vq, vr))
+        slim = max(slim, slim_constant(spec.rel_row, vp, vq, vr))
     return ConstantReport(
         what="delta", params={"radius": radius, "parabolic_cap": parabolic_cap,
                               "group": spec.to_json()},
@@ -449,16 +424,8 @@ def measure_zeta(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
         rejected += rej
         wg = geodesic_word(spec, g1, g2)
         vq, vg = vertices(spec, wq), vertices(spec, wg)
-        worst = 0
-        for u in vq:
-            inv_u = spec.invert(u)
-            worst = max(worst, min(spec.rel_length(spec.multiply(v, inv_u))
-                                   for v in vg))
-        for u in vg:
-            inv_u = spec.invert(u)
-            worst = max(worst, min(spec.rel_length(spec.multiply(v, inv_u))
-                                   for v in vq))
-        zeta = max(zeta, worst)
+        zeta = max(zeta, directed_hausdorff(spec.rel_row, vq, vg),
+                   directed_hausdorff(spec.rel_row, vg, vq))
     return ConstantReport(
         what="zeta", params={"lambda": str(qg_lam), "c": str(qg_c),
                              "radius": radius, "parabolic_cap": parabolic_cap,

@@ -42,6 +42,21 @@ class TestAnalyze:
         main(["analyze", c4_edge_list(tmp_path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    # sha256 of the analyze report on C14 (non-Helly, 1,094 extremal
+    # functions) and the 3x3 king grid (Helly); the report records the graph
+    # path, so the file is read by a fixed relative name
+    @pytest.mark.parametrize("name, graph, digest", [
+        ("c14", lambda: corpus.cycle(14),
+         "1ae1df26d1c3f4eea808ee1875d1e23cf4ce82eeefe3bdf7fbe55f542b0f6699"),
+        ("king3x3", lambda: corpus.king_grid(3, 3),
+         "4b2a084694dc6201595a6098a5a0840463725a622fbb42720abdbf40c40ae8fa"),
+    ], ids=["c14", "king3x3"])
+    def test_pinned_report_digest(self, tmp_path, monkeypatch, name, graph, digest):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / f"{name}.json", json.dumps(graph_to_json(graph())))
+        assert main(["analyze", f"{name}.json", "--out", "a.json"]) == 0
+        assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == digest
+
 
 class TestHellyfy:
     def test_c4_wheel(self, tmp_path, capsys):
@@ -211,6 +226,35 @@ class TestMeasure:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    # sha256 of the measure report at radius 4, 20 samples and seed 11; any
+    # change to the samplers, the phase vertices or the Hausdorff and
+    # thin/slim constants that moves a value or a draw changes these bytes
+    @pytest.mark.parametrize("group, what, digest", [
+        (corpus.group_z2_z3, "bcp",
+         "51c9f32e3758347ebfe500af3d8e1c4cee65151d4a82d81b6df25b62c44607fa"),
+        (corpus.group_z2_z3, "nu",
+         "e8ff21ac999a7b630db66991f21d9dc2669fd6af2c218fa142d51845aa2a91d3"),
+        (corpus.group_z2_z3, "delta",
+         "cdfe5c3aff2986c1a28c6b70affd3b643cd35e36478b60e20cea8ab29cb35f18"),
+        (corpus.group_z2_z3, "zeta",
+         "18984d5c39bd6804e4ed0205cc6e050d9fb856d0588a104eea2569475cf8d79b"),
+        (corpus.group_zsq_z2, "bcp",
+         "e274e514b3d78562bc18e5211eb495ef77e479bd8fedc98b0098361d6e86bc0c"),
+        (corpus.group_zsq_z2, "nu",
+         "2b911b7b17a402d7aaaa11565a4c3dfb315bae1321c6b0ca2588df44306bd835"),
+        (corpus.group_zsq_z2, "delta",
+         "576b43866fbb4f1f6d3478977a6507de83bf8f2c27a001a36fb0ea00a36d79fd"),
+        (corpus.group_zsq_z2, "zeta",
+         "2b516d8b7deb78568383bb32bbd5fff802f429d9245f21b4fb439f1564c8f428"),
+    ])
+    def test_pinned_report_digest(self, tmp_path, group, what, digest):
+        out = tmp_path / "m.json"
+        code = main(["measure", "--what", what, "--group",
+                     group_file(tmp_path, group()), "--radius", "4",
+                     "--samples", "20", "--seed", "11", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestQuasiconvexCommand:
     def test_window_projection_feeds_orbit_analysis(self, tmp_path, capsys):
@@ -263,6 +307,13 @@ class TestCorpus:
         main(["corpus", "cycle", "--param", "n=4", "--out", str(out)])
         g = load_graph(str(out))
         assert g.n == 4 and g.edge_count() == 4
+
+    def test_path_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "c4.json"
+        assert main(["corpus", "cycle", "--param", "n=4", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{out}\n"
 
     def test_freeproduct_round_trip(self, tmp_path):
         from hellykit.groups import GroupSpec

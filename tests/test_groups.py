@@ -201,6 +201,17 @@ class TestLengths:
             assert spec.x_length(spec.multiply(g, h)) <= \
                 spec.x_length(g) + spec.x_length(h)
 
+    def test_rows_match_pairwise_distances(self):
+        for spec in (corpus.group_z2_z3(), corpus.group_zsq_z2()):
+            rng = random.Random(8)
+            elements = [random_element(spec, rng, rng.randint(0, 6))
+                        for _ in range(30)]
+            for g in elements:
+                x_row, rel_row = spec.x_row(g), spec.rel_row(g)
+                for h in elements:
+                    assert x_row(h) == spec.d_x(g, h)
+                    assert rel_row(h) == spec.d_rel(g, h)
+
 
 class TestEnumerateBall:
     def test_radius_zero(self):
@@ -227,6 +238,8 @@ class TestFactors:
         assert f.graph_distance(1, 2) in (1, 2)
         with pytest.raises(GroupError):
             FiniteFactor(table, [1])  # not symmetric
+        with pytest.raises(GroupError):
+            FiniteFactor(table, [3])  # one transposition generates Z/2 only
         bad = [row[:] for row in table]
         bad[3][3] = 3
         with pytest.raises(GroupError):
@@ -242,6 +255,12 @@ class TestFactors:
     def test_cyclic_generator_symmetry(self):
         assert CyclicFactor(2).generators == [1]
         assert CyclicFactor(5).generators == [1, 4]
+
+    def test_cyclic_word_lengths(self):
+        for n in range(2, 30):
+            f = CyclicFactor(n)
+            assert [f.word_length(h) for h in f.elements()] == \
+                [min(h, n - h) for h in range(n)]
 
     def test_letters_exclude_identity_and_respect_involution(self):
         spec = GroupSpec([CyclicFactor(3), FreeAbelianFactor(2, "square")],
