@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Optional
 
 from .graphs import (Graph, GraphError, directed_hausdorff, enumerate_geodesics,
@@ -66,13 +67,28 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
                        ) -> list[tuple[int, ...]]:
     """The complete set of integral extremal functions, sorted.
 
-    Depth-first descent over candidate values per vertex.  The search range at
-    each vertex is cut by feasibility (f(i) >= d(u,i) - f(u)), the Lipschitz
-    property of extremal functions (|f(i) - f(u)| <= d(u,i)) and the
-    eccentricity bound; a partial assignment is abandoned as soon as some
-    assigned vertex can no longer meet the fixed-point identity even with the
-    most favourable future values, where a future f(u) is already bounded
-    below by the constraints the assigned prefix imposes on it.
+    Depth-first descent over candidate values per vertex, in BFS order from a
+    central vertex.  The value x of vertex i ranges over [L(i), U(i)], where
+    L(i) = max(0, max_u d(u,i) - f(u), max_u f(u) - d(u,i)) and
+    U(i) = min(ecc(i), min_u f(u) + d(u,i)) over the assigned u: feasibility,
+    the Lipschitz property of extremal functions and the eccentricity bound.
+    Lower bounds are kept only for the unassigned tail, and each assignment
+    updates them with one pass over the row of the vertex just assigned.
+
+    Every assigned v satisfies max_u d(u,v) - f(u) <= f(v) over the assigned
+    u, by feasibility; the fixed-point identity asks for equality.  The
+    pending set holds the assigned vertices with no witness yet, i.e. no
+    assigned u with d(u,v) - f(u) = f(v).  Witnesses only accumulate, so a
+    vertex leaves the set for good when the vertex being assigned witnesses
+    it, and a leaf is reached only with an empty set.  A pending v whose value
+    exceeds d(u,v) - L(u) for every unassigned u can never be witnessed, and
+    its branch is cut.  wit[v] remembers where in the tail the last vertex
+    that passed this test for v sits; it is rechecked first, and only on
+    failure is the tail rescanned.  It is a hint, so backtracking leaves it
+    alone.  The same test caps x before the candidate loop: a value above its
+    assigned witness max_u d(u,i) - f(u), above 0 (which vertex i witnesses
+    itself) and above max_u d(i,u) - L(u) over the unassigned u would be cut
+    at once.
     """
     _check_bound(g, max_vertices, EXTREMAL_VERTEX_BOUND,
                  "extremal-function enumeration")
@@ -84,41 +100,57 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     order = sorted(range(n), key=lambda v: (full[center][v], v))
     d = [[full[order[a]][order[b]] for b in range(n)] for a in range(n)]
     ecc = [max(row) for row in d]
+    # tails list the unassigned vertices last-first, u = n-1, ..., i+1, so
+    # the tail of vertex i+1 is the tail of vertex i without its last entry
+    # and map() over a longer row stops where the tail ends
+    rev = [row[::-1] for row in d]
+    tail = [rev[i][:n - 1 - i] for i in range(n)]
+    # |d(i,u) - x| over the tail of i, for each candidate x of vertex i
+    lip = [[[abs(du - x) for du in tail[i]] for x in range(ecc[i] + 1)]
+           for i in range(n)]
 
     out: list[tuple[int, ...]] = []
-    vals = [0] * n
+    vals: list[int] = []
+    wit = [n] * n  # tail position of the hint; n is never a valid position
 
-    def dfs(i: int, best: list[int], lbs: list[int]) -> None:
-        # best[v], v < i: max over assigned u of d(u,v) - vals[u]
-        # lbs[u]: lower bound on any extremal completion at u, from the
-        # feasibility and Lipschitz constraints of the assigned prefix
+    def dfs(i: int, lbs: list[int], pending: list[tuple]) -> None:
+        # lbs: lower bounds L(u) for u = n-1, ..., i; lbs[-1] is vertex i
+        # pending: (v, f(v), d(v,.) last-first) for each assigned vertex
+        # without a witness among the assigned
         if i == n:
-            if all(best[v] == vals[v] for v in range(n)):
-                out.append(tuple(vals))
+            out.append(tuple(vals))
             return
-        lo, hi = max(0, lbs[i]), ecc[i]
-        for u in range(i):
-            hi = min(hi, vals[u] + d[u][i])
-        for x in range(lo, hi + 1):
-            vals[i] = x
-            nbest = [max(best[v], d[i][v] - x) for v in range(i)]
-            nbest.append(max(d[u][i] - vals[u] for u in range(i + 1)))
-            nlbs = [max(lbs[u], d[i][u] - x, x - d[i][u]) for u in range(n)]
-            # a vertex whose value exceeds every achievable witness is dead:
-            # future u can contribute at most d(u,v) - lbs[u]
-            ok = True
-            for v in range(i + 1):
-                if nbest[v] < vals[v]:
-                    hope = max((d[u][v] - nlbs[u] for u in range(i + 1, n)),
-                               default=-1)
-                    if vals[v] > hope:
-                        ok = False
+        di = d[i]
+        # x <= own has a witness already: an assigned u, or i itself at x = 0
+        own = max(0, max(map(sub, di, vals), default=0))
+        # U(i), capped where a larger x would find no witness in the tail
+        hi = min(ecc[i], min(map(add, di, vals), default=ecc[i]),
+                 max(own, max(map(sub, tail[i], lbs), default=0)))
+        lips = lip[i]
+        m = n - 1 - i  # tail length after assigning i
+        for x in range(lbs[-1], hi + 1):
+            nlbs = list(map(max, lbs, lips[x]))
+            npending = []
+            for entry in pending:
+                v, fv, rv = entry
+                if di[v] - x == fv:
+                    continue  # i witnesses v
+                k = wit[v]
+                if k >= m or rv[k] - nlbs[k] < fv:
+                    hope = list(map(sub, rv, nlbs))
+                    best = max(hope, default=-1)
+                    if best < fv:
                         break
-            if ok:
-                dfs(i + 1, nbest, nlbs)
-        vals[i] = 0
+                    wit[v] = hope.index(best)
+                npending.append(entry)
+            else:
+                if x > own:
+                    npending.append((i, x, rev[i]))
+                vals.append(x)
+                dfs(i + 1, nlbs, npending)
+                vals.pop()
 
-    dfs(0, [], [0] * n)
+    dfs(0, [0] * n, [])
     inverse = [0] * n
     for pos, v in enumerate(order):
         inverse[v] = pos
@@ -173,11 +205,21 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
 
 
 def _xi(g: Graph, fs: list[tuple[int, ...]]) -> int:
+    """max over f of max(0, min_x max_v d(x,v) - f(v)).  A row x with
+    max_v d(x,v) - f(v) <= xi so far shows that f cannot raise xi, so the
+    scan of f stops there."""
     d = g.dist()
     xi = 0
     for f in fs:
-        need = min(max(max(0, d[x][v] - f[v]) for v in range(g.n)) for x in range(g.n))
-        xi = max(xi, need)
+        need = None
+        for row in d:
+            m = max(map(sub, row, f))
+            if m <= xi:
+                break
+            if need is None or m < need:
+                need = m
+        else:
+            xi = need  # every row exceeded xi >= 0, so need does too
     return xi
 
 

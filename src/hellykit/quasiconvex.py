@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
+from operator import gt
 from typing import Optional, Sequence
 
 from .graphs import (Graph, GraphError, QGParams, full_subgraph,
@@ -25,6 +26,15 @@ class EnumerationCapExceeded(GraphError):
     pass
 
 
+def _check_orbit(ambient: Graph, orbit: Sequence[int]) -> None:
+    if not orbit:
+        raise GraphError("orbit must be nonempty")
+    for v in orbit:
+        if not 0 <= v < ambient.n:
+            raise GraphError(f"orbit vertex {v} is not a vertex of the ambient "
+                             f"graph (0..{ambient.n - 1})")
+
+
 @dataclass(frozen=True)
 class OrbitSpec:
     ambient: Graph
@@ -32,8 +42,7 @@ class OrbitSpec:
     k: int
 
     def __post_init__(self):
-        if not self.orbit:
-            raise GraphError("orbit must be nonempty")
+        _check_orbit(self.ambient, self.orbit)
         if self.k < 1:
             raise GraphError("k must be >= 1")
 
@@ -60,12 +69,13 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
     quasigeodesics, so this is lossless).  If the exploration cap binds, the
     result is a lower bound and says so; without allow_cap that raises.
     """
+    _check_orbit(ambient, orbit)
     wset = sorted(set(orbit))
-    if not wset:
-        raise GraphError("empty orbit")
     d = ambient.dist()
     to_orbit = [min(d[v][w] for w in wset) for v in range(ambient.n)]
-    lam, c = q.lam, q.c
+    # an int k exceeds lam*d + c exactly when it exceeds floor(lam*d + c),
+    # so the walk test compares ints only
+    lim = [[floor(q.lam * duv + q.c) for duv in row] for row in d]
 
     best = 0
     enumerated = 0
@@ -82,14 +92,10 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
         if tail in orbit_set:
             enumerated += 1
             best = max(best, high)
-        n = len(walk)
+        steps = range(len(walk), 0, -1)  # n - i for each walk[i]
         for w in ambient.adj[tail]:
-            ok = True
-            for i in range(n):
-                if n - i > lam * d[walk[i]][w] + c:
-                    ok = False
-                    break
-            if ok:
+            # d is symmetric, so lim[w][walk[i]] bounds the walk from walk[i]
+            if not any(map(gt, steps, map(lim[w].__getitem__, walk))):
                 walk.append(w)
                 keep = dfs(walk, max(high, to_orbit[w]))
                 walk.pop()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from hellykit import cli, corpus
 from hellykit.cli import main
 from hellykit.gamma import recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
+from hellykit.graphs import Graph
 from hellykit.reports import ReportError, validate_report
 
 
@@ -23,6 +25,19 @@ def c4_edge_list(tmp_path):
 
 def group_file(tmp_path, spec):
     return write(tmp_path / "group.json", json.dumps(spec.to_json()))
+
+
+def cycle_with_chords(n, chords, seed):
+    """C_n plus `chords` distinct seeded chords."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    extra = []
+    while len(extra) < chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        if v - u in (1, n - 1) or (u, v) in extra:
+            continue
+        extra.append((u, v))
+    return Graph(n, edges + extra)
 
 
 class TestAnalyze:
@@ -68,6 +83,24 @@ class TestHellyfy:
         g = graph_from_json(report["result"]["graph"])
         assert g.n == 5
         assert sorted(len(a) for a in g.adj) == [3, 3, 3, 3, 4]
+
+    # sha256 of the hellyfy report on C8, C9 and a C10 with two seeded chords
+    # (43 extremal functions); the report records the graph path, so the file
+    # is read by a fixed relative name
+    @pytest.mark.parametrize("name, graph, digest", [
+        ("c8", lambda: corpus.cycle(8),
+         "f86b813a2806da70e86ceca78ee27a105c09701d4b439b4f898d4a776a9ff217"),
+        ("c9", lambda: corpus.cycle(9),
+         "9bb8743fc7a7b7bae48eba207cad277b63f62e74f92f7781267c642f2d32bf41"),
+        ("c10k2", lambda: cycle_with_chords(10, 2, seed=9),
+         "ce56c6b75430f59336cdfaf19554a992d86c8f820bf674c6d7e089d5e80d2877"),
+    ], ids=["c8", "c9", "c10k2"])
+    def test_pinned_report_digest(self, tmp_path, monkeypatch, capsys, name,
+                                  graph, digest):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / f"{name}.json", json.dumps(graph_to_json(graph())))
+        assert main(["hellyfy", f"{name}.json", "--out", "h.json"]) == 0
+        assert hashlib.sha256((tmp_path / "h.json").read_bytes()).hexdigest() == digest
 
 
 class TestUsage:
@@ -166,14 +199,21 @@ class TestErrorBoundary:
         ("disconnected", "NotConnectedError"),
         ("missing", "FileNotFoundError"),
         ("guard", "WindowError"),
+        ("orbit_too_large", "GraphError"),
+        ("orbit_negative", "GraphError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
                   "disconnected": "0 1\n2 3\n"}
+        orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]"}
         if case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
         elif case == "missing":
             argv = ["analyze", str(tmp_path / "absent.txt")]
+        elif case in orbits:
+            argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
+                    "--orbit", write(tmp_path / "orbit.json", orbits[case]),
+                    "--k", "1"]
         else:
             argv = ["gamma", "build", "--group",
                     group_file(tmp_path, corpus.group_z2_z3()), "--N", "1",
@@ -291,6 +331,26 @@ class TestQuasiconvexCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["violations"] == 0
         assert "requested_qc" in report["result"]
+
+    # sha256 of the quasiconvex report at k=1 with the middle row as orbit;
+    # the last case sweeps a non-integer (lambda, c) on top of the lemma grid
+    @pytest.mark.parametrize("name, graph, orbit, extra, digest", [
+        ("king3x3", lambda: corpus.king_grid(3, 3), [3, 4, 5], [],
+         "ea53692cfa04b9761b723a8429e34575486cefbc1f5357065f03db85553ed66c"),
+        ("king4x3", lambda: corpus.king_grid(4, 3), [4, 5, 6, 7], [],
+         "132ee817c5e1d4b2830a5fb3168ad917c174d452fab510df797f82375ab0827b"),
+        ("king4x3", lambda: corpus.king_grid(4, 3), [4, 5, 6, 7],
+         ["--lambda", "3/2", "--c", "1/2"],
+         "66610578c60739ebae26b6cef2fcb454bbb3e4e2fd5ceff338f83fa342b6e2cb"),
+    ], ids=["king3x3", "king4x3", "king4x3-lam3/2-c1/2"])
+    def test_pinned_report_digest(self, tmp_path, monkeypatch, name, graph,
+                                  orbit, extra, digest):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / f"{name}.json", json.dumps(graph_to_json(graph())))
+        write(tmp_path / "orbit.json", json.dumps(orbit))
+        assert main(["quasiconvex", "--ambient", f"{name}.json", "--orbit",
+                     "orbit.json", "--k", "1", "--out", "q.json"] + extra) == 0
+        assert hashlib.sha256((tmp_path / "q.json").read_bytes()).hexdigest() == digest
 
 
 class TestCorpus:

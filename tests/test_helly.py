@@ -2,13 +2,17 @@
 brute-force family oracle, coarse constants, pseudo-modularity, stable
 intervals, and Hellyfication postconditions."""
 
+import hashlib
 import itertools
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hellykit import corpus
-from hellykit.graphs import power_graph
+from hellykit.graphs import Graph, power_graph
 from hellykit.helly import (SizeBoundExceeded, analyze, coarse_helly_constant,
                             extremal_functions, helly_oracle_bruteforce,
                             hellyfication, is_helly, is_pseudo_modular,
@@ -66,6 +70,41 @@ def small_random_graphs(count, n_lo, n_hi, seed):
             for _ in range(count)]
 
 
+@st.composite
+def connected_graphs(draw, max_n=6):
+    """A spanning tree (each vertex hangs off an earlier one) plus any subset
+    of the remaining pairs, on 1..max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in edges]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return Graph(n, sorted(edges) + extra)
+
+
+# derandomized and without an example database, so a tier-1 run is
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(connected_graphs())
+    def test_extremal_functions_match_box_oracle(self, g):
+        fs = extremal_functions(g)
+        assert fs == box_extremal_oracle(g)
+        d = g.dist()
+        for f in fs:
+            for v in range(g.n):
+                assert f[v] == max(d[u][v] - f[u] for u in range(g.n))
+
+    @PROPERTY
+    @given(connected_graphs())
+    def test_coarse_constant_matches_oracle(self, g):
+        assert coarse_helly_constant(g) == coarse_oracle(g)
+
+
 class TestExtremalFunctions:
     def test_k2(self):
         assert extremal_functions(corpus.complete(2)) == [(0, 1), (1, 0)]
@@ -104,6 +143,21 @@ class TestExtremalFunctions:
             extremal_functions(corpus.king_grid(4, 4))
         # explicit override is allowed
         assert extremal_functions(corpus.path(15), max_vertices=15)
+
+    # sha256 of repr() of the sorted list on C16 (3,281 functions) and on the
+    # 41-vertex Hellyfication output of C8 (41 functions, its distance rows)
+    @pytest.mark.parametrize("graph, digest", [
+        (lambda: corpus.cycle(16),
+         "e127a270338ce9b62b55ff701348835ff9b31bec86459c0b066f7f2132a1cb0f"),
+        (lambda: hellyfication(corpus.cycle(8))[0],
+         "7b045ff6813ad5a606aa6235e5f07ef1933873bb8414dcf3274e344cfc3454e8"),
+    ], ids=["c16", "hull-c8"])
+    def test_pinned_list_digest(self, graph, digest):
+        g = graph()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # both exceed the default bound
+            fs = extremal_functions(g, max_vertices=g.n)
+        assert hashlib.sha256(repr(fs).encode()).hexdigest() == digest
 
 
 class TestIsHelly:

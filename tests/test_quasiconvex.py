@@ -1,12 +1,37 @@
 """Orbit subgraphs in power graphs and the two subgraph lemmas."""
 
+from fractions import Fraction
+
 import pytest
 
 from hellykit import corpus
-from hellykit.graphs import QGParams
+from hellykit.graphs import GraphError, QGParams
 from hellykit.helly import is_helly
 from hellykit.quasiconvex import (EnumerationCapExceeded, OrbitSpec, build_delta,
                                   quasiconvexity_k, verify_section5)
+
+
+def quasigeodesic_reference(g, orbit, lam, c):
+    """(k, enumerated, explored) by the defining inequality in exact
+    Fraction arithmetic: every walk prefix, in adjacency order, whose steps
+    all satisfy len(walk[i:j]) <= lam * d(walk[i], walk[j]) + c."""
+    d = g.dist()
+    lam, c = Fraction(lam), Fraction(c)
+    to_orbit = [min(d[v][w] for w in orbit) for v in range(g.n)]
+    stats = {"k": 0, "enumerated": 0, "explored": 0}
+
+    def walk_from(walk):
+        stats["explored"] += 1
+        if walk[-1] in orbit:
+            stats["enumerated"] += 1
+            stats["k"] = max(stats["k"], max(to_orbit[v] for v in walk))
+        for w in g.adj[walk[-1]]:
+            if all(len(walk) - i <= lam * d[v][w] + c for i, v in enumerate(walk)):
+                walk_from(walk + [w])
+
+    for w in sorted(set(orbit)):
+        walk_from([w])
+    return stats["k"], stats["enumerated"], stats["explored"]
 
 
 class TestQuasiconvexityK:
@@ -45,6 +70,27 @@ class TestQuasiconvexityK:
             quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50)
         got = quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50, allow_cap=True)
         assert got.capped and not got.is_exact()
+
+
+    @pytest.mark.parametrize("lam, c", [("3/2", "1/2"), ("3/2", "1/3"),
+                                        ("1", "2"), ("5", "0")])
+    def test_fractional_params_match_reference(self, lam, c):
+        # at (3/2, 1/2), lam*d + c is an integer at every odd d: a walk of
+        # exactly that length is allowed, one step longer is not
+        g = corpus.king_grid(4, 3)
+        row = [4 + x for x in range(4)]
+        got = quasiconvexity_k(g, row, QGParams(Fraction(lam), Fraction(c)))
+        assert not got.capped
+        assert (got.k, got.enumerated, got.explored) == quasigeodesic_reference(
+            g, row, lam, c)
+
+    @pytest.mark.parametrize("orbit", [[0, 9], [0, -1]])
+    def test_orbit_outside_ambient_rejected(self, orbit):
+        g = corpus.king_grid(3, 3)
+        with pytest.raises(GraphError, match="not a vertex"):
+            quasiconvexity_k(g, orbit, QGParams(1, 0))
+        with pytest.raises(GraphError, match="not a vertex"):
+            OrbitSpec(g, tuple(orbit), 1)
 
 
 class TestBuildDelta:
