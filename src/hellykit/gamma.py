@@ -9,9 +9,8 @@ Vertices come in three kinds:
                          stored as the lexicographically smaller of the two
                          equivalent (element, letter) pairs
   ("int", j, rep, u)     vertex u of the factor-j model, in the copy attached
-                         to the coset with canonical representative rep (the
-                         normal form with its leading factor-j syllable
-                         stripped)
+                         to the coset with canonical representative
+                         rep = GroupSpec.coset_rep(g, j)
 
 Edges: free (free-medial), connecting (free-internal), internal (two vertices
 of one copy at model distance <= N).  Every free vertex has degree |X| + m and
@@ -116,22 +115,10 @@ class GammaConfig:
 
     # -- vertex constructors ------------------------------------------------
 
-    def free(self, g: Element) -> GammaVertex:
-        return ("free", g)
-
     def medial(self, g: Element, x: Letter) -> GammaVertex:
         other = (self.spec.multiply(self.spec.letter_image(x), g),
                  self.spec.letter_invert(x))
         return ("med", min((g, x), other))
-
-    def internal(self, j: int, g: Element, u) -> GammaVertex:
-        return ("int", j, self.strip_coset(g, j), u)
-
-    def strip_coset(self, g: Element, j: int) -> Element:
-        """Canonical right-coset representative: drop a leading j-syllable."""
-        if g and g[0][0] == "p" and g[0][1] == j:
-            return g[1:]
-        return g
 
     def base_vertex(self) -> GammaVertex:
         return ("free", self.spec.identity)
@@ -147,7 +134,7 @@ class GammaConfig:
             for x in spec.x_letters():
                 out.append(self.medial(g, x))
             for j in range(len(spec.factors)):
-                out.append(("int", j, self.strip_coset(g, j), spec.project(g, j)))
+                out.append(("int", j, spec.coset_rep(g, j), spec.project(g, j)))
         elif kind == "med":
             g, x = v[1]
             out.append(("free", g))

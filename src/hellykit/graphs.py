@@ -234,21 +234,13 @@ def _check_path(g: Graph, path: Sequence[int]) -> None:
 def classify_path(g: Graph, path: Sequence[int], q: QGParams) -> PathClass:
     """Geodesic / (lam,c)-quasigeodesic / k-local-geodesic classification.
 
-    The quasigeodesic test checks |i-j| <= lam*d(p_i,p_j) + c over every vertex
-    pair, i.e. over all subpaths.
+    The quasigeodesic test is satisfies_quasigeodesic in the hop metric.
     """
     _check_path(g, path)
     d = g.dist()
     n = len(path) - 1
     is_geo = n == d[path[0]][path[n]]
-    is_qg = True
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if j - i > q.lam * d[path[i]][path[j]] + q.c:
-                is_qg = False
-                break
-        if not is_qg:
-            break
+    is_qg = satisfies_quasigeodesic(g.rows(), path, q.lam, q.c)
     local = None
     if q.k_local is not None:
         local = True
@@ -270,6 +262,17 @@ def classify_path(g: Graph, path: Sequence[int], q: QGParams) -> PathClass:
 def directed_hausdorff(row, a: Sequence, b: Sequence) -> int:
     """max over x in a of min over y in b of d(x, y), for nonempty a and b."""
     return max(min(map(row(x), b)) for x in a)
+
+
+def satisfies_quasigeodesic(row, seq: Sequence, lam, c) -> bool:
+    """k - i <= lam * d(s_i, s_k) + c for every pair i < k of the sequence s,
+    i.e. over all of its subpaths."""
+    for i, x in enumerate(seq):
+        dx = row(x)
+        for k in range(i + 1, len(seq)):
+            if k - i > lam * dx(seq[k]) + c:
+                return False
+    return True
 
 
 def thin_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:

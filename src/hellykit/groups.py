@@ -227,6 +227,7 @@ class GroupSpec:
         if not self.factors and free_rank == 0:
             raise GroupError("trivial group: no factors and no free letters")
         self.identity: Element = ()
+        self._rel_letters: dict[Optional[int], tuple[Letter, ...]] = {}
 
     # -- normal form arithmetic -------------------------------------------
 
@@ -323,6 +324,15 @@ class GroupSpec:
                 acc = factor.mul(acc, syl[2])
         return acc
 
+    def coset_rep(self, g: Element, j: int) -> Element:
+        """Canonical representative of the right coset H_j g: g with a leading
+        factor-j syllable dropped.  In a free product H_j g = H_j g2 exactly
+        when g g2^-1 is trivial or one factor-j syllable, which is exactly
+        when the two representatives agree."""
+        if g and g[0][0] == "p" and g[0][1] == j:
+            return g[1:]
+        return g
+
     # -- lengths -----------------------------------------------------------
 
     def rel_length(self, a: Element) -> int:
@@ -379,6 +389,14 @@ class GroupSpec:
             letters.extend(("h", j, h) for h in factor.nontrivial_elements(cap))
         return letters
 
+    def rel_letters(self, parabolic_cap: Optional[int] = None) -> tuple[Letter, ...]:
+        """The relative alphabet, X-letters first; built once per cap."""
+        letters = self._rel_letters.get(parabolic_cap)
+        if letters is None:
+            letters = tuple(self.x_letters() + self.h_letters(parabolic_cap))
+            self._rel_letters[parabolic_cap] = letters
+        return letters
+
     def letter_image(self, letter: Letter) -> Element:
         tag = letter[0]
         if tag == "xg" or tag == "h":
@@ -425,7 +443,7 @@ class GroupSpec:
         if metric == "abs":
             letters = self.x_letters()
         elif metric == "rel":
-            letters = self.x_letters() + self.h_letters(parabolic_cap)
+            letters = self.rel_letters(parabolic_cap)
         else:
             raise GroupError("metric must be 'rel' or 'abs'")
         images = [self.letter_image(l) for l in letters]
@@ -469,7 +487,7 @@ class GroupSpec:
 def random_element(spec: GroupSpec, rng, letter_budget: int,
                    parabolic_cap: int = 2) -> Element:
     """A random element built by multiplying `letter_budget` random letters."""
-    letters = spec.x_letters() + spec.h_letters(parabolic_cap)
+    letters = spec.rel_letters(parabolic_cap)
     g = spec.identity
     for _ in range(letter_budget):
         g = spec.multiply(spec.letter_image(rng.choice(letters)), g)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 from operator import gt
 from typing import Optional, Sequence
@@ -140,6 +141,7 @@ class Section5Report:
     coarse_conclusion: dict
     isometric_conclusion: dict
     swept_grid: list[str]
+    requested_qc: Optional[dict] = None
 
     def violations(self) -> int:
         bad = 0
@@ -149,7 +151,7 @@ class Section5Report:
         return bad
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "instance": self.instance,
             "k": self.k,
             "xi_ambient": self.xi_ambient,
@@ -160,12 +162,17 @@ class Section5Report:
             "swept_grid": self.swept_grid,
             "violations": self.violations(),
         }
+        if self.requested_qc is not None:
+            out["requested_qc"] = self.requested_qc
+        return out
 
 
 def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
                     cap: int = ENUM_CAP_DEFAULT, max_vertices: int = 64,
-                    instance: str = "") -> Section5Report:
-    """Check both subgraph lemmas on one instance.
+                    instance: str = "", requested: Optional[QGParams] = None
+                    ) -> Section5Report:
+    """Check both subgraph lemmas on one instance, and sweep the requested
+    (lam,c) on top of the lemma grid.  Each distinct pair is swept once.
 
     Hypotheses are verified computationally; a conclusion is only asserted
     when its hypotheses verified, otherwise it is reported as skipped.  A
@@ -181,11 +188,12 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
             raise GraphError(
                 f"ambient coarse constant {actual} exceeds the claimed {xi_ambient}")
     xi = xi_ambient
+    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap,
+                                             allow_cap=True))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
     coarse_hyp = {"checked": True, "holds": False}
-    qc1 = quasiconvexity_k(ambient, spec.orbit, QGParams(1, 2 * xi),
-                           cap=cap, allow_cap=True)
+    qc1 = sweep(QGParams(1, 2 * xi))
     coarse_hyp["qc_constant"] = qc1.k
     coarse_hyp["capped"] = qc1.capped
     coarse_hyp["holds"] = (not qc1.capped) and qc1.k <= k
@@ -193,8 +201,7 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     iso_hyp = {"checked": True, "holds": False}
     pm, _ = is_pseudo_modular(ambient)
     iso_hyp["pseudo_modular"] = pm
-    qc5 = quasiconvexity_k(ambient, spec.orbit, QGParams(5, 0),
-                           cap=cap, allow_cap=True)
+    qc5 = sweep(QGParams(5, 0))
     iso_hyp["qc_constant"] = qc5.k
     iso_hyp["capped"] = qc5.capped
     iso_hyp["holds"] = pm and (not qc5.capped) and qc5.k <= k
@@ -217,5 +224,11 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     else:
         iso_conc = {"checked": False, "reason": "hypothesis failed, skipped"}
 
+    requested_qc = None
+    if requested is not None:
+        qc = sweep(requested)
+        grid.append(f"({requested.lam},{requested.c})")
+        requested_qc = {"lambda": str(requested.lam), "c": str(requested.c),
+                        "k": qc.k, "capped": qc.capped, "enumerated": qc.enumerated}
     return Section5Report(instance, k, xi, coarse_hyp, iso_hyp, coarse_conc,
-                          iso_conc, grid)
+                          iso_conc, grid, requested_qc)

@@ -11,11 +11,13 @@ never a certificate; `estimate` stays True in every report.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import directed_hausdorff, slim_constant, thin_constant
+from .graphs import (directed_hausdorff, satisfies_quasigeodesic, slim_constant,
+                     thin_constant)
 from .groups import Element, GroupSpec, Letter, random_element
 
 
@@ -84,6 +86,8 @@ class ConstantReport:
 
 
 def vertices(spec: GroupSpec, w: RelWord) -> list[Element]:
+    """The walk v_0 = base, v_{i+1} = image(letter i) v_i, which everything
+    below reads; a quotient v_k v_i^-1 does not depend on the base."""
     out = [w.base]
     for letter in w.letters:
         out.append(spec.multiply(spec.letter_image(letter), out[-1]))
@@ -92,19 +96,11 @@ def vertices(spec: GroupSpec, w: RelWord) -> list[Element]:
 
 def value(spec: GroupSpec, w: RelWord) -> Element:
     """The element the word represents: end times start-inverse."""
-    acc = spec.identity
-    for letter in w.letters:
-        acc = spec.multiply(spec.letter_image(letter), acc)
-    return acc
+    return vertices(spec, RelWord(spec.identity, w.letters))[-1]
 
 
 def end_vertex(spec: GroupSpec, w: RelWord) -> Element:
-    return spec.multiply(value(spec, w), w.base)
-
-
-def reverse_word(spec: GroupSpec, w: RelWord) -> RelWord:
-    letters = tuple(spec.letter_invert(l) for l in reversed(w.letters))
-    return RelWord(end_vertex(spec, w), letters)
+    return vertices(spec, w)[-1]
 
 
 def decompose_components(spec: GroupSpec, w: RelWord) -> list[Component]:
@@ -139,49 +135,41 @@ def _phase_indices(comps: Sequence[Component], n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if i not in interior)
 
 
-def _in_parabolic(q: Element, j: Optional[int] = None) -> bool:
-    if q == ():
-        return True
-    if len(q) == 1 and q[0][0] == "p":
-        return j is None or q[0][1] == j
-    return False
+def _coset_key(spec: GroupSpec, c: Component) -> tuple:
+    return c.j, spec.coset_rep(c.start_vertex, c.j)
 
 
 def connected(spec: GroupSpec, c1: Component, c2: Component) -> bool:
     """Same factor and start vertices in the same right coset."""
-    if c1.j != c2.j:
-        return False
-    q = spec.multiply(c1.start_vertex, spec.invert(c2.start_vertex))
-    return _in_parabolic(q, c1.j)
+    return _coset_key(spec, c1) == _coset_key(spec, c2)
+
+
+def _backtracks(spec: GroupSpec, w: RelWord) -> bool:
+    """Whether two components of w are connected."""
+    keys = [_coset_key(spec, c) for c in decompose_components(spec, w)]
+    return len(set(keys)) < len(keys)
+
+
+def _vertex_backtracks(spec: GroupSpec, verts: Sequence[Element]) -> bool:
+    """Whether v_k v_i^-1 is trivial or parabolic for some k >= i + 2, i.e. two
+    such vertices are equal or in one right coset of some factor."""
+    first: dict = {}
+    for k, v in enumerate(verts):
+        for key in (v, *((j, spec.coset_rep(v, j)) for j in range(len(spec.factors)))):
+            if k - first.setdefault(key, k) >= 2:
+                return True
+    return False
 
 
 def analyze_word(spec: GroupSpec, w: RelWord) -> WordAnalysis:
-    comps = decompose_components(spec, w)
-    backtracks = False
-    isolated = []
-    for a in range(len(comps)):
-        alone = True
-        for b in range(len(comps)):
-            if a != b and connected(spec, comps[a], comps[b]):
-                alone = False
-                backtracks = True
-        if alone:
-            isolated.append(a)
-
-    n = len(w.letters)
-    vertex_backtracks = False
-    prefix = vertices(spec, RelWord(spec.identity, w.letters))
-    for i in range(n + 1):
-        if vertex_backtracks:
-            break
-        inv_i = spec.invert(prefix[i])
-        for k in range(i + 2, n + 1):
-            if _in_parabolic(spec.multiply(prefix[k], inv_i)):
-                vertex_backtracks = True
-                break
-
-    return WordAnalysis(backtracks, vertex_backtracks, tuple(isolated),
-                        _phase_indices(comps, n), tuple(comps))
+    verts = vertices(spec, w)
+    comps = _components(w.letters, verts)
+    keys = [_coset_key(spec, c) for c in comps]
+    count = Counter(keys)
+    isolated = tuple(a for a, key in enumerate(keys) if count[key] == 1)
+    return WordAnalysis(len(isolated) < len(comps), _vertex_backtracks(spec, verts),
+                        isolated, _phase_indices(comps, len(w.letters)),
+                        tuple(comps))
 
 
 def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
@@ -190,16 +178,8 @@ def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
 
 def is_quasigeodesic(spec: GroupSpec, w: RelWord, lam, c) -> bool:
     """Exact (lam,c)-quasigeodesic check over every subword, via rel_length."""
-    lam, c = Fraction(lam), Fraction(c)
-    prefix = vertices(spec, RelWord(spec.identity, w.letters))
-    n = len(w.letters)
-    for i in range(n + 1):
-        inv_i = spec.invert(prefix[i])
-        for k in range(i + 1, n + 1):
-            d = spec.rel_length(spec.multiply(prefix[k], inv_i))
-            if k - i > lam * d + c:
-                return False
-    return True
+    return satisfies_quasigeodesic(spec.rel_row, vertices(spec, w), Fraction(lam),
+                                   Fraction(c))
 
 
 def k_similar(spec: GroupSpec, p: RelWord, q: RelWord, k: int) -> bool:
@@ -245,13 +225,9 @@ def perturbed_word(spec: GroupSpec, rng: random.Random, start: Element,
         waypoint = spec.multiply(offset, mid)
         cand = RelWord(start, geodesic_word(spec, start, waypoint).letters
                        + geodesic_word(spec, waypoint, end).letters)
-        if not is_quasigeodesic(spec, cand, lam, c):
-            rejections += 1
-            continue
-        if analyze_word(spec, cand).backtracks:
-            rejections += 1
-            continue
-        return cand, rejections
+        if is_quasigeodesic(spec, cand, lam, c) and not _backtracks(spec, cand):
+            return cand, rejections
+        rejections += 1
     return direct, rejections
 
 
@@ -259,23 +235,32 @@ def perturbed_word(spec: GroupSpec, rng: random.Random, start: Element,
 # defect measurements
 
 
-def _phase_elements(spec: GroupSpec, w: RelWord) -> list[Element]:
+def _record(spec: GroupSpec, w: RelWord) -> tuple[list, list[Component]]:
+    """Phase elements and components of w, off one walk."""
     verts = vertices(spec, w)
     comps = _components(w.letters, verts)
-    return [verts[i] for i in _phase_indices(comps, len(w.letters))]
+    return [verts[i] for i in _phase_indices(comps, len(w.letters))], comps
+
+
+def _reversed(record: tuple, n: int) -> tuple[list, list[Component]]:
+    """The record of the length-n word walked backwards, from its end vertex
+    over the inverse letters: both lists reverse, and each component keeps its
+    factor and swaps its endpoints."""
+    phase, comps = record
+    return phase[::-1], [Component(c.j, n - 1 - c.end_index, n - 1 - c.start_index,
+                                   c.end_vertex, c.start_vertex)
+                         for c in reversed(comps)]
 
 
 def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
     """Defects of one similar pair against the coset-penetration clauses:
     phase-vertex closeness, size of unmatched components, and endpoint
     closeness of connected components.  Measured in both directions."""
-    phase_p = _phase_elements(spec, wp)
-    phase_q = _phase_elements(spec, wq)
+    phase_p, comps_p = _record(spec, wp)
+    phase_q, comps_q = _record(spec, wq)
     phase_defect = max(directed_hausdorff(spec.x_row, phase_q, phase_p),
                        directed_hausdorff(spec.x_row, phase_p, phase_q))
 
-    comps_p = decompose_components(spec, wp)
-    comps_q = decompose_components(spec, wq)
     unmatched = 0
     conn = 0
     for side_a, side_b in ((comps_q, comps_p), (comps_p, comps_q)):
@@ -292,31 +277,26 @@ def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
 def triangle_mu_defects(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> int:
     """Worst defect of a non-backtracking quasigeodesic triangle against the
     four triangle clauses, closed under rotation and orientation reversal."""
-    triangles = []
-    rev = (reverse_word(spec, q), reverse_word(spec, p), reverse_word(spec, r))
-    for a, b, c in ((p, q, r), rev):
-        triangles.extend(((a, b, c), (b, c, a), (c, a, b)))
+    fwd = [_record(spec, w) for w in (p, q, r)]
+    rp, rq, rr = (_reversed(rec, len(w)) for rec, w in zip(fwd, (p, q, r)))
     worst = 0
-    for wa, wb, wc in triangles:
-        phase_ab = _phase_elements(spec, wa) + _phase_elements(spec, wb)
-        worst = max(worst, directed_hausdorff(spec.x_row, _phase_elements(spec, wc),
-                                              phase_ab))
-        comps_a = decompose_components(spec, wa)
-        comps_b = decompose_components(spec, wb)
-        for cc in decompose_components(spec, wc):
-            in_a = [ca for ca in comps_a if connected(spec, cc, ca)]
-            in_b = [cb for cb in comps_b if connected(spec, cc, cb)]
-            if not in_a and not in_b:
-                worst = max(worst, spec.d_x(cc.start_vertex, cc.end_vertex))
-            elif in_a and not in_b:
-                ca = in_a[0]
-                worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
-                            spec.d_x(ca.end_vertex, cc.start_vertex))
-            elif in_a and in_b:
-                ca, cb = in_a[0], in_b[0]
-                worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
-                            spec.d_x(ca.end_vertex, cb.start_vertex),
-                            spec.d_x(cb.end_vertex, cc.start_vertex))
+    for a, b, c in (fwd, (rq, rp, rr)):
+        for (phase_a, comps_a), (phase_b, comps_b), (phase_c, comps_c) in (
+                (a, b, c), (b, c, a), (c, a, b)):
+            worst = max(worst, directed_hausdorff(spec.x_row, phase_c,
+                                                  phase_a + phase_b))
+            for cc in comps_c:
+                ca = next((ca for ca in comps_a if connected(spec, cc, ca)), None)
+                cb = next((cb for cb in comps_b if connected(spec, cc, cb)), None)
+                if ca is None and cb is None:
+                    worst = max(worst, spec.d_x(cc.start_vertex, cc.end_vertex))
+                elif cb is None:
+                    worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
+                                spec.d_x(ca.end_vertex, cc.start_vertex))
+                elif ca is not None:
+                    worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
+                                spec.d_x(ca.end_vertex, cb.start_vertex),
+                                spec.d_x(cb.end_vertex, cc.start_vertex))
     return worst
 
 

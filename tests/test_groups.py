@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hellykit.groups as groups_mod
 from hellykit import corpus
@@ -289,3 +291,89 @@ class TestSerialization:
         spec = GroupSpec([FiniteFactor(table, [3, 4, 5])])
         again = GroupSpec.from_json(spec.to_json())
         assert again.factors[0].table == tuple(tuple(r) for r in table)
+
+
+class TestRelLetters:
+    def test_alphabet_order_and_reuse(self):
+        spec = corpus.group_zsq_z2()
+        letters = spec.rel_letters(2)
+        assert list(letters) == spec.x_letters() + spec.h_letters(2)
+        assert spec.rel_letters(2) is letters
+        assert len(spec.rel_letters(3)) > len(letters)
+
+
+class TestCosetRep:
+    def test_drops_leading_factor_syllable_only(self):
+        spec = corpus.group_z2_z3()
+        ab = spec.multiply(spec.parabolic(1, 1), spec.parabolic(0, 1))
+        assert spec.coset_rep(ab, 1) == spec.parabolic(0, 1)
+        assert spec.coset_rep(ab, 0) == ab
+        assert spec.coset_rep(spec.identity, 0) == spec.identity
+
+
+def property_specs():
+    _, table = s3_table()
+    return (corpus.group_z2_z3(), corpus.group_zsq_z2("square"),
+            GroupSpec([FiniteFactor(table, [3, 4, 5]), CyclicFactor(4)],
+                      free_rank=1))
+
+
+PROPERTY_SPECS = property_specs()
+
+# derandomized and without an example database, so a tier-1 run is
+# reproducible and leaves no files behind; the autouse validation fixture
+# only sets a flag, so it is sound to share across examples
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None, suppress_health_check=["function_scoped_fixture"])
+
+
+@st.composite
+def spec_and_elements(draw, count):
+    """A group from PROPERTY_SPECS and `count` elements of it, each a product
+    of up to 6 relative letters."""
+    spec = draw(st.sampled_from(PROPERTY_SPECS))
+    letters = st.sampled_from(spec.rel_letters(2))
+    elements = []
+    for _ in range(count):
+        g = spec.identity
+        for letter in draw(st.lists(letters, max_size=6)):
+            g = spec.multiply(spec.letter_image(letter), g)
+        elements.append(g)
+    return spec, *elements
+
+
+class TestProperties:
+    @PROPERTY
+    @given(spec_and_elements(3))
+    def test_associativity(self, drawn):
+        spec, a, b, c = drawn
+        assert spec.multiply(spec.multiply(a, b), c) == \
+            spec.multiply(a, spec.multiply(b, c))
+
+    @PROPERTY
+    @given(spec_and_elements(1))
+    def test_inverses(self, drawn):
+        spec, g = drawn
+        assert spec.multiply(g, spec.invert(g)) == spec.identity
+        assert spec.multiply(spec.invert(g), g) == spec.identity
+
+    @PROPERTY
+    @given(spec_and_elements(2))
+    def test_project_is_homomorphism(self, drawn):
+        spec, g, h = drawn
+        for j, factor in enumerate(spec.factors):
+            assert spec.project(spec.multiply(g, h), j) == \
+                factor.mul(spec.project(g, j), spec.project(h, j))
+
+    @PROPERTY
+    @given(spec_and_elements(3))
+    def test_coset_rep_decides_right_cosets(self, drawn):
+        spec, g, h, k = drawn
+        # g2 = x * g shares g's right coset of factor j whenever x lies in it
+        left = [h, spec.multiply(k, h)] + [spec.letter_image(x)
+                                           for x in spec.h_letters(1)]
+        for g2 in [k] + [spec.multiply(x, g) for x in left]:
+            q = spec.multiply(g, spec.invert(g2))
+            for j in range(len(spec.factors)):
+                same = q == () or (len(q) == 1 and q[0][0] == "p" and q[0][1] == j)
+                assert (spec.coset_rep(g, j) == spec.coset_rep(g2, j)) == same

@@ -156,3 +156,28 @@ class TestVerifySection5:
         g = corpus.complete(4)
         rep = verify_section5(OrbitSpec(g, (0, 1), 1), instance="K4")
         assert rep.swept_grid == ["(1,0)", "(5,0)"]
+
+    def test_requested_pair_swept_once(self, monkeypatch):
+        import hellykit.quasiconvex as qc_mod
+
+        swept = []
+        real = qc_mod.quasiconvexity_k
+
+        def counting(g, orbit, q, **kw):
+            swept.append(q)
+            return real(g, orbit, q, **kw)
+
+        monkeypatch.setattr(qc_mod, "quasiconvexity_k", counting)
+        g = corpus.king_grid(3, 3)
+        rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1), requested=QGParams(1, 0))
+        assert swept == [QGParams(1, 0), QGParams(5, 0)]
+        assert rep.swept_grid == ["(1,0)", "(5,0)", "(1,0)"]
+        want = real(g, (3, 4, 5), QGParams(1, 0), allow_cap=True)
+        assert rep.to_json()["requested_qc"] == {
+            "lambda": "1", "c": "0", "k": want.k, "capped": want.capped,
+            "enumerated": want.enumerated}
+        rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1),
+                              requested=QGParams(Fraction(3, 2), 1))
+        assert swept[2:] == [QGParams(1, 0), QGParams(5, 0),
+                             QGParams(Fraction(3, 2), 1)]
+        assert rep.swept_grid[-1] == "(3/2,1)"

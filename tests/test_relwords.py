@@ -9,7 +9,8 @@ from hellykit.relwords import (RelWord, analyze_word, bcp_defects, connected,
                                decompose_components, end_vertex, geodesic_word,
                                is_quasigeodesic, is_rel_geodesic, k_similar,
                                measure_bcp, measure_delta, measure_triangles,
-                               measure_zeta, perturbed_word, value)
+                               measure_zeta, perturbed_word,
+                               triangle_mu_defects, value, vertices)
 
 
 def zz2():
@@ -257,3 +258,173 @@ class TestMeasurements:
         small = measure_bcp(spec, 2, 1, 2, samples=50, seed=3, radius=5)
         big = measure_bcp(spec, 2, 1, 2, samples=150, seed=3, radius=5)
         assert big.epsilon_hat >= small.epsilon_hat
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the straightforward definitions, one walk per
+# question and one multiplication per coset test, kept here as oracles
+
+
+def ref_connected(spec, c1, c2):
+    if c1.j != c2.j:
+        return False
+    q = spec.multiply(c1.start_vertex, spec.invert(c2.start_vertex))
+    return q == () or (len(q) == 1 and q[0][0] == "p" and q[0][1] == c1.j)
+
+
+def ref_in_parabolic(q):
+    return q == () or (len(q) == 1 and q[0][0] == "p")
+
+
+def ref_reverse_word(spec, w):
+    letters = tuple(spec.letter_invert(l) for l in reversed(w.letters))
+    return RelWord(vertices(spec, w)[-1], letters)
+
+
+def ref_phase_elements(spec, w):
+    interior = {i for c in decompose_components(spec, w)
+                for i in range(c.start_index + 1, c.end_index + 1)}
+    return [v for i, v in enumerate(vertices(spec, w)) if i not in interior]
+
+
+def ref_hausdorff(spec, a, b):
+    return max(min(spec.d_x(x, y) for y in b) for x in a)
+
+
+def ref_analyze(spec, w):
+    comps = decompose_components(spec, w)
+    isolated = tuple(a for a in range(len(comps))
+                     if not any(ref_connected(spec, comps[a], comps[b])
+                                for b in range(len(comps)) if b != a))
+    prefix = vertices(spec, RelWord(spec.identity, w.letters))
+    n = len(w.letters)
+    vertex_backtracks = any(
+        ref_in_parabolic(spec.multiply(prefix[k], spec.invert(prefix[i])))
+        for i in range(n + 1) for k in range(i + 2, n + 1))
+    return len(isolated) < len(comps), vertex_backtracks, isolated
+
+
+def ref_is_quasigeodesic(spec, w, lam, c):
+    prefix = vertices(spec, RelWord(spec.identity, w.letters))
+    n = len(w.letters)
+    return all(k - i <= lam * spec.rel_length(
+                   spec.multiply(prefix[k], spec.invert(prefix[i]))) + c
+               for i in range(n + 1) for k in range(i + 1, n + 1))
+
+
+def ref_bcp(spec, wp, wq):
+    phase_p, phase_q = ref_phase_elements(spec, wp), ref_phase_elements(spec, wq)
+    phase = max(ref_hausdorff(spec, phase_q, phase_p),
+                ref_hausdorff(spec, phase_p, phase_q))
+    comps_p = decompose_components(spec, wp)
+    comps_q = decompose_components(spec, wq)
+    unmatched = conn = 0
+    for side_a, side_b in ((comps_q, comps_p), (comps_p, comps_q)):
+        for ca in side_a:
+            partners = [cb for cb in side_b if ref_connected(spec, ca, cb)]
+            if not partners:
+                unmatched = max(unmatched, spec.d_x(ca.start_vertex, ca.end_vertex))
+            for cb in partners:
+                conn = max(conn, spec.d_x(ca.start_vertex, cb.start_vertex),
+                           spec.d_x(ca.end_vertex, cb.end_vertex))
+    return {"phase": phase, "unmatched": unmatched, "connected": conn}
+
+
+def ref_triangle_mu(spec, p, q, r):
+    rev = (ref_reverse_word(spec, q), ref_reverse_word(spec, p),
+           ref_reverse_word(spec, r))
+    worst = 0
+    for a, b, c in ((p, q, r), rev):
+        for wa, wb, wc in ((a, b, c), (b, c, a), (c, a, b)):
+            worst = max(worst, ref_hausdorff(spec, ref_phase_elements(spec, wc),
+                                             ref_phase_elements(spec, wa)
+                                             + ref_phase_elements(spec, wb)))
+            comps_a = decompose_components(spec, wa)
+            comps_b = decompose_components(spec, wb)
+            for cc in decompose_components(spec, wc):
+                in_a = [ca for ca in comps_a if ref_connected(spec, cc, ca)]
+                in_b = [cb for cb in comps_b if ref_connected(spec, cc, cb)]
+                if not in_a and not in_b:
+                    worst = max(worst, spec.d_x(cc.start_vertex, cc.end_vertex))
+                elif in_a and not in_b:
+                    ca = in_a[0]
+                    worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
+                                spec.d_x(ca.end_vertex, cc.start_vertex))
+                elif in_a and in_b:
+                    ca, cb = in_a[0], in_b[0]
+                    worst = max(worst, spec.d_x(cc.end_vertex, ca.start_vertex),
+                                spec.d_x(ca.end_vertex, cb.start_vertex),
+                                spec.d_x(cb.end_vertex, cc.start_vertex))
+    return worst
+
+
+REFERENCE_SPECS = (z23, corpus.group_z2_z2, zz2)
+
+
+def random_word(spec, rng, start, end=None):
+    """Up to 6 random relative letters from start, closed by a geodesic to end
+    when one is given."""
+    letters = spec.rel_letters(2)
+    w = RelWord(start, tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))))
+    if end is None:
+        return w
+    return RelWord(start, w.letters + geodesic_word(spec, end_vertex(spec, w),
+                                                    end).letters)
+
+
+class TestAgainstReference:
+    """Seeded random words, which backtrack and penetrate cosets far more
+    often than the sampled quasigeodesics of the pinned reports (whose mu is
+    0), against the reference definitions above."""
+
+    def test_triangle_mu_defects(self):
+        positive = 0
+        for make in REFERENCE_SPECS:
+            spec = make()
+            rng = random.Random(11)
+            for _ in range(150):
+                a = random_element(spec, rng, rng.randint(0, 4))
+                p = random_word(spec, rng, a)
+                q = random_word(spec, rng, end_vertex(spec, p))
+                r = random_word(spec, rng, end_vertex(spec, q), a)
+                want = ref_triangle_mu(spec, p, q, r)
+                assert triangle_mu_defects(spec, p, q, r) == want
+                positive += want > 0
+        assert positive >= 300
+
+    def test_bcp_defects(self):
+        for make in REFERENCE_SPECS:
+            spec = make()
+            rng = random.Random(12)
+            for _ in range(150):
+                wp = random_word(spec, rng, random_element(spec, rng, 3))
+                wq = random_word(spec, rng, random_element(spec, rng, 3))
+                assert bcp_defects(spec, wp, wq) == ref_bcp(spec, wp, wq)
+
+    def test_connected(self):
+        for make in REFERENCE_SPECS:
+            spec = make()
+            rng = random.Random(13)
+            comps = [c for _ in range(30) for c in decompose_components(
+                spec, random_word(spec, rng, random_element(spec, rng, 3)))]
+            for c1 in comps:
+                for c2 in comps:
+                    assert connected(spec, c1, c2) == ref_connected(spec, c1, c2)
+
+    def test_analyze_word_and_quasigeodesic_check(self):
+        seen = set()
+        for make in REFERENCE_SPECS:
+            spec = make()
+            rng = random.Random(14)
+            for _ in range(300):
+                w = random_word(spec, rng, random_element(spec, rng, 3))
+                got = analyze_word(spec, w)
+                want = ref_analyze(spec, w)
+                assert (got.backtracks, got.vertex_backtracks,
+                        got.isolated_components) == want
+                assert got.components == tuple(decompose_components(spec, w))
+                seen.add(want[:2])
+                for lam, c in ((1, 0), (2, 1), (3, 2)):
+                    assert is_quasigeodesic(spec, w, lam, c) == \
+                        ref_is_quasigeodesic(spec, w, lam, c)
+        assert seen == {(False, False), (False, True), (True, True)}
