@@ -24,14 +24,14 @@ from .groups import GroupSpec
 from .helly import analyze, hellyfication
 from .quasiconvex import OrbitSpec, verify_section5
 from .relwords import measure_bcp, measure_delta, measure_triangles, measure_zeta
-from .reports import build_report, render
+from .reports import build_report, dumps, render
 
 VIOLATION_EXIT = 1
 USAGE_EXIT = 2
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = render(report)
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when no file is given."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -51,7 +51,7 @@ def _cmd_analyze(args) -> int:
     if rep.witness is not None:
         result["witness"] = [[c, r] for c, r in rep.witness.radii]
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
-    _emit(build_report("analyze", config, result), args.out)
+    _emit(render(build_report("analyze", config, result)), args.out)
     return 0
 
 
@@ -62,7 +62,7 @@ def _cmd_hellyfy(args) -> int:
     result = {"graph": record, "embedding": embedding, "helly": True,
               "isometric": True}
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
-    _emit(build_report("hellyfy", config, result), args.out)
+    _emit(render(build_report("hellyfy", config, result)), args.out)
     print("helly: true", file=sys.stderr)
     return 0
 
@@ -83,7 +83,7 @@ def _cmd_group(args) -> int:
         result["elements"] = [element_to_obj(g) for g in sorted(dist)]
     config = {"spec": spec.to_json(), "radius": args.radius,
               "metric": args.metric, "parabolic_cap": args.parabolic_cap}
-    _emit(build_report("group-ball", config, result), args.out)
+    _emit(render(build_report("group-ball", config, result)), args.out)
     return 0
 
 
@@ -121,16 +121,13 @@ def _cmd_gamma(args) -> int:
     result["sanity_problems"] = problems
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "allow_small_n": args.allow_small_n}
-    _emit(build_report("gamma-build", cfg, result), args.out)
+    _emit(render(build_report("gamma-build", cfg, result)), args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(window.to_dot())
+        _emit(window.to_dot(), args.dot)
     if args.graph_out:
         g, _ = window.to_graph()
-        with open(args.graph_out, "w", encoding="utf-8") as fh:
-            json.dump(graph_to_json(g, meta={"projected_from": "gamma-window"}),
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _emit(dumps(graph_to_json(g, meta={"projected_from": "gamma-window"})),
+              args.graph_out)
     return VIOLATION_EXIT if problems else 0
 
 
@@ -141,7 +138,7 @@ def _cmd_derive(args) -> int:
     report = verify_derivation_theorems(window, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
-    _emit(build_report("derive", cfg, report.to_json()), args.out)
+    _emit(render(build_report("derive", cfg, report.to_json())), args.out)
     return VIOLATION_EXIT if report.violations_two_local else 0
 
 
@@ -164,7 +161,7 @@ def _cmd_measure(args) -> int:
            "seed": args.seed, "radius": args.radius,
            "parabolic_cap": args.parabolic_cap, "lambda": str(lam), "c": str(c),
            "k": args.k}
-    _emit(build_report("measure", cfg, rep.to_json()), args.out)
+    _emit(render(build_report("measure", cfg, rep.to_json())), args.out)
     return 0
 
 
@@ -186,7 +183,7 @@ def _cmd_quasiconvex(args) -> int:
                              instance=args.ambient, requested=requested)
     cfg = {"ambient": args.ambient, "orbit": sorted(set(orbit)), "k": args.k,
            "lambda": str(requested.lam), "c": str(requested.c), "cap": args.cap}
-    _emit(build_report("quasiconvex", cfg, report.to_json()), args.out)
+    _emit(render(build_report("quasiconvex", cfg, report.to_json())), args.out)
     return VIOLATION_EXIT if report.violations() else 0
 
 
@@ -199,21 +196,13 @@ def _cmd_corpus(args) -> int:
         params["factors"] = (params.get("factors") or "").split(",")
     record, name = corpus_mod.generate(args.kind, params)
     out = args.out or name
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _emit(dumps(record), out)
     print(out, file=sys.stderr)
     return 0
 
 
 def _cmd_export_dot(args) -> int:
-    g = load_graph(args.graph)
-    text = to_dot(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(to_dot(load_graph(args.graph)), args.out)
     return 0
 
 

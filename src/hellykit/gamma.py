@@ -23,10 +23,10 @@ dist(u) + d_window(u, v) <= R, every potentially shorter path would stay
 strictly inside the materialized region, so the window distance is the true
 distance in the infinite graph.
 
-A window interns its vertices as ids 0..n-1 in sorted tuple order when it is
-built, and keeps its adjacency and base distances on those ids.  Id order is
-tuple order, so a walk that picks among neighbours in adjacency order makes
-the same choices on ids as on tuples.
+A window's BFS interns each vertex as an int id when it first meets it and
+keeps adjacency and base distances on ids; one sort then renumbers them 0..n-1
+in tuple order.  Id order is tuple order, so a walk that picks among neighbours
+in adjacency order makes the same choices on ids as on tuples.
 
 The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
 at that depth and stopped once u is labelled, reaches u exactly when
@@ -38,7 +38,6 @@ window_distance returns (None, False).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional
@@ -126,31 +125,28 @@ class GammaConfig:
     # -- the neighbor rule ----------------------------------------------------
 
     def neighbors(self, v: GammaVertex) -> list[GammaVertex]:
+        """Neighbours of v in increasing tuple order ("free" < "int" < "med"),
+        each once; the walks in derived read them in this order."""
         spec = self.spec
         kind = v[0]
-        out: list[GammaVertex] = []
         if kind == "free":
             g = v[1]
-            for x in spec.x_letters():
-                out.append(self.medial(g, x))
-            for j in range(len(spec.factors)):
-                out.append(("int", j, spec.coset_rep(g, j), spec.project(g, j)))
-        elif kind == "med":
-            g, x = v[1]
-            out.append(("free", g))
-            out.append(("free", spec.multiply(spec.letter_image(x), g)))
-        elif kind == "int":
+            out = [("int", j, spec.coset_rep(g, j), spec.project(g, j))
+                   for j in range(len(spec.factors))]
+            return out + sorted(self.medial(g, x) for x in spec.x_letters())
+        if kind == "med":
+            g, x = v[1]  # the smaller of two pairs, so g < image(x) * g
+            return [("free", g), ("free", spec.multiply(spec.letter_image(x), g))]
+        if kind == "int":
             _, j, rep, u = v
             factor = spec.factors[j]
-            for u2 in factor.near(u, self.n_thick):
-                out.append(("int", j, rep, u2))
-            # connecting free vertices: h * rep with h moving the basepoint
+            # the connecting free vertex h * rep, with h moving the basepoint
             # image of rep onto u; transitive models give exactly one
             h = factor.mul(u, factor.inv(spec.project(rep, j)))
-            out.append(("free", spec.multiply(spec.parabolic(j, h), rep)))
-        else:
-            raise WindowError(f"unknown vertex kind {kind!r}")
-        return sorted(set(out))
+            out = [("free", spec.multiply(spec.parabolic(j, h), rep))]
+            return out + [("int", j, rep, u2)
+                          for u2 in factor.near(u, self.n_thick)]
+        raise WindowError(f"unknown vertex kind {kind!r}")
 
     def is_edge(self, u: GammaVertex, v: GammaVertex) -> bool:
         return v in self.neighbors(u)
@@ -179,28 +175,34 @@ class GammaWindow:
         self.config = config
         self.radius = radius
         self.base = config.base_vertex()
-        dist: dict[GammaVertex, int] = {self.base: 0}
-        adj: dict[GammaVertex, set] = {self.base: set()}
-        queue = deque([self.base])
-        while queue:
-            v = queue.popleft()
-            if dist[v] == radius:
-                continue
+        # ids are handed out in discovery (BFS) order, so iterating the
+        # growing list is the BFS queue and distances never decrease along it
+        found, dist, adj = [self.base], [0], [[]]
+        ids = {self.base: 0}
+        for i, v in enumerate(found):
+            if dist[i] == radius:
+                break
+            row = adj[i]
             for w in config.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    adj[w] = set()
-                    if len(dist) > max_vertices:
+                k = ids.get(w)
+                if k is None:
+                    k = ids[w] = len(found)
+                    if k >= max_vertices:
                         raise WindowError(
                             f"window exceeds {max_vertices} vertices at R={radius}")
-                    queue.append(w)
-                adj[v].add(w)
-                adj[w].add(v)
-        self.verts = sorted(dist)
-        self.index = index = {v: i for i, v in enumerate(self.verts)}
-        self.dist_from_base = [dist[v] for v in self.verts]
-        self.adj = tuple(tuple(sorted(index[w] for w in adj[v]))
-                         for v in self.verts)
+                    found.append(w)
+                    dist.append(dist[i] + 1)
+                    adj.append([])
+                if dist[k] == radius:  # never expanded; the rule is symmetric
+                    adj[k].append(i)
+                row.append(k)
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # inverse
+        self.verts = [found[k] for k in order]
+        self.index = dict(zip(self.verts, range(len(order))))
+        self.dist_from_base = [dist[k] for k in order]
+        self.adj = tuple(tuple(sorted(map(rank.__getitem__, adj[k])))
+                         for k in order)
 
     def free_vertices(self) -> list[GammaVertex]:
         return [v for v in self.verts if v[0] == "free"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from itertools import product as iproduct
+from operator import add, neg, sub
 from typing import Iterable, Optional
 
 from .graphs import bfs_row
@@ -62,6 +63,7 @@ class _FiniteFactorBase:
                             for a in range(order)], 0)
         if min(self._wl) < 0:
             raise GroupError("generators do not generate the factor")
+        self._near: dict[tuple[int, int], list[int]] = {}
 
     def elements(self):
         return list(range(self.order))
@@ -73,7 +75,11 @@ class _FiniteFactorBase:
         return self._wl[self.mul(v, self.inv(u))]
 
     def near(self, u, n: int) -> list:
-        return sorted(v for v in range(self.order) if 1 <= self.graph_distance(u, v) <= n)
+        """Elements at distance 1..n from u, increasing; scanned once per (u, n)."""
+        if (u, n) not in self._near:
+            self._near[u, n] = [v for v in range(self.order)
+                                if 1 <= self.graph_distance(u, v) <= n]
+        return list(self._near[u, n])
 
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         return list(range(1, self.order))
@@ -172,29 +178,31 @@ class FreeAbelianFactor:
         else:
             gens = [v for v in iproduct((-1, 0, 1), repeat=rank) if any(v)]
         self.generators = sorted(gens)
+        self._offsets: dict[int, list[tuple]] = {}
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def word_length(self, h) -> int:
         if self.gen_style == "square":
-            return sum(abs(x) for x in h)
-        return max(abs(x) for x in h)
+            return sum(map(abs, h))
+        return max(map(abs, h))
 
     def graph_distance(self, u, v) -> int:
-        return self.word_length(tuple(y - x for x, y in zip(u, v)))
+        return self.word_length(tuple(map(sub, v, u)))
 
     def near(self, u, n: int) -> list:
-        out = []
-        for delta in iproduct(range(-n, n + 1), repeat=self.rank):
-            if not any(delta):
-                continue
-            if self.word_length(delta) <= n:
-                out.append(tuple(x + dx for x, dx in zip(u, delta)))
-        return sorted(out)
+        """Points at distance 1..n from u, in lexicographic order, which is
+        translation-invariant: the offsets are listed (in order) once per n."""
+        offsets = self._offsets.get(n)
+        if offsets is None:
+            offsets = self._offsets[n] = [
+                d for d in iproduct(range(-n, n + 1), repeat=self.rank)
+                if any(d) and self.word_length(d) <= n]
+        return [tuple(map(add, u, d)) for d in offsets]
 
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         if cap is None:
@@ -478,10 +486,6 @@ class GroupSpec:
     def load(path: str) -> "GroupSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return GroupSpec.from_json(json.load(fh))
-
-    def describe(self) -> str:
-        parts = [f.to_json() for f in self.factors]
-        return f"GroupSpec(factors={parts}, free_rank={self.free_rank})"
 
 
 def random_element(spec: GroupSpec, rng, letter_budget: int,

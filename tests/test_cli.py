@@ -151,6 +151,26 @@ class TestGamma:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    # sha256 of the gamma build report and of its --graph-out projection;
+    # any change to vertex order, adjacency or report encoding moves them
+    @pytest.mark.parametrize("group, n_thick, radius, report, graph", [
+        (corpus.group_z2_z3, 1, 6,
+         "fff7a36a47ee48dd8ff7f7b02999332492abdaaf1e35eaac43ee01b73caacdd0",
+         "9740397de180dd4e9761eb672e7cf2e999a16e0048e74e1603c01f1e3b9a82cc"),
+        (lambda: corpus.group_zsq_z2("king"), 2, 5,
+         "07d89bc266f74bb063f355a61bc2202348e25506ccb56df2409b46a710b735e3",
+         "e17bc3f436fc0250c3575e8a8dac809a24ca49ae624e29edb88567e07ec9dbb8"),
+    ], ids=["z2_z3", "zsq_z2_king"])
+    def test_pinned_report_digest(self, tmp_path, group, n_thick, radius,
+                                  report, graph):
+        out, graph_out = tmp_path / "w.json", tmp_path / "g.json"
+        code = main(["gamma", "build", "--group", group_file(tmp_path, group()),
+                     "--N", str(n_thick), "--radius", str(radius),
+                     "--out", str(out), "--graph-out", str(graph_out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == report
+        assert hashlib.sha256(graph_out.read_bytes()).hexdigest() == graph
+
 
 class TestDerive:
     def test_report_and_determinism(self, tmp_path):
@@ -383,6 +403,18 @@ class TestCorpus:
         spec = GroupSpec.load(str(out))
         assert [f.kind for f in spec.factors] == ["cyclic", "cyclic"]
         assert spec.factors[1].order == 3
+
+    # sha256 of corpus files; they are written by the report encoder
+    @pytest.mark.parametrize("args, digest", [
+        (["king-grid", "--param", "w=3", "--param", "h=3"],
+         "1ff3fd47d89a9b7052b8f85903e5a43d5359143377e4755d1931d71d1328201f"),
+        (["group-freeproduct", "--param", "factors=cyclic:2,cyclic:3"],
+         "33a1631eb496b29218f1558886e37281b519c73fe8ac8d26a6ec490caf282bc9"),
+    ], ids=["king3x3", "z2_z3"])
+    def test_pinned_file_digest(self, tmp_path, args, digest):
+        out = tmp_path / "c.json"
+        assert main(["corpus"] + args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestGraphIO:

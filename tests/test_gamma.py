@@ -54,6 +54,31 @@ def ref_window_vertices(spec, n_thick, radius):
     return seen
 
 
+def parent_window(config, radius):
+    """The dict/set window builder that interning on discovery replaced: a
+    queue BFS on tuple vertices, then one sort.  Returns (verts, index, adj,
+    dist_from_base) in the window's layout."""
+    base = config.base_vertex()
+    dist, adj = {base: 0}, {base: set()}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in config.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                adj[w] = set()
+                queue.append(w)
+            adj[v].add(w)
+            adj[w].add(v)
+    verts = sorted(dist)
+    index = {v: i for i, v in enumerate(verts)}
+    return (verts, index,
+            tuple(tuple(sorted(index[w] for w in adj[v])) for v in verts),
+            [dist[v] for v in verts])
+
+
 class TestNBounds:
     def test_transitive_models_quotient_one(self):
         for spec in (corpus.group_z2_z3(), corpus.group_zsq_z2()):
@@ -113,6 +138,16 @@ class TestNeighborRule:
         other = config.medial(spec.multiply(spec.letter_image(x), g),
                               spec.letter_invert(x))
         assert same == other
+
+    @pytest.mark.parametrize("group, n_thick, radius", [
+        (corpus.group_z2_z3, 1, 6), (corpus.group_z2_z2, 1, 6),
+        (corpus.group_zsq_z2, 2, 5)], ids=["z2_z3", "z2_z2", "zsq_z2"])
+    def test_sorted_and_duplicate_free(self, group, n_thick, radius):
+        # derived.z_path reads neighbours in this order
+        config = GammaConfig(group(), n_thick)
+        for v in GammaWindow(config, radius).verts:
+            nbrs = config.neighbors(v)
+            assert nbrs == sorted(set(nbrs))
 
     def test_adjacency_symmetric(self):
         spec = corpus.group_z2_z3()
@@ -184,6 +219,28 @@ class TestWindow:
         spec = corpus.group_zsq_z2("king")
         with pytest.raises(WindowError):
             GammaWindow(GammaConfig(spec, 2), 8, max_vertices=100)
+
+    @pytest.mark.parametrize("group", [corpus.group_z2_z3,
+                                       corpus.group_zsq_z2])
+    def test_guard_boundary(self, group):
+        config = GammaConfig(group(), 2)
+        n = len(GammaWindow(config, 4).verts)
+        assert len(GammaWindow(config, 4, max_vertices=n).verts) == n
+        with pytest.raises(WindowError):
+            GammaWindow(config, 4, max_vertices=n - 1)
+
+    @pytest.mark.parametrize("radius", [3, 5, 6])
+    @pytest.mark.parametrize("n_thick", [1, 2])
+    @pytest.mark.parametrize("group", [
+        corpus.group_z2_z3, corpus.group_z2_z2, corpus.group_zsq_z2,
+        lambda: corpus.group_zsq_z2("square")],
+        ids=["z2_z3", "z2_z2", "zsq_z2_king", "zsq_z2_square"])
+    def test_matches_parent_builder(self, group, n_thick, radius):
+        config = GammaConfig(group(), n_thick)
+        w = GammaWindow(config, radius)
+        verts, index, adj, dist = parent_window(config, radius)
+        assert w.verts == verts and w.index == index
+        assert w.adj == adj and w.dist_from_base == dist
 
 
 class TestWindowDistance:

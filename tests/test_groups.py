@@ -1,6 +1,7 @@
 """Free-product arithmetic: normal forms, lengths against BFS oracles,
 projections, ball enumeration, serialization."""
 
+import itertools
 import json
 import random
 
@@ -253,6 +254,34 @@ class TestFactors:
         f2 = FreeAbelianFactor(2, "square")
         assert len(f2.near((0, 0), 1)) == 4
         assert len(f2.near((0, 0), 2)) == 12
+
+    @pytest.mark.parametrize("style", ["king", "square"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_abelian_near_matches_distance_scan(self, style, rank):
+        f = FreeAbelianFactor(rank, style)
+        rng = random.Random(rank)
+        points = [f.identity, (5,) * rank] + [
+            tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(3)]
+        for u in points:
+            for n in (1, 2, 3):
+                # a box one wider than the ball, scanned in lexicographic order
+                box = itertools.product(*(range(x - n - 1, x + n + 2) for x in u))
+                want = [v for v in box if 1 <= f.graph_distance(u, v) <= n]
+                assert f.near(u, n) == want
+                assert f.near(u, n) == want  # the cached offsets again
+
+    @pytest.mark.parametrize("factor", [
+        CyclicFactor(2), CyclicFactor(5), FiniteFactor(s3_table()[1], [3, 4, 5]),
+        FiniteFactor(s3_table()[1], [1, 2, 3])], ids=["z2", "z5", "s3", "s3_mixed"])
+    def test_finite_near_matches_distance_scan(self, factor):
+        for u in factor.elements():
+            for n in (1, 2, 3):
+                want = [v for v in factor.elements()
+                        if 1 <= factor.graph_distance(u, v) <= n]
+                got = factor.near(u, n)
+                assert got == want
+                got.append(-1)  # callers own the list; the cache is untouched
+                assert factor.near(u, n) == want
 
     def test_cyclic_generator_symmetry(self):
         assert CyclicFactor(2).generators == [1]

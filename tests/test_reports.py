@@ -1,0 +1,78 @@
+"""The report encoder against the json module it replaces."""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hellykit.reports import dumps
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# non-ASCII, control, quote and backslash characters, mixed with plain ones
+TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7féλ\u2028\U0001f600'),
+               max_size=6)
+SCALARS = (st.booleans() | st.none() | TEXT
+           | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 3.0, -2.0,
+                              1e16, 123456789.0]))
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+def nested(depth):
+    """A tree `depth` containers deep, alternating lists and dicts, with
+    bools, None and empty containers at every level."""
+    node = [True, False, None, {}, [], -0.0]
+    for level in range(depth):
+        if level % 2:
+            node = [level, node, {"t": True, "n": None}, [False, None]]
+        else:
+            node = {"kéy": node, "f": False, "e": [], "d": {}}
+    return node
+
+
+# derandomized and without an example database, so a tier-1 run is
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(TREES)
+@example(nested(7))
+@example([True, False, None, 1, 0, 1.0, -0.0, 1e300, 5e-324, 2 ** 100])
+@example({"t": True, "f": False, "n": None, "i": 1, "z": 0})
+def test_dumps_matches_json(obj):
+    assert dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    (1, (2, "x")), {"t": (True, None)}, [], {}, "", 0, -0.0,
+    float("nan"), [float("inf"), float("-inf")],
+])
+def test_tuples_and_non_finite(obj):
+    assert dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"x": {1, 2}}, [object()]])
+def test_unserializable_raises_type_error(obj):
+    with pytest.raises(TypeError):
+        reference(obj)
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"x": {True: 1}}, [{None: 0}]])
+def test_non_str_keys_raise_type_error(obj):
+    # json would write these keys as strings; reports never have them
+    with pytest.raises(TypeError):
+        dumps(obj)
