@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .derived import verify_derivation_theorems
-from .gamma import (GammaConfig, GammaWindow, certified_clauses, min_n_loops,
-                    min_n_quotient, recommended_n)
+from .gamma import (WINDOW_GUARD_DEFAULT, GammaConfig, GammaWindow,
+                    certified_clauses, min_n_loops, min_n_quotient,
+                    recommended_n)
 from .graph_io import graph_to_json, load_graph, to_dot
 from .graphs import QGParams
-from .groups import GroupSpec
-from .helly import analyze, hellyfication
-from .quasiconvex import OrbitSpec, verify_section5
+from .groups import BALL_GUARD_DEFAULT, GroupSpec
+from .helly import EXTREMAL_VERTEX_BOUND, analyze, hellyfication
+from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, verify_section5
 from .relwords import measure_bcp, measure_delta, measure_triangles, measure_zeta
 from .reports import build_report, dumps, render
 
@@ -69,8 +70,6 @@ def _cmd_hellyfy(args) -> int:
 
 def _cmd_group(args) -> int:
     spec = GroupSpec.load(args.spec)
-    if args.action != "ball":
-        raise SystemExit(2)
     dist = spec.enumerate_ball(args.radius, metric=args.metric,
                                parabolic_cap=args.parabolic_cap,
                                max_elements=args.guard)
@@ -153,10 +152,8 @@ def _cmd_measure(args) -> int:
         rep = measure_triangles(spec, lam, c, **common)
     elif args.what == "delta":
         rep = measure_delta(spec, **common)
-    elif args.what == "zeta":
+    else:  # zeta; argparse allows no other choice
         rep = measure_zeta(spec, lam, c, **common)
-    else:
-        raise SystemExit(2)
     cfg = {"group": spec.to_json(), "what": args.what, "samples": args.samples,
            "seed": args.seed, "radius": args.radius,
            "parabolic_cap": args.parabolic_cap, "lambda": str(lam), "c": str(c),
@@ -212,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="Helly-type report for a graph file")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=14)
+    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("hellyfy", help="minimal Helly graph containing the input")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=14)
+    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hellyfy)
 
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--metric", choices=["rel", "abs"], default="rel")
     p.add_argument("--parabolic-cap", type=int, default=2)
-    p.add_argument("--guard", type=int, default=1_000_000)
+    p.add_argument("--guard", type=int, default=BALL_GUARD_DEFAULT)
     p.add_argument("--list-elements", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_group)
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="n_thick", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--allow-small-N", dest="allow_small_n", action="store_true")
-    p.add_argument("--guard", type=int, default=200_000)
+    p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
     p.add_argument("--dot")
     p.add_argument("--graph-out", dest="graph_out",
                    help="also write the window projected to a plain graph")
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-small-N", dest="allow_small_n", action="store_true")
-    p.add_argument("--guard", type=int, default=200_000)
+    p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_derive)
 
@@ -278,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--c", default="0")
     p.add_argument("--xi", type=int, default=None)
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_quasiconvex)
 

@@ -7,8 +7,8 @@ Short dangling prefixes and suffixes (three edges or fewer) are dropped; longer
 ones are extended by the fixed shortest escape path Z_v of their endpoint so
 that they contribute a letter too.
 
-Z_v is fixed once per vertex, deterministically (lexicographically least
-shortest path to a free vertex under the global vertex order); nothing checked
+Z_v is fixed once per vertex, deterministically: the edge to the first
+neighbour of a medial or internal vertex, which is free; nothing checked
 downstream depends on that choice.
 """
 
@@ -23,8 +23,6 @@ from .gamma import GammaConfig, GammaVertex, GammaWindow, WindowError
 from .groups import Letter
 from .relwords import RelWord, analyze_word, value as word_value
 
-Z_DEPTH_CAP = 4
-
 
 @dataclass(frozen=True)
 class DerivedResult:
@@ -35,23 +33,12 @@ class DerivedResult:
 
 
 def z_path(config: GammaConfig, v: GammaVertex) -> list[GammaVertex]:
-    """Shortest path from v to a free vertex, lexicographically least among
-    shortest ones.  Length 0 for free, 1 for medial, and 1 for internal
-    vertices of the shipped transitive models (the connecting edge)."""
+    """Shortest path from v to a free vertex: [v] for a free v, otherwise the
+    edge to its first neighbour, which is free (the connecting free vertex of
+    an internal vertex, the smaller endpoint of a medial one)."""
     if v[0] == "free":
         return [v]
-    frontier = [[v]]
-    for _ in range(Z_DEPTH_CAP):
-        nxt = []
-        for path in frontier:
-            for w in config.neighbors(path[-1]):
-                if w in path:
-                    continue
-                if w[0] == "free":
-                    return path + [w]
-                nxt.append(path + [w])
-        frontier = sorted(nxt)
-    raise WindowError(f"no free vertex within {Z_DEPTH_CAP} steps of {v}")
+    return [v, config.neighbors(v)[0]]
 
 
 def _segment_letter(config: GammaConfig, seg: list[GammaVertex]

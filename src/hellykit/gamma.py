@@ -50,6 +50,11 @@ WINDOW_GUARD_DEFAULT = 200_000
 
 GammaVertex = tuple
 
+# edge kind by the kinds of its two endpoints, in either order
+_EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
+               ("free", "int"): "connecting", ("int", "free"): "connecting",
+               ("int", "int"): "internal"}
+
 
 class WindowError(GroupError):
     pass
@@ -153,14 +158,10 @@ class GammaConfig:
 
     @staticmethod
     def edge_kind(u: GammaVertex, v: GammaVertex) -> str:
-        kinds = {u[0], v[0]}
-        if kinds == {"free", "med"}:
-            return "free"
-        if kinds == {"free", "int"}:
-            return "connecting"
-        if kinds == {"int"}:
-            return "internal"
-        raise WindowError(f"impossible edge {u[0]}-{v[0]}")
+        kind = _EDGE_KINDS.get((u[0], v[0]))
+        if kind is None:
+            raise WindowError(f"impossible edge {u[0]}-{v[0]}")
+        return kind
 
 
 class GammaWindow:

@@ -125,17 +125,18 @@ class FiniteFactor(_FiniteFactorBase):
                     inv[a] = b
         if any(i < 0 for i in inv):
             raise GroupError("table has a non-invertible element")
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if table[table[a][b]][c] != table[a][table[b][c]]:
-                            raise GroupError("table is not associative")
         gens = sorted(set(generators))
         if 0 in gens:
             raise GroupError("identity may not be a generator")
         if sorted({inv[g] for g in gens}) != gens:
             raise GroupError("generating set must be symmetric")
+        # Light's test: the s with x(sy) = (xs)y for all x, y are closed under
+        # products, so checking the generators, which the base class requires
+        # to generate every element, decides associativity
+        for s in gens:
+            for row in table:
+                if list(map(row.__getitem__, table[s])) != list(table[row[s]]):
+                    raise GroupError("table is not associative")
         self.table = tuple(tuple(row) for row in table)
         self._inv = inv
         super().__init__(n, gens)

@@ -223,8 +223,8 @@ def _xi(g: Graph, fs: list[tuple[int, ...]]) -> int:
     return xi
 
 
-def helly_oracle_bruteforce(g: Graph, max_centers: Optional[int] = None,
-                            max_vertices: int = ORACLE_VERTEX_BOUND) -> bool:
+def helly_oracle_bruteforce(g: Graph, max_vertices: int = ORACLE_VERTEX_BOUND
+                            ) -> bool:
     """Independent brute-force Helly test for cross-validation.
 
     Enumerates ball families directly: each vertex is either not a center or a
@@ -238,8 +238,6 @@ def helly_oracle_bruteforce(g: Graph, max_centers: Optional[int] = None,
     _check_bound(g, max_vertices, ORACLE_VERTEX_BOUND,
                  "brute-force Helly oracle")
     n = g.n
-    if max_centers is None:
-        max_centers = n
     d = g.dist()
     ecc = [max(row) for row in d]
     suffix_max = [[0] * n for _ in range(n + 1)]
@@ -272,14 +270,13 @@ def helly_oracle_bruteforce(g: Graph, max_centers: Optional[int] = None,
                     return True
         if not dfs(i + 1):  # vertex i not a center
             return False
-        if len(chosen) < max_centers:
-            for r in range(0, max(ecc[i], 1)):
-                if all(r + r2 >= d[i][s2] for s2, r2 in chosen):
-                    chosen.append((i, r))
-                    ok = dfs(i + 1)
-                    chosen.pop()
-                    if not ok:
-                        return False
+        for r in range(0, max(ecc[i], 1)):
+            if all(r + r2 >= d[i][s2] for s2, r2 in chosen):
+                chosen.append((i, r))
+                ok = dfs(i + 1)
+                chosen.pop()
+                if not ok:
+                    return False
         return True
 
     return dfs(0)
@@ -288,35 +285,23 @@ def helly_oracle_bruteforce(g: Graph, max_centers: Optional[int] = None,
 def is_pseudo_modular(g: Graph) -> tuple[bool, Optional[tuple[tuple[int, int], ...]]]:
     """True iff every pairwise intersecting triple of balls has a common vertex.
 
-    Only triples of distinct centers matter (two balls sharing a center nest),
-    radii below the eccentricity suffice, and shrinking radii preserves empty
-    intersection, so only triples with every positive radius tight against a
-    partner are checked.  The witness is the lexicographically first failing
-    ((center, radius), ...) triple.
+    Decided by the local criterion of Bandelt and Mulder (Pseudo-modular
+    graphs, 1986): for all u, w with 1 <= d(u,w) <= 2 and every v with
+    d(v,u) = d(v,w) = k >= 2, some common neighbour x of u and w has
+    d(v,x) = k - 1.  A failing (u, w, v) gives the pairwise intersecting
+    triple B_1(u), B_1(w), B_{k-1}(v) with no common vertex, returned as
+    ((center, radius), ...) sorted by center; the first failure is taken in
+    the order u < w, then v, all increasing.
     """
     d = g.dist()
-    n = g.n
-    ecc = [max(row) for row in d]
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            for x3 in range(x2 + 1, n):
-                d12, d13, d23 = d[x1][x2], d[x1][x3], d[x2][x3]
-                for r1 in range(0, max(ecc[x1], 1)):
-                    for r2 in range(0, max(ecc[x2], 1)):
-                        if r1 + r2 < d12:
-                            continue
-                        for r3 in range(0, max(ecc[x3], 1)):
-                            if r1 + r3 < d13 or r2 + r3 < d23:
-                                continue
-                            if r1 != max(0, d12 - r2, d13 - r3):
-                                continue
-                            if r2 != max(0, d12 - r1, d23 - r3):
-                                continue
-                            if r3 != max(0, d13 - r1, d23 - r2):
-                                continue
-                            if not any(d[x][x1] <= r1 and d[x][x2] <= r2
-                                       and d[x][x3] <= r3 for x in range(n)):
-                                return False, ((x1, r1), (x2, r2), (x3, r3))
+    adj = [set(a) for a in g.adj]
+    for u, du in enumerate(d):
+        for w in range(u + 1, g.n):
+            if du[w] <= 2:
+                common = adj[u] & adj[w]
+                for v, (k, kw) in enumerate(zip(du, d[w])):
+                    if k == kw >= 2 and all(d[v][x] != k - 1 for x in common):
+                        return False, tuple(sorted(((u, 1), (w, 1), (v, k - 1))))
     return True, None
 
 

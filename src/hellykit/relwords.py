@@ -321,8 +321,7 @@ def measure_bcp(spec: GroupSpec, qg_lam, qg_c, k: int, samples: int, seed: int,
     rng = random.Random(seed)
     eps = 0
     rejected = 0
-    accepted = 0
-    while accepted < samples:
+    for _ in range(samples):
         g1 = _sample_corner(spec, rng, radius, parabolic_cap)
         g2 = _sample_corner(spec, rng, radius, parabolic_cap)
         wp, rej_p = perturbed_word(spec, rng, g1, g2, qg_lam, qg_c, parabolic_cap)
@@ -332,12 +331,12 @@ def measure_bcp(spec: GroupSpec, qg_lam, qg_c, k: int, samples: int, seed: int,
         rejected += rej_p + rej_q
         defects = bcp_defects(spec, wp, wq)
         eps = max(eps, *defects.values())
-        accepted += 1
     return ConstantReport(
         what="bcp", params={"lambda": str(qg_lam), "c": str(qg_c), "k": k,
                             "radius": radius, "parabolic_cap": parabolic_cap,
                             "group": spec.to_json()},
-        samples=accepted, rejected=rejected, seed=seed, epsilon_hat=eps)
+        samples=max(samples, 0), rejected=rejected, seed=seed,
+        epsilon_hat=eps)
 
 
 def _sample_triangle(spec: GroupSpec, rng: random.Random, lam, c, radius: int,

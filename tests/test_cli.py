@@ -219,6 +219,7 @@ class TestErrorBoundary:
         ("disconnected", "NotConnectedError"),
         ("missing", "FileNotFoundError"),
         ("guard", "WindowError"),
+        ("nonassociative", "GroupError"),
         ("orbit_too_large", "GraphError"),
         ("orbit_negative", "GraphError"),
     ])
@@ -234,6 +235,15 @@ class TestErrorBoundary:
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", orbits[case]),
                     "--k", "1"]
+        elif case == "nonassociative":
+            # Z/66 with the entries [2][3] and [2][4] of its table swapped
+            table = [[(a + b) % 66 for b in range(66)] for a in range(66)]
+            table[2][3], table[2][4] = table[2][4], table[2][3]
+            spec = {"factors": [{"kind": "finite", "table": table,
+                                 "generators": [1, 65]}]}
+            argv = ["group", "ball", "--spec",
+                    write(tmp_path / "group.json", json.dumps(spec)),
+                    "--radius", "2"]
         else:
             argv = ["gamma", "build", "--group",
                     group_file(tmp_path, corpus.group_z2_z3()), "--N", "1",

@@ -25,6 +25,25 @@ def window_zz2(radius=5, n=2):
     return GammaWindow(GammaConfig(spec, n), radius)
 
 
+def z_path_search(config, v, depth_cap=4):
+    """The frontier search z_path replaced: the lexicographically least
+    shortest path from v to a free vertex."""
+    if v[0] == "free":
+        return [v]
+    frontier = [[v]]
+    for _ in range(depth_cap):
+        nxt = []
+        for path in frontier:
+            for w in config.neighbors(path[-1]):
+                if w in path:
+                    continue
+                if w[0] == "free":
+                    return path + [w]
+                nxt.append(path + [w])
+        frontier = sorted(nxt)
+    raise AssertionError(f"no free vertex within {depth_cap} steps of {v}")
+
+
 class TestZPath:
     def test_free_trivial(self):
         w = window_z23(3)
@@ -47,6 +66,17 @@ class TestZPath:
         w = window_z23(3)
         med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         assert z_path(w.config, med) == z_path(w.config, med)
+
+    def test_matches_search_on_every_window_vertex(self):
+        specs = [corpus.group_z2_z3(), corpus.group_z2_z2(),
+                 corpus.group_zsq_z2("king"), corpus.group_zsq_z2("square")]
+        checked = 0
+        for spec in specs:
+            w = GammaWindow(GammaConfig(spec, recommended_n(spec)), 5)
+            for v in w.verts:
+                assert z_path(w.config, v) == z_path_search(w.config, v)
+            checked += len(w.verts)
+        assert checked == 39 + 21 + 1291 + 535
 
 
 class TestDerive:

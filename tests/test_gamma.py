@@ -194,6 +194,18 @@ class TestWindow:
                 assert GammaConfig.edge_kind(u, v) in ("free", "connecting",
                                                        "internal")
 
+    def test_edge_kind_by_tags(self):
+        free = ("free", ())
+        med = ("med", ((), ("xf", 0)))
+        internal = ("int", 0, (), 1)
+        for u, v, kind in [(free, med, "free"), (free, internal, "connecting"),
+                           (internal, internal, "internal")]:
+            assert GammaConfig.edge_kind(u, v) == kind
+            assert GammaConfig.edge_kind(v, u) == kind
+        for u, v in [(free, free), (med, med), (med, internal)]:
+            with pytest.raises(WindowError, match="impossible edge"):
+                GammaConfig.edge_kind(u, v)
+
     def test_no_adjacent_free_vertices(self):
         spec = corpus.group_z2_z3()
         w = GammaWindow(GammaConfig(spec, 1), 5)

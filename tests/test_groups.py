@@ -23,6 +23,13 @@ def validate_every_product():
     groups_mod.DEBUG_VALIDATE = False
 
 
+def z66_swapped_table():
+    """The addition table of Z/66 with the entries [2][3] and [2][4] swapped."""
+    table = [[(a + b) % 66 for b in range(66)] for a in range(66)]
+    table[2][3], table[2][4] = table[2][4], table[2][3]
+    return table
+
+
 def s3_table():
     """Symmetric group on 3 points as permutation tuples, identity first."""
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
@@ -247,6 +254,12 @@ class TestFactors:
         bad[3][3] = 3
         with pytest.raises(GroupError):
             FiniteFactor(bad, [1, 2, 3])
+        # a Latin square with identity 0 and inverses, larger than 64 and
+        # not associative: (1*1)*3 = 6 but 1*(1*3) = 5
+        with pytest.raises(GroupError, match="not associative"):
+            FiniteFactor(z66_swapped_table(), [1, 65])
+        FiniteFactor([[(a + b) % 66 for b in range(66)] for a in range(66)],
+                     [1, 65])
 
     def test_free_abelian_near(self):
         f = FreeAbelianFactor(2, "king")

@@ -10,6 +10,8 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx import is_connected
+from networkx.generators.atlas import graph_atlas_g
 
 from hellykit import corpus
 from hellykit.graphs import Graph, power_graph
@@ -229,6 +231,55 @@ class TestCoarseConstant:
             assert coarse_helly_constant(g) == coarse_oracle_unreduced(g)
 
 
+def pseudo_modular_scan(g):
+    """Reference decider: every triple of distinct centres with every triple
+    of radii below the eccentricities, keeping the triples that pairwise
+    intersect with every positive radius tight against a partner (shrinking
+    radii keeps an empty intersection empty).  Returns (bool, the
+    lexicographically first failing ((centre, radius), ...) triple)."""
+    d = g.dist()
+    n = g.n
+    ecc = [max(row) for row in d]
+    for x1, x2, x3 in itertools.combinations(range(n), 3):
+        d12, d13, d23 = d[x1][x2], d[x1][x3], d[x2][x3]
+        for r1, r2, r3 in itertools.product(range(max(ecc[x1], 1)),
+                                            range(max(ecc[x2], 1)),
+                                            range(max(ecc[x3], 1))):
+            if r1 + r2 < d12 or r1 + r3 < d13 or r2 + r3 < d23:
+                continue
+            if (r1 != max(0, d12 - r2, d13 - r3)
+                    or r2 != max(0, d12 - r1, d23 - r3)
+                    or r3 != max(0, d13 - r1, d23 - r2)):
+                continue
+            if not any(d[x][x1] <= r1 and d[x][x2] <= r2 and d[x][x3] <= r3
+                       for x in range(n)):
+                return False, ((x1, r1), (x2, r2), (x3, r3))
+    return True, None
+
+
+def assert_pseudo_modular_matches_scan(g):
+    pm, witness = is_pseudo_modular(g)
+    assert pm == pseudo_modular_scan(g)[0]
+    if pm:
+        assert witness is None
+        return
+    # the witness is a real failure: three balls, sorted by centre, that
+    # pairwise intersect and share no vertex
+    d = g.dist()
+    assert len(witness) == 3
+    assert [c for c, _ in witness] == sorted({c for c, _ in witness})
+    for (s, r), (t, q) in itertools.combinations(witness, 2):
+        assert r + q >= d[s][t]
+    assert not any(all(d[x][c] <= r for c, r in witness) for x in range(g.n))
+
+
+def atlas_connected_graphs():
+    """Every connected graph with 1..7 vertices, from the networkx atlas."""
+    return [Graph(G.number_of_nodes(), list(G.edges()))
+            for G in graph_atlas_g()
+            if G.number_of_nodes() and is_connected(G)]
+
+
 class TestPseudoModular:
     def test_c4(self):
         assert is_pseudo_modular(corpus.cycle(4))[0]
@@ -237,6 +288,26 @@ class TestPseudoModular:
         pm, witness = is_pseudo_modular(corpus.cycle(6))
         assert not pm
         assert witness == ((0, 1), (2, 1), (4, 1))
+        assert pseudo_modular_scan(corpus.cycle(6))[1] == witness
+
+    def test_matches_scan_on_atlas(self):
+        graphs = atlas_connected_graphs()
+        assert len(graphs) == 996
+        for g in graphs:
+            assert_pseudo_modular_matches_scan(g)
+
+    def test_matches_scan_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(7, 11)
+            g = corpus.random_connected(n, rng.randint(0, 3 * n),
+                                        rng.randrange(10 ** 6))
+            assert_pseudo_modular_matches_scan(g)
+
+    @PROPERTY
+    @given(connected_graphs(max_n=10))
+    def test_matches_scan_property(self, g):
+        assert_pseudo_modular_matches_scan(g)
 
     def test_helly_implies_pseudo_modular(self):
         for g in small_random_graphs(25, 4, 7, seed=9):
