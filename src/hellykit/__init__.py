@@ -13,7 +13,7 @@ from .relwords import (Component, ConstantReport, RelWord, analyze_word,
                        connected, decompose_components, is_rel_geodesic,
                        k_similar, measure_bcp, measure_delta, measure_triangles,
                        measure_zeta)
-from .gamma import GammaConfig, GammaWindow, min_n_quotient
+from .gamma import GammaConfig, GammaWindow
 from .derived import DerivedResult, derive, verify_derivation_theorems, z_path
 from .quasiconvex import (OrbitSpec, build_delta, quasiconvexity_k,
                           verify_section5)

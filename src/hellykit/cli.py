@@ -17,10 +17,9 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from .derived import verify_derivation_theorems
 from .gamma import (WINDOW_GUARD_DEFAULT, GammaConfig, GammaWindow,
-                    certified_clauses, min_n_loops, min_n_quotient,
-                    recommended_n)
+                    certified_clauses, recommended_n)
 from .graph_io import graph_to_json, load_graph, to_dot
-from .graphs import QGParams
+from .graphs import QGParams, strict_int
 from .groups import BALL_GUARD_DEFAULT, GroupSpec
 from .helly import EXTREMAL_VERTEX_BOUND, analyze, hellyfication
 from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, verify_section5
@@ -73,13 +72,12 @@ def _cmd_group(args) -> int:
     dist = spec.enumerate_ball(args.radius, metric=args.metric,
                                parabolic_cap=args.parabolic_cap,
                                max_elements=args.guard)
-    from .gamma import element_to_obj
     by_radius = [0] * (args.radius + 1)
     for r in dist.values():
         by_radius[r] += 1
     result = {"count": len(dist), "by_radius": by_radius}
     if args.list_elements:
-        result["elements"] = [element_to_obj(g) for g in sorted(dist)]
+        result["elements"] = sorted(dist)
     config = {"spec": spec.to_json(), "radius": args.radius,
               "metric": args.metric, "parabolic_cap": args.parabolic_cap}
     _emit(render(build_report("group-ball", config, result)), args.out)
@@ -108,18 +106,15 @@ def _window_sanity(window: GammaWindow) -> list[str]:
 
 def _cmd_gamma(args) -> int:
     spec = GroupSpec.load(args.group)
-    config = GammaConfig(spec, args.n_thick, allow_small_n=args.allow_small_n)
-    window = GammaWindow(config, args.radius, max_vertices=args.guard)
+    window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
+                         max_vertices=args.guard)
     problems = _window_sanity(window)
     result = window.to_json()
     result["kind_counts"] = window.kind_counts()
-    result["min_n_quotient"] = min_n_quotient(spec)
-    result["min_n_short_cycles"] = min_n_loops(spec)
-    result["recommended_n"] = recommended_n(spec)
+    result["min_n_short_cycles"] = result["recommended_n"] = recommended_n(spec)
     result["assumption_clauses"] = certified_clauses(spec, args.n_thick)
     result["sanity_problems"] = problems
-    cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
-           "allow_small_n": args.allow_small_n}
+    cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius}
     _emit(render(build_report("gamma-build", cfg, result)), args.out)
     if args.dot:
         _emit(window.to_dot(), args.dot)
@@ -132,8 +127,8 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_derive(args) -> int:
     spec = GroupSpec.load(args.group)
-    config = GammaConfig(spec, args.n_thick, allow_small_n=args.allow_small_n)
-    window = GammaWindow(config, args.radius, max_vertices=args.guard)
+    window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
+                         max_vertices=args.guard)
     report = verify_derivation_theorems(window, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
@@ -167,7 +162,7 @@ def _read_orbit(path: str) -> list[int]:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
-        return [int(v) for v in json.loads(text)]
+        return [strict_int(v, "an orbit vertex") for v in json.loads(text)]
     return [int(tok) for tok in text.split()]
 
 
@@ -235,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--N", dest="n_thick", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--allow-small-N", dest="allow_small_n", action="store_true")
     p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
     p.add_argument("--dot")
     p.add_argument("--graph-out", dest="graph_out",
@@ -249,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-small-N", dest="allow_small_n", action="store_true")
     p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_derive)

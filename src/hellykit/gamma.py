@@ -60,15 +60,10 @@ class WindowError(GroupError):
     pass
 
 
-def min_n_quotient(spec: GroupSpec) -> int:
-    """Least N compatible with the basepoint-orbit condition on the parabolic
-    models.  All shipped models carry transitive actions, so their quotients
-    are single vertices and the answer is 1."""
-    return 1
-
-
-def min_n_loops(spec: GroupSpec) -> int:
-    """Least N compatible with the short-cycle condition on parabolic letters.
+def recommended_n(spec: GroupSpec) -> int:
+    """Least N certifying the computable ambient clauses, that is, the
+    short-cycle condition on parabolic letters (every N >= 1 meets the
+    quotient radius; see certified_clauses).
 
     A cyclic word of length <= 3 over the relative alphabet with single-letter
     components and trivial image must, in a free product, be either an X-letter
@@ -88,18 +83,13 @@ def min_n_loops(spec: GroupSpec) -> int:
     return need
 
 
-def recommended_n(spec: GroupSpec) -> int:
-    """Least N satisfying both computable ambient clauses."""
-    return max(min_n_quotient(spec), min_n_loops(spec))
-
-
 def certified_clauses(spec: GroupSpec, n_thick: int) -> dict[str, object]:
     """Which ambient assumption clauses a given N certifies.  The prohibited-
     path clause depends on a non-constructive word list and stays assumed."""
     return {
-        "quotient_radius": n_thick >= min_n_quotient(spec),
+        "quotient_radius": True,  # the shipped models act transitively
         "prohibited_words": "assumed",
-        "short_cycles": n_thick >= min_n_loops(spec),
+        "short_cycles": n_thick >= recommended_n(spec),
     }
 
 
@@ -107,15 +97,10 @@ def certified_clauses(spec: GroupSpec, n_thick: int) -> dict[str, object]:
 class GammaConfig:
     spec: GroupSpec
     n_thick: int
-    allow_small_n: bool = False
 
     def __post_init__(self):
         if self.n_thick < 1:
             raise WindowError("N must be >= 1")
-        if not self.allow_small_n and self.n_thick < min_n_quotient(self.spec):
-            raise WindowError(
-                f"N={self.n_thick} below the quotient bound "
-                f"{min_n_quotient(self.spec)}; pass allow_small_n to override")
 
     # -- vertex constructors ------------------------------------------------
 
@@ -352,7 +337,6 @@ class GammaWindow:
         return {
             "radius": self.radius,
             "n_thick": self.config.n_thick,
-            "allow_small_n": self.config.allow_small_n,
             "group": self.config.spec.to_json(),
             "vertices": [vertex_to_obj(v) for v in verts],
             "dist_from_base": self.dist_from_base,
@@ -372,31 +356,11 @@ class GammaWindow:
         return "\n".join(lines) + "\n"
 
 
-def element_to_obj(g: Element) -> list:
-    out = []
-    for syl in g:
-        if syl[0] == "p":
-            h = syl[2]
-            out.append(["p", syl[1], list(h) if isinstance(h, tuple) else h])
-        else:
-            out.append(["f", list(syl[1])])
-    return out
-
-
-def letter_to_obj(letter: Letter) -> list:
-    if letter[0] == "xf":
-        return ["xf", letter[1]]
-    h = letter[2]
-    return [letter[0], letter[1], list(h) if isinstance(h, tuple) else h]
-
-
 def vertex_to_obj(v: GammaVertex) -> dict:
+    """JSON object of a vertex; elements, letters and model vertices are kept
+    as tuples, which reports.dumps writes as arrays."""
     if v[0] == "free":
-        return {"kind": "free", "element": element_to_obj(v[1])}
+        return {"kind": "free", "element": v[1]}
     if v[0] == "med":
-        g, x = v[1]
-        return {"kind": "medial", "element": element_to_obj(g),
-                "letter": letter_to_obj(x)}
-    return {"kind": "internal", "factor": v[1], "coset": element_to_obj(v[2]),
-            "vertex": list(v[3]) if isinstance(v[3], tuple) else v[3]}
-
+        return {"kind": "medial", "element": v[1][0], "letter": v[1][1]}
+    return {"kind": "internal", "factor": v[1], "coset": v[2], "vertex": v[3]}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, strict_int
 
 
 def read_edge_list(text: str) -> Graph:
@@ -40,8 +40,13 @@ def graph_to_json(g: Graph, meta: Optional[dict] = None) -> dict:
 
 
 def graph_from_json(record: dict) -> Graph:
-    labels = {int(k): v for k, v in record.get("labels", {}).items()}
-    return Graph(int(record["n"]), [tuple(e) for e in record["edges"]], labels=labels)
+    labels, edges = record.get("labels", {}), record.get("edges")
+    if not isinstance(labels, dict) or not isinstance(edges, list) or any(
+            not isinstance(e, list) or len(e) != 2 or set(map(type, e)) != {int}
+            for e in edges):
+        raise GraphError("edges must be [u, v] integer pairs and labels an object")
+    return Graph(strict_int(record.get("n"), "n"), [tuple(e) for e in edges],
+                 labels={int(k): v for k, v in labels.items()})
 
 
 def load_graph(path: str) -> Graph:

@@ -27,6 +27,13 @@ class GeodesicCapExceeded(GraphError):
     """Raised when geodesic enumeration would silently truncate."""
 
 
+def strict_int(value, what: str, error: type = GraphError) -> int:
+    """value if it is an int; anything else, a float or bool too, raises `error`."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def bfs_row(adj: Sequence[Sequence[int]], source: int,
             depth: Optional[int] = None, stop: Optional[int] = None) -> list[int]:
     """Hop distances from source over adjacency lists on 0..n-1, -1 where

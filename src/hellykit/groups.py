@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from operator import add, neg, sub
 from typing import Iterable, Optional
 
-from .graphs import bfs_row
+from .graphs import bfs_row, strict_int
 
 Syllable = tuple
 Element = tuple  # tuple of syllables
@@ -112,9 +112,14 @@ class FiniteFactor(_FiniteFactorBase):
     kind = "finite"
 
     def __init__(self, table: list[list[int]], generators: list[int]):
-        n = len(table)
-        if n < 2 or any(len(row) != n for row in table):
+        n = len(table) if isinstance(table, (list, tuple)) else 0
+        if n < 2 or any(not isinstance(row, (list, tuple)) or len(row) != n
+                        for row in table):
             raise GroupError("multiplication table must be square, order >= 2")
+        if not isinstance(generators, (list, tuple)) or any(
+                type(x) is not int or not 0 <= x < n
+                for x in chain(generators, *table)):
+            raise GroupError(f"table entries and generators must be 0..{n - 1}")
         for a in range(n):
             if table[0][a] != a or table[a][0] != a:
                 raise GroupError("identity of the table must be element 0")
@@ -215,13 +220,14 @@ class FreeAbelianFactor:
 
 
 def _factor_from_json(rec: dict):
-    kind = rec["kind"]
+    kind = rec.get("kind") if isinstance(rec, dict) else None
     if kind == "cyclic":
-        return CyclicFactor(int(rec["order"]))
+        return CyclicFactor(strict_int(rec.get("order"), "order", GroupError))
     if kind == "finite":
-        return FiniteFactor(rec["table"], rec["generators"])
+        return FiniteFactor(rec.get("table"), rec.get("generators"))
     if kind == "free_abelian":
-        return FreeAbelianFactor(int(rec["rank"]), rec.get("generators", "king"))
+        return FreeAbelianFactor(strict_int(rec.get("rank"), "rank", GroupError),
+                                 rec.get("generators", "king"))
     raise GroupError(f"unknown factor kind {kind!r}")
 
 
@@ -480,8 +486,11 @@ class GroupSpec:
 
     @staticmethod
     def from_json(rec: dict) -> "GroupSpec":
-        return GroupSpec([_factor_from_json(f) for f in rec.get("factors", [])],
-                         int(rec.get("free_rank", 0)))
+        factors = rec.get("factors", []) if isinstance(rec, dict) else None
+        if not isinstance(factors, list):
+            raise GroupError('a group is {"factors": [...], "free_rank": int}')
+        return GroupSpec([_factor_from_json(f) for f in factors],
+                         strict_int(rec.get("free_rank", 0), "free_rank", GroupError))
 
     @staticmethod
     def load(path: str) -> "GroupSpec":

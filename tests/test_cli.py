@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import pathlib
 import random
+import shlex
 
 import pytest
 
@@ -11,7 +13,7 @@ from hellykit.cli import main
 from hellykit.gamma import recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
-from hellykit.reports import ReportError, validate_report
+from hellykit.reports import ReportError, dumps, validate_report
 
 
 def write(path, text):
@@ -115,6 +117,19 @@ class TestUsage:
         assert info.value.code == 2
 
 
+    def test_readme_examples_parse(self):
+        # every command line the README shows must still parse, so a removed
+        # or renamed flag cannot linger in the docs
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        lines = [line.split("#", 1)[0]
+                 for line in readme.read_text(encoding="utf-8").splitlines()
+                 if line.startswith("hellykit ")]
+        assert len(lines) >= 12
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+
 class TestGroupBall:
     def test_counts(self, tmp_path, capsys):
         path = group_file(tmp_path, corpus.group_z2_z2())
@@ -138,7 +153,8 @@ class TestGamma:
         kinds = {v["kind"] for v in report["result"]["vertices"]}
         assert kinds == {"free", "medial", "internal"}
         assert report["result"]["sanity_problems"] == []
-        assert report["result"]["min_n_quotient"] == 1
+        assert report["result"]["recommended_n"] == 1
+        assert report["result"]["assumption_clauses"]["quotient_radius"] is True
         assert dot.read_text().startswith("graph")
 
     def test_determinism(self, tmp_path):
@@ -152,17 +168,22 @@ class TestGamma:
         assert outs[0] == outs[1]
 
     # sha256 of the gamma build report and of its --graph-out projection;
-    # any change to vertex order, adjacency or report encoding moves them
-    @pytest.mark.parametrize("group, n_thick, radius, report, graph", [
+    # any change to vertex order, adjacency or report encoding moves them.
+    # old_report is the digest from before the override-flag echo and the
+    # quotient bound left the report: restoring those three keys must give it
+    # back, so nothing else in the report moved
+    @pytest.mark.parametrize("group, n_thick, radius, report, old_report, graph", [
         (corpus.group_z2_z3, 1, 6,
+         "d3b8cc88680aa1c531584b3d7ea02071ab9822a22fc07b86586292cd7b2ccbbf",
          "fff7a36a47ee48dd8ff7f7b02999332492abdaaf1e35eaac43ee01b73caacdd0",
          "9740397de180dd4e9761eb672e7cf2e999a16e0048e74e1603c01f1e3b9a82cc"),
         (lambda: corpus.group_zsq_z2("king"), 2, 5,
+         "2c65ac8e467d9f861a40429d320b9b805b768bf468d4a5ae285c558c5a7dfb27",
          "07d89bc266f74bb063f355a61bc2202348e25506ccb56df2409b46a710b735e3",
          "e17bc3f436fc0250c3575e8a8dac809a24ca49ae624e29edb88567e07ec9dbb8"),
     ], ids=["z2_z3", "zsq_z2_king"])
     def test_pinned_report_digest(self, tmp_path, group, n_thick, radius,
-                                  report, graph):
+                                  report, old_report, graph):
         out, graph_out = tmp_path / "w.json", tmp_path / "g.json"
         code = main(["gamma", "build", "--group", group_file(tmp_path, group()),
                      "--N", str(n_thick), "--radius", str(radius),
@@ -170,6 +191,20 @@ class TestGamma:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == report
         assert hashlib.sha256(graph_out.read_bytes()).hexdigest() == graph
+        restored = json.loads(out.read_bytes())
+        restored["config"]["allow_small_n"] = False
+        restored["result"]["allow_small_n"] = False
+        restored["result"]["min_n_quotient"] = 1
+        assert hashlib.sha256(dumps(restored).encode()).hexdigest() == old_report
+
+    @pytest.mark.parametrize("command", [["gamma", "build"], ["derive"]])
+    def test_removed_small_n_flag_exits_2(self, tmp_path, capsys, command):
+        path = group_file(tmp_path, corpus.group_z2_z3())
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--group", path, "--N", "1", "--radius", "3",
+                            "--allow-small-N"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDerive:
@@ -222,13 +257,45 @@ class TestErrorBoundary:
         ("nonassociative", "GroupError"),
         ("orbit_too_large", "GraphError"),
         ("orbit_negative", "GraphError"),
+        ("orbit_nested", "GraphError"),
+        ("orbit_float", "GraphError"),
+        ("orbit_bool", "GraphError"),
+        ("graph_no_n", "GraphError"),
+        ("graph_labels_list", "GraphError"),
+        ("graph_edge_float", "GraphError"),
+        ("graph_edge_bool", "GraphError"),
+        ("finite_generator_range", "GroupError"),
+        ("cyclic_no_order", "GroupError"),
+        ("factor_no_kind", "GroupError"),
+        ("group_not_object", "GroupError"),
+        ("factors_not_list", "GroupError"),
+        ("free_rank_float", "GroupError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
-                  "disconnected": "0 1\n2 3\n"}
-        orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]"}
+                  "disconnected": "0 1\n2 3\n",
+                  "graph_no_n": '{"edges": [[0, 1]]}',
+                  "graph_labels_list": '{"n": 2, "edges": [[0, 1]], "labels": [1]}',
+                  "graph_edge_float": '{"n": 2, "edges": [[0, 1.5]]}',
+                  "graph_edge_bool": '{"n": 2, "edges": [[0, true]]}'}
+        orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
+                  "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
+                  "orbit_bool": "[true, 2]"}
+        z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+        groups = {"finite_generator_range": {"factors": [
+                      {"kind": "finite", "table": z3, "generators": [1, 7]}]},
+                  "cyclic_no_order": {"factors": [{"kind": "cyclic"}]},
+                  "factor_no_kind": {"factors": [{"order": 2}]},
+                  "group_not_object": [1, 2],
+                  "factors_not_list": {"factors": "abc"},
+                  "free_rank_float": {"factors": [{"kind": "cyclic", "order": 2}],
+                                      "free_rank": 1.5}}
         if case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
+        elif case in groups:
+            argv = ["group", "ball", "--spec",
+                    write(tmp_path / "group.json", json.dumps(groups[case])),
+                    "--radius", "2"]
         elif case == "missing":
             argv = ["analyze", str(tmp_path / "absent.txt")]
         elif case in orbits:

@@ -8,8 +8,7 @@ import pytest
 
 from hellykit import corpus
 from hellykit.gamma import (GammaConfig, GammaWindow, WindowError,
-                            certified_clauses, min_n_loops, min_n_quotient,
-                            recommended_n)
+                            certified_clauses, recommended_n)
 
 
 def window_neighbors(w, v):
@@ -80,15 +79,11 @@ def parent_window(config, radius):
 
 
 class TestNBounds:
-    def test_transitive_models_quotient_one(self):
-        for spec in (corpus.group_z2_z3(), corpus.group_zsq_z2()):
-            assert min_n_quotient(spec) == 1
-
     def test_loop_bound(self):
-        assert min_n_loops(corpus.group_z2_z3()) == 1
-        assert min_n_loops(corpus.group_z2_z2()) == 1
-        assert min_n_loops(corpus.group_zsq_z2("king")) == 2
-        assert min_n_loops(corpus.group_zsq_z2("square")) == 2
+        assert recommended_n(corpus.group_z2_z3()) == 1
+        assert recommended_n(corpus.group_z2_z2()) == 1
+        assert recommended_n(corpus.group_zsq_z2("king")) == 2
+        assert recommended_n(corpus.group_zsq_z2("square")) == 2
 
     def test_recommended_and_clauses(self):
         spec = corpus.group_zsq_z2("king")
@@ -97,12 +92,13 @@ class TestNBounds:
         assert clauses["quotient_radius"] and clauses["short_cycles"]
         assert clauses["prohibited_words"] == "assumed"
         assert not certified_clauses(spec, 1)["short_cycles"]
+        assert certified_clauses(spec, 1)["quotient_radius"] is True
 
     def test_small_n_needs_override(self):
         spec = corpus.group_z2_z3()
         with pytest.raises(WindowError):
             GammaConfig(spec, 0)
-        GammaConfig(spec, 1, allow_small_n=True)  # fine
+        GammaConfig(spec, 1)  # fine
 
 
 class TestNeighborRule:
@@ -123,7 +119,7 @@ class TestNeighborRule:
 
     def test_internal_king_neighbors(self):
         spec = corpus.group_zsq_z2("king")
-        config = GammaConfig(spec, 1, allow_small_n=True)
+        config = GammaConfig(spec, 1)
         internal = ("int", 0, spec.identity, (0, 0))
         nbrs = config.neighbors(internal)
         assert sum(1 for v in nbrs if v[0] == "int") == 8
@@ -370,7 +366,7 @@ class TestPathAnalysis:
         # (0,0) -> (1,1) -> (1,0) inside a king copy with N=1: endpoints
         # adjacent, so the two-edge run is not a copy geodesic
         spec = corpus.group_zsq_z2("king")
-        w = GammaWindow(GammaConfig(spec, 1, allow_small_n=True), 3)
+        w = GammaWindow(GammaConfig(spec, 1), 3)
         run = [("int", 0, (), (0, 0)), ("int", 0, (), (1, 1)),
                ("int", 0, (), (1, 0))]
         got = w.parabolic_shortenings(run)
