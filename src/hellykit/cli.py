@@ -40,16 +40,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    g = load_graph(args.graph)
-    rep = analyze(g, max_vertices=args.max_vertices)
-    result = {
-        "is_helly": rep.is_helly,
-        "xi": rep.coarse_constant_xi,
-        "pseudo_modular": rep.is_pseudo_modular,
-        "beta": rep.stable_interval_beta,
-    }
-    if rep.witness is not None:
-        result["witness"] = [[c, r] for c, r in rep.witness.radii]
+    result = analyze(load_graph(args.graph), max_vertices=args.max_vertices)
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
     _emit(render(build_report("analyze", config, result)), args.out)
     return 0
@@ -129,32 +120,40 @@ def _cmd_derive(args) -> int:
     spec = GroupSpec.load(args.group)
     window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
                          max_vertices=args.guard)
-    report = verify_derivation_theorems(window, args.samples, args.seed)
+    result = verify_derivation_theorems(window, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
-    _emit(render(build_report("derive", cfg, report.to_json())), args.out)
-    return VIOLATION_EXIT if report.violations_two_local else 0
+    _emit(render(build_report("derive", cfg, result)), args.out)
+    return VIOLATION_EXIT if result["violations"] else 0
 
 
 def _cmd_measure(args) -> int:
     spec = GroupSpec.load(args.group)
-    lam, c = Fraction(args.lam), Fraction(args.c)
+    lam, c = _fraction(args.lam, "--lambda"), _fraction(args.c, "--c")
     common = dict(samples=args.samples, seed=args.seed, radius=args.radius,
                   parabolic_cap=args.parabolic_cap)
     if args.what == "bcp":
-        rep = measure_bcp(spec, lam, c, args.k, **common)
+        result = measure_bcp(spec, lam, c, args.k, **common)
     elif args.what in ("nu", "mu"):
-        rep = measure_triangles(spec, lam, c, **common)
+        result = measure_triangles(spec, lam, c, **common)
     elif args.what == "delta":
-        rep = measure_delta(spec, **common)
+        result = measure_delta(spec, **common)
     else:  # zeta; argparse allows no other choice
-        rep = measure_zeta(spec, lam, c, **common)
+        result = measure_zeta(spec, lam, c, **common)
     cfg = {"group": spec.to_json(), "what": args.what, "samples": args.samples,
            "seed": args.seed, "radius": args.radius,
            "parabolic_cap": args.parabolic_cap, "lambda": str(lam), "c": str(c),
            "k": args.k}
-    _emit(render(build_report("measure", cfg, rep.to_json())), args.out)
+    _emit(render(build_report("measure", cfg, result)), args.out)
     return 0
+
+
+def _fraction(text: str, flag: str) -> Fraction:
+    """text as a Fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text!r} has a zero denominator") from None
 
 
 def _read_orbit(path: str) -> list[int]:
@@ -170,13 +169,13 @@ def _cmd_quasiconvex(args) -> int:
     ambient = load_graph(args.ambient)
     orbit = _read_orbit(args.orbit)
     spec = OrbitSpec(ambient, tuple(sorted(set(orbit))), args.k)
-    requested = QGParams(args.lam, args.c)
-    report = verify_section5(spec, xi_ambient=args.xi, cap=args.cap,
+    requested = QGParams(_fraction(args.lam, "--lambda"), _fraction(args.c, "--c"))
+    result = verify_section5(spec, xi_ambient=args.xi, cap=args.cap,
                              instance=args.ambient, requested=requested)
     cfg = {"ambient": args.ambient, "orbit": sorted(set(orbit)), "k": args.k,
            "lambda": str(requested.lam), "c": str(requested.c), "cap": args.cap}
-    _emit(render(build_report("quasiconvex", cfg, report.to_json())), args.out)
-    return VIOLATION_EXIT if report.violations() else 0
+    _emit(render(build_report("quasiconvex", cfg, result)), args.out)
+    return VIOLATION_EXIT if result["violations"] else 0
 
 
 def _cmd_corpus(args) -> int:

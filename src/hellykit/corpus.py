@@ -140,14 +140,14 @@ def free_product(factor_names: list[str], free_rank: int = 0) -> GroupSpec:
     """Parse factor descriptions like "cyclic:3" or "free_abelian:2:king"."""
     factors = []
     for name in factor_names:
-        parts = name.split(":")
-        if parts[0] == "cyclic":
-            factors.append(CyclicFactor(int(parts[1])))
-        elif parts[0] == "free_abelian":
-            style = parts[2] if len(parts) > 2 else "king"
-            factors.append(FreeAbelianFactor(int(parts[1]), style))
+        kind, *args = name.split(":")
+        if kind == "cyclic" and len(args) == 1:
+            factors.append(CyclicFactor(int(args[0])))
+        elif kind == "free_abelian" and len(args) in (1, 2):
+            factors.append(FreeAbelianFactor(int(args[0]), *args[1:]))
         else:
-            raise ValueError(f"unknown factor description {name!r}")
+            raise ValueError(f"bad factor description {name!r}; expected "
+                             "cyclic:ORDER or free_abelian:RANK[:STYLE]")
     return GroupSpec(factors, free_rank)
 
 
@@ -155,21 +155,26 @@ def generate(kind: str, params: dict) -> tuple[dict, str]:
     """CLI corpus entry point: returns (json record, suggested filename)."""
     from .graph_io import graph_to_json
 
+    def need(key: str) -> int:
+        if key not in params:
+            raise ValueError(f"corpus {kind} needs the parameter {key}")
+        return int(params[key])
+
     if kind == "cycle":
-        n = int(params["n"])
+        n = need("n")
         return graph_to_json(cycle(n), meta={"kind": kind, "n": n}), f"cycle{n}.json"
     if kind == "path":
-        n = int(params["n"])
+        n = need("n")
         return graph_to_json(path(n), meta={"kind": kind, "n": n}), f"path{n}.json"
     if kind == "complete":
-        n = int(params["n"])
+        n = need("n")
         return graph_to_json(complete(n), meta={"kind": kind, "n": n}), f"complete{n}.json"
     if kind == "king-grid":
-        w, h = int(params["w"]), int(params["h"])
+        w, h = need("w"), need("h")
         return (graph_to_json(king_grid(w, h), meta={"kind": kind, "w": w, "h": h}),
                 f"king{w}x{h}.json")
     if kind == "tree-random":
-        n, seed = int(params["n"]), int(params.get("seed", 0))
+        n, seed = need("n"), int(params.get("seed", 0))
         return (graph_to_json(random_tree(n, seed),
                               meta={"kind": kind, "n": n, "seed": seed}),
                 f"tree{n}_s{seed}.json")

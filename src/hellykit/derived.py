@@ -15,11 +15,12 @@ downstream depends on that choice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gamma import GammaConfig, GammaVertex, GammaWindow, WindowError
+from .gamma import (GammaConfig, GammaVertex, GammaWindow, WindowError,
+                    certified_clauses)
 from .groups import Letter
 from .relwords import RelWord, analyze_word, value as word_value
 
@@ -128,36 +129,6 @@ def derive(window: GammaWindow, path: list[GammaVertex]) -> DerivedResult:
     return DerivedResult(word, tuple(recorded), extended_first, extended_last)
 
 
-@dataclass
-class DeriveReport:
-    samples: int
-    violations_two_local: int
-    excluded_by_shortenings: int
-    uncertified_rejected: int
-    vertex_backtracks_observed: int
-    lambda_hat: Fraction
-    c_hat: int
-    seed: int
-    radius: int
-    estimate: bool = True
-    notes: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "violations": self.violations_two_local,
-            "excluded_by_shortenings": self.excluded_by_shortenings,
-            "uncertified_rejected": self.uncertified_rejected,
-            "vertex_backtracks_observed": self.vertex_backtracks_observed,
-            "lambda_hat": str(self.lambda_hat),
-            "c_hat": self.c_hat,
-            "seed": self.seed,
-            "radius": self.radius,
-            "estimate": self.estimate,
-            "notes": self.notes,
-        }
-
-
 def two_local_violations(window: GammaWindow, word: RelWord) -> int:
     """Length-2 subwords of the derived word that are not relative geodesics."""
     spec = window.config.spec
@@ -171,9 +142,10 @@ def two_local_violations(window: GammaWindow, word: RelWord) -> int:
 
 
 def verify_derivation_theorems(window: GammaWindow, samples: int, seed: int
-                               ) -> DeriveReport:
-    """Sample window geodesics with certified endpoints, derive them, and
-    check everything the construction guarantees unconditionally:
+                               ) -> dict:
+    """The `derive` report result.  Sample window geodesics with certified
+    endpoints, derive them, and check everything the construction guarantees
+    unconditionally:
 
     * zero length-2 derived subwords fail relative geodesy (hard property),
     * the derived word represents the endpoint quotient (asserted in derive),
@@ -190,13 +162,11 @@ def verify_derivation_theorems(window: GammaWindow, samples: int, seed: int
     if not targets:
         raise WindowError("window too small to sample geodesics")
 
-    from .gamma import certified_clauses
-
+    n_thick = window.config.n_thick
     violations = excluded = uncertified = backtracks = 0
     lam_hat = Fraction(1)
     c_hat = 0
     accepted = 0
-    clauses = certified_clauses(spec, window.config.n_thick)
     while accepted < samples:
         v = targets[rng.randrange(len(targets))]
         if rng.random() < 0.5:
@@ -212,8 +182,7 @@ def verify_derivation_theorems(window: GammaWindow, samples: int, seed: int
         if window.parabolic_shortenings(path):
             excluded += 1
             continue
-        result = derive(window, path)
-        word = result.word
+        word = derive(window, path).word
         violations += two_local_violations(window, word)
         quotient = spec.multiply(v[1], spec.invert(u[1]))
         d_rel = spec.rel_length(quotient)
@@ -226,8 +195,11 @@ def verify_derivation_theorems(window: GammaWindow, samples: int, seed: int
         if analyze_word(spec, word).vertex_backtracks:
             backtracks += 1
         accepted += 1
-    report = DeriveReport(accepted, violations, excluded, uncertified, backtracks,
-                          lam_hat, c_hat, seed, window.radius)
-    report.notes["assumption_clauses"] = clauses
-    report.notes["n_thick"] = window.config.n_thick
-    return report
+    return {"samples": accepted, "violations": violations,
+            "excluded_by_shortenings": excluded,
+            "uncertified_rejected": uncertified,
+            "vertex_backtracks_observed": backtracks,
+            "lambda_hat": str(lam_hat), "c_hat": c_hat, "seed": seed,
+            "radius": window.radius, "estimate": True,
+            "notes": {"assumption_clauses": certified_clauses(spec, n_thick),
+                      "n_thick": n_thick}}

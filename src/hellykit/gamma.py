@@ -39,6 +39,7 @@ window_distance returns (None, False).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 from typing import Optional
 
@@ -104,10 +105,16 @@ class GammaConfig:
 
     # -- vertex constructors ------------------------------------------------
 
+    @cached_property
+    def _x_moves(self) -> dict[Letter, tuple[Element, Letter]]:
+        """Image and inverse letter of each X-letter, in x_letters order."""
+        spec = self.spec
+        return {x: (spec.letter_image(x), spec.letter_invert(x))
+                for x in spec.x_letters()}
+
     def medial(self, g: Element, x: Letter) -> GammaVertex:
-        other = (self.spec.multiply(self.spec.letter_image(x), g),
-                 self.spec.letter_invert(x))
-        return ("med", min((g, x), other))
+        image, inverse = self._x_moves[x]
+        return ("med", min((g, x), (self.spec.multiply(image, g), inverse)))
 
     def base_vertex(self) -> GammaVertex:
         return ("free", self.spec.identity)
@@ -123,7 +130,7 @@ class GammaConfig:
             g = v[1]
             out = [("int", j, spec.coset_rep(g, j), spec.project(g, j))
                    for j in range(len(spec.factors))]
-            return out + sorted(self.medial(g, x) for x in spec.x_letters())
+            return out + sorted(self.medial(g, x) for x in self._x_moves)
         if kind == "med":
             g, x = v[1]  # the smaller of two pairs, so g < image(x) * g
             return [("free", g), ("free", spec.multiply(spec.letter_image(x), g))]
@@ -158,6 +165,8 @@ class GammaWindow:
 
     def __init__(self, config: GammaConfig, radius: int,
                  max_vertices: int = WINDOW_GUARD_DEFAULT):
+        if radius < 0:
+            raise WindowError(f"window radius must be >= 0, got {radius}")
         self.config = config
         self.radius = radius
         self.base = config.base_vertex()

@@ -45,7 +45,14 @@ def graph_from_json(record: dict) -> Graph:
             not isinstance(e, list) or len(e) != 2 or set(map(type, e)) != {int}
             for e in edges):
         raise GraphError("edges must be [u, v] integer pairs and labels an object")
-    return Graph(strict_int(record.get("n"), "n"), [tuple(e) for e in edges],
+    n = strict_int(record.get("n"), "n")
+    for key, label in labels.items():
+        # keys are written by graph_to_json as str(v) for a vertex v
+        if not (key.isdecimal() and str(int(key)) == key and int(key) < n
+                and isinstance(label, str)):
+            raise GraphError(f"labels must map vertex ids 0..{n - 1} to "
+                             f"strings, got {key!r}: {label!r}")
+    return Graph(n, [tuple(e) for e in edges],
                  labels={int(k): v for k, v in labels.items()})
 
 
@@ -64,6 +71,7 @@ def to_dot(g: Graph, name: str = "g") -> str:
     for v in range(g.n):
         label = g.labels.get(v)
         if label is not None:
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")

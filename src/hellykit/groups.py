@@ -455,6 +455,8 @@ class GroupSpec:
         parabolic letters, so those are truncated at norm parabolic_cap and the
         result is the ball of the truncated relative graph.
         """
+        if radius < 0:
+            raise GroupError(f"radius must be >= 0, got {radius}")
         if metric == "abs":
             letters = self.x_letters()
         elif metric == "rel":

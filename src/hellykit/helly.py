@@ -13,7 +13,6 @@ pointwise-minimal pairwise-intersecting total families.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Optional
 
@@ -28,28 +27,9 @@ class SizeBoundExceeded(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class RadiusFamily:
-    """Ball family given as center -> radius; pairwise feasible means
-    radii(u) + radii(v) >= d(u,v) for all centers, i.e. pairwise intersection."""
-
-    radii: tuple[tuple[int, int], ...]  # sorted (center, radius) pairs
-
-    @staticmethod
-    def from_map(m: dict[int, int]) -> "RadiusFamily":
-        return RadiusFamily(tuple(sorted(m.items())))
-
-    def as_map(self) -> dict[int, int]:
-        return dict(self.radii)
-
-
-@dataclass(frozen=True)
-class HellyReport:
-    is_helly: bool
-    coarse_constant_xi: int
-    is_pseudo_modular: bool
-    stable_interval_beta: int
-    witness: Optional[RadiusFamily]
+# A ball family is a tuple of (centre, radius) pairs sorted by centre: the
+# witness shape of both is_helly and is_pseudo_modular.
+BallFamily = tuple[tuple[int, int], ...]
 
 
 def _check_bound(g: Graph, bound: int, default: int, what: str) -> None:
@@ -158,7 +138,7 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
 
 def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
-             ) -> tuple[bool, Optional[RadiusFamily]]:
+             ) -> tuple[bool, Optional[BallFamily]]:
     """Helly test via extremal functions, with a failing ball family on False.
 
     A graph is Helly iff every extremal function is a distance function d(x,.).
@@ -181,13 +161,14 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     return witness is None, witness
 
 
-def _witness(g: Graph, fs: list[tuple[int, ...]]) -> Optional[RadiusFamily]:
-    """The first extremal function that is not a distance row, as a ball
-    family; None when there is none, i.e. when the graph is Helly."""
+def _witness(g: Graph, fs: list[tuple[int, ...]]) -> Optional[BallFamily]:
+    """The first extremal function that is not a distance row, as the ball
+    family centred on every vertex; None when there is none, i.e. when the
+    graph is Helly."""
     rows = set(g.dist())
     for f in fs:
         if f not in rows:
-            return RadiusFamily.from_map({v: f[v] for v in range(g.n)})
+            return tuple(enumerate(f))
     return None
 
 
@@ -282,16 +263,16 @@ def helly_oracle_bruteforce(g: Graph, max_vertices: int = ORACLE_VERTEX_BOUND
     return dfs(0)
 
 
-def is_pseudo_modular(g: Graph) -> tuple[bool, Optional[tuple[tuple[int, int], ...]]]:
+def is_pseudo_modular(g: Graph) -> tuple[bool, Optional[BallFamily]]:
     """True iff every pairwise intersecting triple of balls has a common vertex.
 
     Decided by the local criterion of Bandelt and Mulder (Pseudo-modular
     graphs, 1986): for all u, w with 1 <= d(u,w) <= 2 and every v with
     d(v,u) = d(v,w) = k >= 2, some common neighbour x of u and w has
     d(v,x) = k - 1.  A failing (u, w, v) gives the pairwise intersecting
-    triple B_1(u), B_1(w), B_{k-1}(v) with no common vertex, returned as
-    ((center, radius), ...) sorted by center; the first failure is taken in
-    the order u < w, then v, all increasing.
+    triple B_1(u), B_1(w), B_{k-1}(v) with no common vertex, returned as a
+    ball family; the first failure is taken in the order u < w, then v, all
+    increasing.
     """
     d = g.dist()
     adj = [set(a) for a in g.adj]
@@ -386,13 +367,17 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     return out, embedding
 
 
-def analyze(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> HellyReport:
-    """Helly verdict, witness and xi read off one extremal-function
-    enumeration, plus pseudo-modularity and beta."""
+def analyze(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> dict:
+    """The `analyze` report result: Helly verdict, witness and xi read off one
+    extremal-function enumeration, plus pseudo-modularity and beta.  The
+    witness, present only on a non-Helly graph, is the ball family as a list
+    of [centre, radius] pairs."""
     fs = extremal_functions(g, max_vertices=max_vertices)
     witness = _witness(g, fs)
-    helly = witness is None
-    xi = 0 if helly else _xi(g, fs)
-    pm, _ = is_pseudo_modular(g)
-    beta = stable_interval_constant(g)
-    return HellyReport(helly, xi, pm, beta, witness)
+    result = {"is_helly": witness is None,
+              "xi": 0 if witness is None else _xi(g, fs),
+              "pseudo_modular": is_pseudo_modular(g)[0],
+              "beta": stable_interval_constant(g)}
+    if witness is not None:
+        result["witness"] = [list(pair) for pair in witness]
+    return result

@@ -131,80 +131,40 @@ def build_delta(spec: OrbitSpec) -> tuple[Graph, list[int], Graph]:
     return delta, embedding, gk
 
 
-@dataclass
-class Section5Report:
-    instance: str
-    k: int
-    xi_ambient: Optional[int]
-    coarse_hypothesis: dict
-    isometric_hypothesis: dict
-    coarse_conclusion: dict
-    isometric_conclusion: dict
-    swept_grid: list[str]
-    requested_qc: Optional[dict] = None
-
-    def violations(self) -> int:
-        bad = 0
-        for conc in (self.coarse_conclusion, self.isometric_conclusion):
-            if conc.get("checked") and not conc.get("holds"):
-                bad += 1
-        return bad
-
-    def to_json(self) -> dict:
-        out = {
-            "instance": self.instance,
-            "k": self.k,
-            "xi_ambient": self.xi_ambient,
-            "coarse_hypothesis": self.coarse_hypothesis,
-            "isometric_hypothesis": self.isometric_hypothesis,
-            "coarse_conclusion": self.coarse_conclusion,
-            "isometric_conclusion": self.isometric_conclusion,
-            "swept_grid": self.swept_grid,
-            "violations": self.violations(),
-        }
-        if self.requested_qc is not None:
-            out["requested_qc"] = self.requested_qc
-        return out
-
-
 def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
                     cap: int = ENUM_CAP_DEFAULT, max_vertices: int = 64,
                     instance: str = "", requested: Optional[QGParams] = None
-                    ) -> Section5Report:
-    """Check both subgraph lemmas on one instance, and sweep the requested
-    (lam,c) on top of the lemma grid.  Each distinct pair is swept once.
+                    ) -> dict:
+    """The `quasiconvex` report result.  Check both subgraph lemmas on one
+    instance, and sweep the requested (lam,c) on top of the lemma grid.  Each
+    distinct pair is swept once.
 
     Hypotheses are verified computationally; a conclusion is only asserted
     when its hypotheses verified, otherwise it is reported as skipped.  A
     checked conclusion that fails indicates an implementation bug, so callers
-    treat it as a hard error.
+    treat it as a hard error; `violations` counts them.  A claimed xi_ambient
+    is checked against the computed one and reported in its place.
     """
     ambient, k = spec.ambient, spec.k
-    if xi_ambient is None:
-        xi_ambient = coarse_helly_constant(ambient, max_vertices=max_vertices)
-    else:
-        actual = coarse_helly_constant(ambient, max_vertices=max_vertices)
-        if actual > xi_ambient:
+    xi = coarse_helly_constant(ambient, max_vertices=max_vertices)
+    if xi_ambient is not None:
+        if xi > xi_ambient:
             raise GraphError(
-                f"ambient coarse constant {actual} exceeds the claimed {xi_ambient}")
-    xi = xi_ambient
+                f"ambient coarse constant {xi} exceeds the claimed {xi_ambient}")
+        xi = xi_ambient
     sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap,
                                              allow_cap=True))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
-    coarse_hyp = {"checked": True, "holds": False}
     qc1 = sweep(QGParams(1, 2 * xi))
-    coarse_hyp["qc_constant"] = qc1.k
-    coarse_hyp["capped"] = qc1.capped
-    coarse_hyp["holds"] = (not qc1.capped) and qc1.k <= k
+    coarse_hyp = {"checked": True, "qc_constant": qc1.k, "capped": qc1.capped,
+                  "holds": not qc1.capped and qc1.k <= k}
 
-    iso_hyp = {"checked": True, "holds": False}
     pm, _ = is_pseudo_modular(ambient)
-    iso_hyp["pseudo_modular"] = pm
     qc5 = sweep(QGParams(5, 0))
-    iso_hyp["qc_constant"] = qc5.k
-    iso_hyp["capped"] = qc5.capped
-    iso_hyp["holds"] = pm and (not qc5.capped) and qc5.k <= k
+    iso_hyp = {"checked": True, "pseudo_modular": pm, "qc_constant": qc5.k,
+               "capped": qc5.capped,
+               "holds": pm and not qc5.capped and qc5.k <= k}
 
     delta, embedding, gk = build_delta(spec)
 
@@ -224,11 +184,16 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     else:
         iso_conc = {"checked": False, "reason": "hypothesis failed, skipped"}
 
-    requested_qc = None
+    out = {"instance": instance, "k": k, "xi_ambient": xi,
+           "coarse_hypothesis": coarse_hyp, "isometric_hypothesis": iso_hyp,
+           "coarse_conclusion": coarse_conc, "isometric_conclusion": iso_conc,
+           "swept_grid": grid,
+           "violations": sum(conc["checked"] and not conc["holds"]
+                             for conc in (coarse_conc, iso_conc))}
     if requested is not None:
         qc = sweep(requested)
         grid.append(f"({requested.lam},{requested.c})")
-        requested_qc = {"lambda": str(requested.lam), "c": str(requested.c),
-                        "k": qc.k, "capped": qc.capped, "enumerated": qc.enumerated}
-    return Section5Report(instance, k, xi, coarse_hyp, iso_hyp, coarse_conc,
-                          iso_conc, grid, requested_qc)
+        out["requested_qc"] = {"lambda": str(requested.lam), "c": str(requested.c),
+                               "k": qc.k, "capped": qc.capped,
+                               "enumerated": qc.enumerated}
+    return out

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import (directed_hausdorff, satisfies_quasigeodesic, slim_constant,
                      thin_constant)
@@ -52,37 +52,6 @@ class WordAnalysis:
     isolated_components: tuple[int, ...]
     phase_vertices: tuple[int, ...]
     components: tuple[Component, ...]
-
-
-@dataclass
-class ConstantReport:
-    """Empirical maxima; all values are estimates, never certificates."""
-
-    what: str
-    params: dict
-    samples: int
-    rejected: int
-    seed: int
-    epsilon_hat: Optional[int] = None
-    nu_hat: Optional[int] = None
-    mu_hat: Optional[int] = None
-    zeta_hat: Optional[int] = None
-    delta_hat: Optional[int] = None
-    delta_slim_hat: Optional[int] = None
-    estimate: bool = True
-    notes: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {"what": self.what, "params": self.params, "samples": self.samples,
-               "rejected": self.rejected, "seed": self.seed, "estimate": self.estimate}
-        for name in ("epsilon_hat", "nu_hat", "mu_hat", "zeta_hat",
-                     "delta_hat", "delta_slim_hat"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.notes:
-            out["notes"] = self.notes
-        return out
 
 
 def vertices(spec: GroupSpec, w: RelWord) -> list[Element]:
@@ -309,13 +278,21 @@ def triangle_nu_defect(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> i
 # measurement harnesses
 
 
+def _report(what: str, params: dict, samples: int, rejected: int, seed: int,
+            **maxima: int) -> dict:
+    """The `measure` report result: the named empirical maxima with their
+    sample provenance, flagged as estimates."""
+    return {"what": what, "params": params, "samples": samples,
+            "rejected": rejected, "seed": seed, "estimate": True, **maxima}
+
+
 def _sample_corner(spec: GroupSpec, rng: random.Random, radius: int,
                    parabolic_cap: int) -> Element:
     return random_element(spec, rng, rng.randint(0, radius), parabolic_cap)
 
 
 def measure_bcp(spec: GroupSpec, qg_lam, qg_c, k: int, samples: int, seed: int,
-                radius: int = 6, parabolic_cap: int = 2) -> ConstantReport:
+                radius: int = 6, parabolic_cap: int = 2) -> dict:
     """Empirical penetration constant over sampled k-similar non-backtracking
     (lam,c)-quasigeodesic pairs."""
     rng = random.Random(seed)
@@ -331,12 +308,10 @@ def measure_bcp(spec: GroupSpec, qg_lam, qg_c, k: int, samples: int, seed: int,
         rejected += rej_p + rej_q
         defects = bcp_defects(spec, wp, wq)
         eps = max(eps, *defects.values())
-    return ConstantReport(
-        what="bcp", params={"lambda": str(qg_lam), "c": str(qg_c), "k": k,
-                            "radius": radius, "parabolic_cap": parabolic_cap,
-                            "group": spec.to_json()},
-        samples=max(samples, 0), rejected=rejected, seed=seed,
-        epsilon_hat=eps)
+    return _report("bcp", {"lambda": str(qg_lam), "c": str(qg_c), "k": k,
+                           "radius": radius, "parabolic_cap": parabolic_cap,
+                           "group": spec.to_json()},
+                   max(samples, 0), rejected, seed, epsilon_hat=eps)
 
 
 def _sample_triangle(spec: GroupSpec, rng: random.Random, lam, c, radius: int,
@@ -351,7 +326,7 @@ def _sample_triangle(spec: GroupSpec, rng: random.Random, lam, c, radius: int,
 
 
 def measure_triangles(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
-                      radius: int = 6, parabolic_cap: int = 2) -> ConstantReport:
+                      radius: int = 6, parabolic_cap: int = 2) -> dict:
     """Empirical nu (geodesic triangles) and mu ((lam,c)-quasigeodesic
     triangles) over sampled triangles."""
     rng = random.Random(seed)
@@ -364,15 +339,14 @@ def measure_triangles(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
                                            parabolic_cap)
         rejected += rej
         mu = max(mu, triangle_mu_defects(spec, wp, wq, wr))
-    return ConstantReport(
-        what="triangles", params={"lambda": str(qg_lam), "c": str(qg_c),
-                                  "radius": radius, "parabolic_cap": parabolic_cap,
-                                  "group": spec.to_json()},
-        samples=samples, rejected=rejected, seed=seed, nu_hat=nu, mu_hat=mu)
+    return _report("triangles", {"lambda": str(qg_lam), "c": str(qg_c),
+                                 "radius": radius, "parabolic_cap": parabolic_cap,
+                                 "group": spec.to_json()},
+                   samples, rejected, seed, nu_hat=nu, mu_hat=mu)
 
 
 def measure_delta(spec: GroupSpec, samples: int, seed: int, radius: int = 6,
-                  parabolic_cap: int = 2) -> ConstantReport:
+                  parabolic_cap: int = 2) -> dict:
     """Empirical thin and slim constants of sampled geodesic triangles in the
     relative metric."""
     rng = random.Random(seed)
@@ -382,15 +356,13 @@ def measure_delta(spec: GroupSpec, samples: int, seed: int, radius: int = 6,
         vp, vq, vr = (vertices(spec, w) for w in (wp, wq, wr))
         thin = max(thin, thin_constant(spec.rel_row, vp, vq, vr))
         slim = max(slim, slim_constant(spec.rel_row, vp, vq, vr))
-    return ConstantReport(
-        what="delta", params={"radius": radius, "parabolic_cap": parabolic_cap,
-                              "group": spec.to_json()},
-        samples=samples, rejected=0, seed=seed, delta_hat=thin,
-        delta_slim_hat=slim)
+    return _report("delta", {"radius": radius, "parabolic_cap": parabolic_cap,
+                             "group": spec.to_json()},
+                   samples, 0, seed, delta_hat=thin, delta_slim_hat=slim)
 
 
 def measure_zeta(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
-                 radius: int = 6, parabolic_cap: int = 2) -> ConstantReport:
+                 radius: int = 6, parabolic_cap: int = 2) -> dict:
     """Empirical Hausdorff closeness (relative metric) of sampled
     quasigeodesics to geodesics with the same endpoints."""
     rng = random.Random(seed)
@@ -405,8 +377,7 @@ def measure_zeta(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
         vq, vg = vertices(spec, wq), vertices(spec, wg)
         zeta = max(zeta, directed_hausdorff(spec.rel_row, vq, vg),
                    directed_hausdorff(spec.rel_row, vg, vq))
-    return ConstantReport(
-        what="zeta", params={"lambda": str(qg_lam), "c": str(qg_c),
-                             "radius": radius, "parabolic_cap": parabolic_cap,
-                             "group": spec.to_json()},
-        samples=samples, rejected=rejected, seed=seed, zeta_hat=zeta)
+    return _report("zeta", {"lambda": str(qg_lam), "c": str(qg_c),
+                            "radius": radius, "parabolic_cap": parabolic_cap,
+                            "group": spec.to_json()},
+                   samples, rejected, seed, zeta_hat=zeta)

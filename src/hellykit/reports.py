@@ -8,6 +8,11 @@ Schema (hellykit-report/1):
   config   object, the fully resolved configuration including seeds and guards
   result   object, command-specific payload
 
+The harnesses behind analyze, derive, measure and quasiconvex
+(helly.analyze, derived.verify_derivation_theorems, relwords.measure_*,
+quasiconvex.verify_section5) return their report's `result` object itself,
+so the library and the report share one vocabulary; the CLI adds nothing.
+
 Every JSON file the CLI writes goes through `dumps`, which gives exactly the
 bytes of json.dumps(obj, sort_keys=True, indent=2) and a final newline (sorted
 keys, fixed separators), so equal reports are equal as bytes.  It joins each

@@ -244,6 +244,57 @@ class TestDerive:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestResultIsLibraryReturn:
+    """Each harness returns the `result` object its report carries: the
+    library value equals the parsed report's result, key for key."""
+
+    @pytest.mark.parametrize("command", [
+        "analyze", "derive", "measure-bcp", "measure-nu", "measure-mu",
+        "measure-delta", "measure-zeta", "quasiconvex"])
+    def test_result_equals_library_return(self, tmp_path, capsys, command):
+        from fractions import Fraction
+
+        from hellykit import relwords
+        from hellykit.derived import verify_derivation_theorems
+        from hellykit.gamma import GammaConfig, GammaWindow
+        from hellykit.graphs import QGParams
+        from hellykit.helly import analyze
+        from hellykit.quasiconvex import OrbitSpec, verify_section5
+
+        spec = corpus.group_z2_z3()
+        if command == "analyze":
+            g = corpus.cycle(6)
+            argv = ["analyze", write(tmp_path / "g.json", json.dumps(graph_to_json(g)))]
+            want = analyze(g)
+        elif command == "derive":
+            argv = ["derive", "--group", group_file(tmp_path, spec), "--N", "1",
+                    "--radius", "6", "--samples", "30", "--seed", "5"]
+            want = verify_derivation_theorems(GammaWindow(GammaConfig(spec, 1), 6),
+                                              30, 5)
+        elif command == "quasiconvex":
+            g = corpus.king_grid(4, 3)
+            path = write(tmp_path / "g.json", json.dumps(graph_to_json(g)))
+            argv = ["quasiconvex", "--ambient", path, "--orbit",
+                    write(tmp_path / "orbit.json", "[4, 5, 6, 7]"), "--k", "1",
+                    "--lambda", "3/2", "--c", "1/2"]
+            want = verify_section5(OrbitSpec(g, (4, 5, 6, 7), 1), instance=path,
+                                   requested=QGParams(Fraction(3, 2), Fraction(1, 2)))
+        else:
+            what = command.split("-")[1]
+            argv = ["measure", "--what", what, "--group", group_file(tmp_path, spec),
+                    "--radius", "4", "--samples", "20", "--seed", "11"]
+            common = dict(samples=20, seed=11, radius=4, parabolic_cap=2)
+            lam, c = Fraction(2), Fraction(1)
+            want = {"bcp": lambda: relwords.measure_bcp(spec, lam, c, 1, **common),
+                    "nu": lambda: relwords.measure_triangles(spec, lam, c, **common),
+                    "mu": lambda: relwords.measure_triangles(spec, lam, c, **common),
+                    "delta": lambda: relwords.measure_delta(spec, **common),
+                    "zeta": lambda: relwords.measure_zeta(spec, lam, c, **common),
+                    }[what]()
+        assert main(argv) == 0
+        assert want == json.loads(capsys.readouterr().out)["result"]
+
+
 class TestErrorBoundary:
     """Input, parse and OS errors and tripped guards exit 2 with one line on
     stderr and nothing on stdout; a failed check exits 1."""
@@ -270,6 +321,16 @@ class TestErrorBoundary:
         ("group_not_object", "GroupError"),
         ("factors_not_list", "GroupError"),
         ("free_rank_float", "GroupError"),
+        ("graph_label_out_of_range", "GraphError"),
+        ("graph_label_key_not_int", "GraphError"),
+        ("graph_label_not_str", "GraphError"),
+        ("ball_negative_radius", "GroupError"),
+        ("corpus_no_n", "ValueError"),
+        ("corpus_factor_no_order", "ValueError"),
+        ("measure_lambda_zero_denominator", "ValueError"),
+        ("measure_c_zero_denominator", "ValueError"),
+        ("quasiconvex_lambda_zero_denominator", "ValueError"),
+        ("quasiconvex_c_zero_denominator", "ValueError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -277,7 +338,17 @@ class TestErrorBoundary:
                   "graph_no_n": '{"edges": [[0, 1]]}',
                   "graph_labels_list": '{"n": 2, "edges": [[0, 1]], "labels": [1]}',
                   "graph_edge_float": '{"n": 2, "edges": [[0, 1.5]]}',
-                  "graph_edge_bool": '{"n": 2, "edges": [[0, true]]}'}
+                  "graph_edge_bool": '{"n": 2, "edges": [[0, true]]}',
+                  "graph_label_out_of_range":
+                      '{"n": 2, "edges": [[0, 1]], "labels": {"5": "a"}}',
+                  "graph_label_key_not_int":
+                      '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}',
+                  "graph_label_not_str":
+                      '{"n": 2, "edges": [[0, 1]], "labels": {"0": 1}}'}
+        fractions = {"measure_lambda_zero_denominator": "--lambda",
+                     "measure_c_zero_denominator": "--c",
+                     "quasiconvex_lambda_zero_denominator": "--lambda",
+                     "quasiconvex_c_zero_denominator": "--c"}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
                   "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
                   "orbit_bool": "[true, 2]"}
@@ -290,7 +361,23 @@ class TestErrorBoundary:
                   "factors_not_list": {"factors": "abc"},
                   "free_rank_float": {"factors": [{"kind": "cyclic", "order": 2}],
                                       "free_rank": 1.5}}
-        if case in graphs:
+        if case == "corpus_no_n":
+            argv = ["corpus", "cycle", "--out", str(tmp_path / "c.json")]
+        elif case == "corpus_factor_no_order":
+            argv = ["corpus", "group-freeproduct", "--param", "factors=cyclic",
+                    "--out", str(tmp_path / "g.json")]
+        elif case == "ball_negative_radius":
+            argv = ["group", "ball", "--spec",
+                    group_file(tmp_path, corpus.group_z2_z3()), "--radius", "-1"]
+        elif case.startswith("measure_"):
+            argv = ["measure", "--what", "bcp", "--group",
+                    group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
+                    "--samples", "2", fractions[case], "1/0"]
+        elif case in fractions:
+            argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
+                    "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
+                    "--k", "1", fractions[case], "1/0"]
+        elif case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
         elif case in groups:
             argv = ["group", "ball", "--spec",
@@ -510,6 +597,16 @@ class TestGraphIO:
         assert main(["dot", gpath]) == 0
         text = capsys.readouterr().out
         assert "0 -- 1" in text and "1 -- 2" in text
+
+    def test_labels_read_and_dot_escaped(self, tmp_path, capsys):
+        record = {"n": 3, "edges": [[0, 1], [1, 2]],
+                  "labels": {"0": 'a"b', "2": "c\\d"}}
+        assert graph_from_json(record).labels == {0: 'a"b', 2: "c\\d"}
+        assert main(["dot", write(tmp_path / "g.json", json.dumps(record))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '  0 [label="a\\"b"];' in lines
+        assert "  1;" in lines
+        assert '  2 [label="c\\\\d"];' in lines
 
     def test_schema_rejects_malformed(self):
         with pytest.raises(ReportError):

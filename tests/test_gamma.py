@@ -165,6 +165,14 @@ class TestWindow:
         assert counts["med"] == len(spec.x_letters())
         assert counts["int"] == len(spec.factors)
 
+    def test_negative_radius_rejected_before_any_work(self, monkeypatch):
+        expanded = []
+        monkeypatch.setattr(GammaConfig, "neighbors",
+                            lambda self, v: expanded.append(v) or [])
+        with pytest.raises(WindowError, match="radius must be >= 0"):
+            GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), -1)
+        assert expanded == []
+
     def test_counts_match_reference_generator(self):
         spec = corpus.group_z2_z3()
         config = GammaConfig(spec, 1)

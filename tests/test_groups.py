@@ -239,6 +239,14 @@ class TestEnumerateBall:
         with pytest.raises(BallExplosion):
             spec.enumerate_ball(6, metric="rel", parabolic_cap=3, max_elements=500)
 
+    @pytest.mark.parametrize("spec", [GroupSpec([CyclicFactor(3)]),
+                                      corpus.group_z2_z3()], ids=["z3", "z2_z3"])
+    def test_negative_radius_rejected(self, spec):
+        # a finite group used to come back whole, an infinite one to trip
+        # the guard after max_elements products
+        with pytest.raises(GroupError, match="radius must be >= 0"):
+            spec.enumerate_ball(-1, max_elements=50)
+
 
 class TestFactors:
     def test_finite_factor_table_checks(self):

@@ -171,7 +171,8 @@ class TestIsHelly:
     def test_c4_with_unit_ball_witness(self):
         helly, witness = is_helly(corpus.cycle(4))
         assert not helly
-        radii = witness.as_map()
+        assert witness == ((0, 1), (1, 1), (2, 1), (3, 1))
+        radii = dict(witness)
         assert radii == {0: 1, 1: 1, 2: 1, 3: 1}
         # the witness family pairwise intersects but has empty intersection
         g = corpus.cycle(4)
@@ -399,8 +400,8 @@ class TestPowerLemmas:
 class TestAnalyze:
     def test_report_shape(self):
         rep = analyze(corpus.cycle(6))
-        assert not rep.is_helly
-        assert rep.coarse_constant_xi >= 1
-        assert not rep.is_pseudo_modular
-        assert rep.stable_interval_beta == 2
-        assert rep.witness is not None
+        assert not rep["is_helly"]
+        assert rep["xi"] >= 1
+        assert not rep["pseudo_modular"]
+        assert rep["beta"] == 2
+        assert rep["witness"] is not None

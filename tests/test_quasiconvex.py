@@ -122,30 +122,30 @@ class TestVerifySection5:
         row = tuple(3 + x for x in range(3))
         k = max(1, quasiconvexity_k(g, row, QGParams(1, 0)).k)
         rep = verify_section5(OrbitSpec(g, row, k), instance="king3x3-row")
-        assert rep.xi_ambient == 0
-        assert rep.coarse_hypothesis["holds"]
-        assert rep.coarse_conclusion["checked"]
-        assert rep.coarse_conclusion["bound"] == 3
-        assert rep.coarse_conclusion["holds"]
-        assert rep.violations() == 0
+        assert rep["xi_ambient"] == 0
+        assert rep["coarse_hypothesis"]["holds"]
+        assert rep["coarse_conclusion"]["checked"]
+        assert rep["coarse_conclusion"]["bound"] == 3
+        assert rep["coarse_conclusion"]["holds"]
+        assert rep["violations"] == 0
 
     def test_tree_ambient_isometric(self):
         g = corpus.random_tree(9, 4)
         sub = tuple(sorted({0, 1, g.adj[0][0]}))
         rep = verify_section5(OrbitSpec(g, sub, 2), instance="tree9")
-        assert rep.isometric_hypothesis["pseudo_modular"]
-        if rep.isometric_hypothesis["holds"]:
-            assert rep.isometric_conclusion["checked"]
-            assert rep.isometric_conclusion["holds"]
-        assert rep.violations() == 0
+        assert rep["isometric_hypothesis"]["pseudo_modular"]
+        if rep["isometric_hypothesis"]["holds"]:
+            assert rep["isometric_conclusion"]["checked"]
+            assert rep["isometric_conclusion"]["holds"]
+        assert rep["violations"] == 0
 
     def test_c6_isometric_lemma_skipped(self):
         g = corpus.cycle(6)
         rep = verify_section5(OrbitSpec(g, (0, 3), 3), instance="C6")
-        assert not rep.isometric_hypothesis["pseudo_modular"]
-        assert not rep.isometric_conclusion["checked"]
-        assert rep.isometric_conclusion["reason"] == "hypothesis failed, skipped"
-        assert rep.violations() == 0
+        assert not rep["isometric_hypothesis"]["pseudo_modular"]
+        assert not rep["isometric_conclusion"]["checked"]
+        assert rep["isometric_conclusion"]["reason"] == "hypothesis failed, skipped"
+        assert rep["violations"] == 0
 
     def test_claimed_xi_checked(self):
         g = corpus.cycle(6)
@@ -155,7 +155,7 @@ class TestVerifySection5:
     def test_grid_reported(self):
         g = corpus.complete(4)
         rep = verify_section5(OrbitSpec(g, (0, 1), 1), instance="K4")
-        assert rep.swept_grid == ["(1,0)", "(5,0)"]
+        assert rep["swept_grid"] == ["(1,0)", "(5,0)"]
 
     def test_requested_pair_swept_once(self, monkeypatch):
         import hellykit.quasiconvex as qc_mod
@@ -171,13 +171,13 @@ class TestVerifySection5:
         g = corpus.king_grid(3, 3)
         rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1), requested=QGParams(1, 0))
         assert swept == [QGParams(1, 0), QGParams(5, 0)]
-        assert rep.swept_grid == ["(1,0)", "(5,0)", "(1,0)"]
+        assert rep["swept_grid"] == ["(1,0)", "(5,0)", "(1,0)"]
         want = real(g, (3, 4, 5), QGParams(1, 0), allow_cap=True)
-        assert rep.to_json()["requested_qc"] == {
+        assert rep["requested_qc"] == {
             "lambda": "1", "c": "0", "k": want.k, "capped": want.capped,
             "enumerated": want.enumerated}
         rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1),
                               requested=QGParams(Fraction(3, 2), 1))
         assert swept[2:] == [QGParams(1, 0), QGParams(5, 0),
                              QGParams(Fraction(3, 2), 1)]
-        assert rep.swept_grid[-1] == "(3/2,1)"
+        assert rep["swept_grid"][-1] == "(3/2,1)"
