@@ -129,7 +129,8 @@ def _cmd_derive(args) -> int:
 
 def _cmd_measure(args) -> int:
     spec = GroupSpec.load(args.group)
-    lam, c = _fraction(args.lam, "--lambda"), _fraction(args.c, "--c")
+    qg = QGParams(_fraction(args.lam, "--lambda"), _fraction(args.c, "--c"))
+    lam, c = qg.lam, qg.c
     common = dict(samples=args.samples, seed=args.seed, radius=args.radius,
                   parabolic_cap=args.parabolic_cap)
     if args.what == "bcp":
@@ -203,13 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="Helly-type report for a graph file")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND)
+    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                   help="bound on the extremal-function enumeration, which "
+                        "runs only on a non-Helly graph (for its witness and "
+                        "xi); a Helly graph of any size is reported")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("hellyfy", help="minimal Helly graph containing the input")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND)
+    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                   help="bound on the extremal-function enumeration of the input")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hellyfy)
 

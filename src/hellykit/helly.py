@@ -1,12 +1,17 @@
 """Exact Helly-type recognition for finite graphs.
 
-The engine is the enumeration of integral extremal functions: nonnegative
-integer functions f on the vertex set with f(u) + f(v) >= d(u,v) everywhere and
-pointwise minimal with that property.  Minimality is equivalent to the
-fixed-point identity f(v) = max_u (d(u,v) - f(u)), and every extremal function
-is 1-Lipschitz and bounded by the eccentricity, which is what makes the search
-finite and prunable.  A ball family {B_{r(s)}(s)} is pairwise intersecting
-exactly when r(s) + r(t) >= d(s,t) for all s,t, so extremal functions are the
+Helly is decided in polynomial time by the theorem of Bandelt and Prisner
+(Clique graphs and Helly graphs, 1991): a graph is Helly iff it is
+dismantlable and clique-Helly (`decide_helly`).  The enumeration of integral
+extremal functions is the exponential engine behind the rest: the Helly
+witness and the coarse constant xi of a non-Helly graph, and Hellyfication.
+Extremal functions are the nonnegative integer functions f on the vertex set
+with f(u) + f(v) >= d(u,v) everywhere and pointwise minimal with that
+property.  Minimality is equivalent to the fixed-point identity
+f(v) = max_u (d(u,v) - f(u)), and every extremal function is 1-Lipschitz and
+bounded by the eccentricity, which is what makes the search finite and
+prunable.  A ball family {B_{r(s)}(s)} is pairwise intersecting exactly when
+r(s) + r(t) >= d(s,t) for all s,t, so extremal functions are the
 pointwise-minimal pairwise-intersecting total families.
 """
 
@@ -137,12 +142,79 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     return sorted(tuple(f[inverse[v]] for v in range(n)) for f in out)
 
 
+def decide_helly(g: Graph) -> bool:
+    """Helly recognition in polynomial time, by the theorem of Bandelt and
+    Prisner: a graph is Helly iff it is dismantlable and clique-Helly."""
+    return dismantlable(g) and clique_helly(g)
+
+
+def dismantlable(g: Graph) -> bool:
+    """Whether vertices can be deleted one at a time down to a single vertex,
+    each v dominated when deleted: N[v] within N[u] for a live u != v, both
+    closed neighbourhoods restricted to the live vertices.  Deleting a
+    dominated vertex keeps a dismantlable graph dismantlable, so greedy
+    deletion decides it.  A disconnected graph is not dismantlable."""
+    nb = _closed_neighbourhoods(g)
+    live, left = (1 << g.n) - 1, g.n
+    deleted = True
+    while left > 1 and deleted:
+        deleted = False
+        for v, nv in enumerate(nb):
+            if live >> v & 1:
+                nv &= live
+                if any(nv & ~nb[u] == 0 for u in _bits(nv ^ 1 << v)):
+                    live ^= 1 << v
+                    left -= 1
+                    deleted = True
+    return left == 1
+
+
+def clique_helly(g: Graph) -> bool:
+    """Whether the maximal cliques have the Helly property: iff for every
+    triangle abc the extended triangle T*, the vertices adjacent to at least
+    two of a, b, c, lies in N[u] for some u.  Such a u is adjacent to a, b
+    and c, which are in T*, so only u in N[a] & N[b] & N[c] are tried, after
+    the u that served the previous triangle: nearby triangles often share
+    one, and any u with T* in N[u] will do."""
+    nb = _closed_neighbourhoods(g)
+    u = 0
+    for a, na in enumerate(nb):
+        for b in g.adj[a]:
+            if b < a:
+                continue
+            nab = na & nb[b]
+            for c in _bits(nab & -(2 << b)):  # c > b, adjacent to a and b
+                star = nab | (na | nb[b]) & nb[c]
+                if star & ~nb[u]:
+                    for u in _bits(nab & nb[c]):
+                        if star & ~nb[u] == 0:
+                            break
+                    else:
+                        return False
+    return True
+
+
+def _closed_neighbourhoods(g: Graph) -> list[int]:
+    """N[v] for every vertex v, as a bitset: bit u is set iff d(u,v) <= 1."""
+    return [sum(1 << u for u in a) | 1 << v for v, a in enumerate(g.adj)]
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
              ) -> tuple[bool, Optional[BallFamily]]:
-    """Helly test via extremal functions, with a failing ball family on False.
+    """Helly test by `decide_helly`, with a failing ball family on False.
 
-    A graph is Helly iff every extremal function is a distance function d(x,.).
-    Why this is equivalent:
+    Only a non-Helly graph is enumerated, and only for the witness: the first
+    extremal function, in sorted order, that is not a distance function
+    d(x,.).  A graph is Helly iff every extremal function is a distance
+    function.  Why this is equivalent:
 
     * If some family {B_{r(s)}(s) : s in S} is pairwise intersecting, extend r
       to the total function g(v) = min_s (r(s) + d(v,s)).  g is pairwise
@@ -155,10 +227,26 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
       f = d(x,.).
 
     So a non-distance extremal function IS a pairwise intersecting family with
-    empty total intersection, and is returned as the witness.
+    empty total intersection, and is returned as the witness.  The size bound
+    applies to the enumeration only: a Helly graph of any size is answered.
     """
-    witness = _witness(g, extremal_functions(g, max_vertices=max_vertices))
-    return witness is None, witness
+    if decide_helly(g):
+        return True, None
+    return False, _non_helly(g, max_vertices)[1]
+
+
+def _non_helly(g: Graph, max_vertices: int
+               ) -> tuple[list[tuple[int, ...]], BallFamily]:
+    """The extremal functions of a graph that decide_helly rejected, with the
+    first witness among them.  The two deciders are independent, so a
+    rejected graph without a witness is a bug: AssertionError."""
+    fs = extremal_functions(g, max_vertices=max_vertices)
+    witness = _witness(g, fs)
+    if witness is None:
+        raise AssertionError("Helly deciders disagree: not dismantlable and "
+                             "clique-Helly, but every extremal function is a "
+                             "distance function")
+    return fs, witness
 
 
 def _witness(g: Graph, fs: list[tuple[int, ...]]) -> Optional[BallFamily]:
@@ -180,9 +268,12 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
     then descends to an extremal one while only increasing the required
     inflation, so the worst case is max over extremal f of
     min_x max_v (d(x,v) - f(v))_+, and that value is attained by the family f
-    itself.  Zero exactly when the graph is Helly.
+    itself.  Zero exactly when the graph is Helly, which `decide_helly`
+    answers without enumerating; only a non-Helly graph is enumerated.
     """
-    return _xi(g, extremal_functions(g, max_vertices=max_vertices))
+    if decide_helly(g):
+        return 0
+    return _xi(g, _non_helly(g, max_vertices)[0])
 
 
 def _xi(g: Graph, fs: list[tuple[int, ...]]) -> int:
@@ -327,8 +418,8 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     exactly 1, together with the embedding x -> d(x,.).
 
     Postconditions are asserted at runtime rather than assumed: the result is
-    Helly, the embedding is isometric, and when the input is already Helly the
-    embedding is an isomorphism.
+    Helly (by `is_helly`, so in polynomial time), the embedding is isometric,
+    and when the input is already Helly the embedding is an isomorphism.
     """
     from .graphs import is_isometric_subgraph
 
@@ -346,7 +437,8 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     embedding = [index[row] for row in g.dist()]
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the output enumeration is internal
+        # the output is enumerated only if decide_helly rejects it
+        warnings.simplefilter("ignore")
         ok_helly, _ = is_helly(out, max_vertices=max(out.n, max_vertices))
     if not ok_helly:
         raise AssertionError("hellyfication postcondition failed: output not Helly")
@@ -368,14 +460,18 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
 
 def analyze(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> dict:
-    """The `analyze` report result: Helly verdict, witness and xi read off one
-    extremal-function enumeration, plus pseudo-modularity and beta.  The
-    witness, present only on a non-Helly graph, is the ball family as a list
-    of [centre, radius] pairs."""
-    fs = extremal_functions(g, max_vertices=max_vertices)
-    witness = _witness(g, fs)
-    result = {"is_helly": witness is None,
-              "xi": 0 if witness is None else _xi(g, fs),
+    """The `analyze` report result: Helly verdict by `decide_helly`, then
+    pseudo-modularity and beta.  Only a non-Helly graph is enumerated, once,
+    for both its witness and xi; a Helly graph has xi 0 and no witness, at
+    any size.  The witness is the ball family as a list of [centre, radius]
+    pairs."""
+    witness = None
+    if decide_helly(g):
+        xi = 0
+    else:
+        fs, witness = _non_helly(g, max_vertices)
+        xi = _xi(g, fs)
+    result = {"is_helly": witness is None, "xi": xi,
               "pseudo_modular": is_pseudo_modular(g)[0],
               "beta": stable_interval_constant(g)}
     if witness is not None:

@@ -19,7 +19,8 @@ from hellykit.derived import verify_derivation_theorems
 from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
 from hellykit.graphs import Graph, QGParams, power_graph
 from hellykit.groups import random_element
-from hellykit.helly import (coarse_helly_constant, hellyfication,
+from hellykit.helly import (_witness, coarse_helly_constant, decide_helly,
+                            extremal_functions, hellyfication,
                             helly_oracle_bruteforce, is_helly,
                             is_pseudo_modular, stable_interval_constant)
 from hellykit.quasiconvex import OrbitSpec, quasiconvexity_k, verify_section5
@@ -52,25 +53,32 @@ def ok(line):
 
 
 def test_criterion_1_oracle_equivalence():
-    """is_helly agrees with the brute-force oracle: exhaustively on all
-    connected graphs with <= 6 vertices (112 on exactly 6 vertices) and on 500
-    random connected 7-8 vertex graphs; zero disagreements, under 5 minutes."""
+    """Three independent Helly deciders agree: the Bandelt-Prisner decider,
+    the extremal-function enumeration and the brute-force oracle;
+    exhaustively on all connected graphs with <= 6 vertices (112 on exactly 6
+    vertices) and on 500 random connected 7-8 vertex graphs; zero
+    disagreements, under 5 minutes."""
+    def verdicts(g):
+        return (decide_helly(g),
+                _witness(g, extremal_functions(g)) is None,
+                helly_oracle_bruteforce(g))
+
     t0 = time.time()
     small = atlas_connected(6)
     assert sum(1 for g in small if g.n == 6) == 112
     assert len(small) == 143
-    disagreements = [g for g in small if is_helly(g)[0] != helly_oracle_bruteforce(g)]
+    disagreements = [g for g in small if len(set(verdicts(g))) != 1]
     assert disagreements == []
 
     rng = random.Random(12345)
     for _ in range(500):
         n = rng.choice([7, 8])
         g = corpus.random_connected(n, rng.randint(0, 6), rng.randrange(10 ** 6))
-        assert is_helly(g)[0] == helly_oracle_bruteforce(g)
+        assert len(set(verdicts(g))) == 1
     elapsed = time.time() - t0
     assert elapsed < 300
-    ok(f"1: PASS - oracle equivalence on 143 exhaustive + 500 random graphs, "
-       f"0 disagreements, {elapsed:.1f}s")
+    ok(f"1: PASS - three-decider equivalence on 143 exhaustive + 500 random "
+       f"graphs, 0 disagreements, {elapsed:.1f}s")
 
 
 def test_criterion_2_known_classifications():

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from hellykit import cli, corpus
+from hellykit import cli, corpus, helly
 from hellykit.cli import main
 from hellykit.gamma import recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
@@ -53,6 +53,16 @@ class TestAnalyze:
         assert report["result"]["pseudo_modular"] is True
         assert report["result"]["witness"] == [[0, 1], [1, 1], [2, 1], [3, 1]]
 
+    def test_helly_graph_above_the_bound(self, tmp_path, capsys):
+        # the bound is on the enumeration, which a Helly graph does not need
+        path = write(tmp_path / "king.json",
+                     json.dumps(graph_to_json(corpus.king_grid(4, 4))))
+        assert main(["analyze", path]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["is_helly"] is True
+        assert result["xi"] == 0
+        assert "witness" not in result
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["analyze", c4_edge_list(tmp_path), "--out", str(out1)])
@@ -86,17 +96,19 @@ class TestHellyfy:
         assert g.n == 5
         assert sorted(len(a) for a in g.adj) == [3, 3, 3, 3, 4]
 
-    # sha256 of the hellyfy report on C8, C9 and a C10 with two seeded chords
-    # (43 extremal functions); the report records the graph path, so the file
-    # is read by a fixed relative name
+    # sha256 of the hellyfy report on C8, C9, C10 (a 122-vertex hull) and a
+    # C10 with two seeded chords (43 extremal functions); the report records
+    # the graph path, so the file is read by a fixed relative name
     @pytest.mark.parametrize("name, graph, digest", [
         ("c8", lambda: corpus.cycle(8),
          "f86b813a2806da70e86ceca78ee27a105c09701d4b439b4f898d4a776a9ff217"),
         ("c9", lambda: corpus.cycle(9),
          "9bb8743fc7a7b7bae48eba207cad277b63f62e74f92f7781267c642f2d32bf41"),
+        ("c10", lambda: corpus.cycle(10),
+         "cb2e1d780c0cb7b08816027894082d5daeb38721355a0761297193f2a0a64029"),
         ("c10k2", lambda: cycle_with_chords(10, 2, seed=9),
          "ce56c6b75430f59336cdfaf19554a992d86c8f820bf674c6d7e089d5e80d2877"),
-    ], ids=["c8", "c9", "c10k2"])
+    ], ids=["c8", "c9", "c10", "c10k2"])
     def test_pinned_report_digest(self, tmp_path, monkeypatch, capsys, name,
                                   graph, digest):
         monkeypatch.chdir(tmp_path)
@@ -327,8 +339,12 @@ class TestErrorBoundary:
         ("ball_negative_radius", "GroupError"),
         ("corpus_no_n", "ValueError"),
         ("corpus_factor_no_order", "ValueError"),
+        ("size_bound", "SizeBoundExceeded"),
         ("measure_lambda_zero_denominator", "ValueError"),
         ("measure_c_zero_denominator", "ValueError"),
+        ("measure_lambda_negative", "ValueError"),
+        ("measure_lambda_below_one", "ValueError"),
+        ("measure_c_negative", "ValueError"),
         ("quasiconvex_lambda_zero_denominator", "ValueError"),
         ("quasiconvex_c_zero_denominator", "ValueError"),
     ])
@@ -344,11 +360,17 @@ class TestErrorBoundary:
                   "graph_label_key_not_int":
                       '{"n": 2, "edges": [[0, 1]], "labels": {"x": "a"}}',
                   "graph_label_not_str":
-                      '{"n": 2, "edges": [[0, 1]], "labels": {"0": 1}}'}
-        fractions = {"measure_lambda_zero_denominator": "--lambda",
-                     "measure_c_zero_denominator": "--c",
-                     "quasiconvex_lambda_zero_denominator": "--lambda",
-                     "quasiconvex_c_zero_denominator": "--c"}
+                      '{"n": 2, "edges": [[0, 1]], "labels": {"0": 1}}',
+                  # C16 is not Helly, so its enumeration meets the bound 14
+                  "size_bound": "".join(f"{i} {(i + 1) % 16}\n"
+                                        for i in range(16))}
+        fractions = {"measure_lambda_zero_denominator": ("--lambda", "1/0"),
+                     "measure_c_zero_denominator": ("--c", "1/0"),
+                     "measure_lambda_negative": ("--lambda", "-3"),
+                     "measure_lambda_below_one": ("--lambda", "1/2"),
+                     "measure_c_negative": ("--c", "-1"),
+                     "quasiconvex_lambda_zero_denominator": ("--lambda", "1/0"),
+                     "quasiconvex_c_zero_denominator": ("--c", "1/0")}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
                   "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
                   "orbit_bool": "[true, 2]"}
@@ -372,11 +394,11 @@ class TestErrorBoundary:
         elif case.startswith("measure_"):
             argv = ["measure", "--what", "bcp", "--group",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
-                    "--samples", "2", fractions[case], "1/0"]
+                    "--samples", "2", *fractions[case]]
         elif case in fractions:
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
-                    "--k", "1", fractions[case], "1/0"]
+                    "--k", "1", *fractions[case]]
         elif case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
         elif case in groups:
@@ -419,6 +441,16 @@ class TestErrorBoundary:
         assert captured.out == ""
         assert captured.err == ("hellykit analyze: AssertionError: "
                                 "postcondition failed\n")
+
+    def test_helly_deciders_disagree_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(helly, "decide_helly", lambda g: False)
+        path = write(tmp_path / "king.json",
+                     json.dumps(graph_to_json(corpus.king_grid(3, 3))))
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "hellykit analyze: AssertionError: Helly deciders disagree")
 
     def test_hellyfy_stdout_is_the_report(self, tmp_path, capsys):
         assert main(["hellyfy", c4_edge_list(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 """Helly recognition: extremal functions against a box-search oracle, the
-brute-force family oracle, coarse constants, pseudo-modularity, stable
-intervals, and Hellyfication postconditions."""
+polynomial decider against the enumeration verdict and the brute-force family
+oracle, coarse constants, pseudo-modularity, stable intervals, and
+Hellyfication postconditions."""
 
 import hashlib
 import itertools
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 from networkx import is_connected
 from networkx.generators.atlas import graph_atlas_g
 
-from hellykit import corpus
+from hellykit import corpus, helly
 from hellykit.graphs import Graph, power_graph
-from hellykit.helly import (SizeBoundExceeded, analyze, coarse_helly_constant,
-                            extremal_functions, helly_oracle_bruteforce,
-                            hellyfication, is_helly, is_pseudo_modular,
-                            stable_interval_constant, stable_interval_oracle)
+from hellykit.helly import (ORACLE_VERTEX_BOUND, SizeBoundExceeded, _witness,
+                            analyze, clique_helly, coarse_helly_constant,
+                            decide_helly, dismantlable, extremal_functions,
+                            helly_oracle_bruteforce, hellyfication, is_helly,
+                            is_pseudo_modular, stable_interval_constant,
+                            stable_interval_oracle)
 
 
 def box_extremal_oracle(g):
@@ -189,6 +192,94 @@ class TestIsHelly:
         assert is_helly(corpus.king_grid(4, 3), max_vertices=12)[0]
 
 
+def enumeration_verdict(g):
+    """Helly by enumeration: every extremal function is a distance row."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # hulls exceed the default bound
+        return _witness(g, extremal_functions(g, max_vertices=g.n)) is None
+
+
+def assert_deciders_agree(g, oracle_bound=ORACLE_VERTEX_BOUND):
+    """decide_helly, the enumeration verdict and, on at most oracle_bound
+    vertices, the brute-force oracle give one verdict, which is returned."""
+    verdict = decide_helly(g)
+    assert enumeration_verdict(g) == verdict
+    if g.n <= oracle_bound:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # oracle_bound may exceed 8
+            assert helly_oracle_bruteforce(g, max_vertices=oracle_bound) == verdict
+    return verdict
+
+
+def three_sun():
+    """The 3-sun (Hajos graph): triangle 0 1 2 with an ear on each side."""
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4),
+                     (0, 5), (2, 5)])
+
+
+class TestDecideHelly:
+    """The Bandelt-Prisner decider against the two enumerating deciders.  The
+    brute-force oracle searches all ball families and takes up to 30 s on a
+    single sparse 11-vertex graph, so it joins only on small graphs."""
+
+    def test_atlas(self):
+        graphs = atlas_connected_graphs()
+        assert len(graphs) == 996
+        assert sum(assert_deciders_agree(g) for g in graphs) == 440
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(7, 11)
+            g = corpus.random_connected(n, rng.randint(0, 3 * n),
+                                        rng.randrange(10 ** 6))
+            verdicts.append(assert_deciders_agree(g))
+        assert 50 <= sum(verdicts) <= 250  # both verdicts well represented
+
+    @PROPERTY
+    @given(connected_graphs(max_n=10))
+    def test_property(self, g):
+        assert_deciders_agree(g)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_cycle_hulls(self, n):
+        # 41, 37 and 122 vertices: beyond the brute-force oracle
+        assert assert_deciders_agree(hellyfication(corpus.cycle(n))[0])
+
+    def test_king_grids(self):
+        for w, h in ((2, 2), (3, 3), (4, 3), (4, 4), (5, 5)):
+            assert assert_deciders_agree(corpus.king_grid(w, h), oracle_bound=12)
+
+    def test_three_sun_dismantlable_not_clique_helly(self):
+        g = three_sun()
+        assert dismantlable(g)
+        assert not clique_helly(g)
+        assert not assert_deciders_agree(g)
+
+    def test_c4_clique_helly_not_dismantlable(self):
+        g = corpus.cycle(4)
+        assert clique_helly(g)
+        assert not dismantlable(g)
+        assert not assert_deciders_agree(g)
+
+    def test_helly_graph_above_the_bound(self):
+        # only the enumeration is bounded, and a Helly graph needs none
+        g = corpus.king_grid(4, 4)
+        assert is_helly(g) == (True, None)
+        assert coarse_helly_constant(g) == 0
+        assert analyze(g)["xi"] == 0
+        for decide in (is_helly, coarse_helly_constant, analyze):
+            with pytest.raises(SizeBoundExceeded):
+                decide(corpus.cycle(16))
+
+    def test_disagreement_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(helly, "decide_helly", lambda g: False)
+        for decide in (is_helly, coarse_helly_constant, analyze):
+            with pytest.raises(AssertionError, match="deciders disagree"):
+                decide(corpus.king_grid(3, 3))
+
+
 class TestBruteForceOracle:
     def test_c4_false(self):
         assert not helly_oracle_bruteforce(corpus.cycle(4))
@@ -204,7 +295,7 @@ class TestBruteForceOracle:
         graphs += [corpus.grid(2, 3), corpus.wheel(5), corpus.king_grid(2, 2)]
         graphs += small_random_graphs(40, 4, 7, seed=6)
         for g in graphs:
-            assert helly_oracle_bruteforce(g) == is_helly(g)[0]
+            assert helly_oracle_bruteforce(g) == enumeration_verdict(g)
 
 
 class TestCoarseConstant:
