@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="Helly-type report for a graph file")
     p.add_argument("graph")
     p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
-                   help="bound on the extremal-function enumeration, which "
+                   help="bound on the extremal-function search, which "
                         "runs only on a non-Helly graph (for its witness and "
                         "xi); a Helly graph of any size is reported")
     p.add_argument("--out")

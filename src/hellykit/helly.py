@@ -2,27 +2,31 @@
 
 Helly is decided in polynomial time by the theorem of Bandelt and Prisner
 (Clique graphs and Helly graphs, 1991): a graph is Helly iff it is
-dismantlable and clique-Helly (`decide_helly`).  The enumeration of integral
-extremal functions is the exponential engine behind the rest: the Helly
-witness and the coarse constant xi of a non-Helly graph, and Hellyfication.
-Extremal functions are the nonnegative integer functions f on the vertex set
-with f(u) + f(v) >= d(u,v) everywhere and pointwise minimal with that
-property.  Minimality is equivalent to the fixed-point identity
+dismantlable and clique-Helly (`decide_helly`).  Integral extremal functions
+are the nonnegative integer functions f on the vertex set with
+f(u) + f(v) >= d(u,v) everywhere and pointwise minimal with that property.
+Minimality is equivalent to the fixed-point identity
 f(v) = max_u (d(u,v) - f(u)), and every extremal function is 1-Lipschitz and
-bounded by the eccentricity, which is what makes the search finite and
-prunable.  A ball family {B_{r(s)}(s)} is pairwise intersecting exactly when
-r(s) + r(t) >= d(s,t) for all s,t, so extremal functions are the
-pointwise-minimal pairwise-intersecting total families.
+bounded by the eccentricity, which is what makes a depth-first search over
+them finite and prunable.  A ball family {B_{r(s)}(s)} is pairwise
+intersecting exactly when r(s) + r(t) >= d(s,t) for all s,t, so extremal
+functions are the pointwise-minimal pairwise-intersecting total families.
+
+One search (`_extremal_search`) serves three callers.  Hellyfication lists
+every extremal function (`extremal_functions`).  The Helly witness and the
+coarse constant xi of a non-Helly graph stop at the first leaf that answers
+them (`_witness_search`, `coarse_helly_constant`), so neither lists the
+exponentially many functions of, say, a long cycle; both are still
+exponential in the worst case and keep the enumeration's size bound.
 """
 
 from __future__ import annotations
 
 import warnings
 from operator import add, sub
-from typing import Optional
+from typing import Callable, Optional
 
-from .graphs import (Graph, GraphError, directed_hausdorff, enumerate_geodesics,
-                     interval)
+from .graphs import Graph, GraphError, directed_hausdorff, interval
 
 EXTREMAL_VERTEX_BOUND = 14
 ORACLE_VERTEX_BOUND = 8
@@ -32,12 +36,17 @@ class SizeBoundExceeded(GraphError):
     pass
 
 
+_DECIDERS_DISAGREE = ("Helly deciders disagree: not dismantlable and "
+                      "clique-Helly, but every extremal function is a "
+                      "distance function")
+
 # A ball family is a tuple of (centre, radius) pairs sorted by centre: the
 # witness shape of both is_helly and is_pseudo_modular.
 BallFamily = tuple[tuple[int, int], ...]
 
 
-def _check_bound(g: Graph, bound: int, default: int, what: str) -> None:
+def _check_bound(g: Graph, bound: int, default: int = EXTREMAL_VERTEX_BOUND,
+                 what: str = "extremal-function enumeration") -> None:
     if g.n > bound:
         raise SizeBoundExceeded(
             f"{what} is bounded to {bound} vertices (got {g.n}); "
@@ -50,11 +59,37 @@ def _check_bound(g: Graph, bound: int, default: int, what: str) -> None:
 
 def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
                        ) -> list[tuple[int, ...]]:
-    """The complete set of integral extremal functions, sorted.
+    """The complete set of integral extremal functions, sorted: every leaf of
+    `_extremal_search` in BFS order from a central vertex, with floor 0."""
+    _check_bound(g, max_vertices)
+    order = _bfs_order(g)
+    out: list[tuple[int, ...]] = []
+    _extremal_search(g, order)(0, out.append)
+    inverse = [0] * g.n
+    for pos, v in enumerate(order):
+        inverse[v] = pos
+    return sorted(tuple(f[inverse[v]] for v in range(g.n)) for f in out)
 
-    Depth-first descent over candidate values per vertex, in BFS order from a
-    central vertex.  The value x of vertex i ranges over [L(i), U(i)], where
-    L(i) = max(0, max_u d(u,i) - f(u), max_u f(u) - d(u,i)) and
+
+def _bfs_order(g: Graph) -> list[int]:
+    """The vertices in BFS order from a central vertex: each vertex after the
+    first has an earlier neighbour, so the Lipschitz window leaves it at most
+    3 candidates."""
+    full = g.dist()
+    center = min(range(g.n), key=lambda v: (max(full[v]), v))
+    return sorted(range(g.n), key=lambda v: (full[center][v], v))
+
+
+def _extremal_search(g: Graph, order: list[int]
+                     ) -> Callable[[int, Callable], Optional[tuple[int, ...]]]:
+    """search(floor, stop): depth-first descent over the integral extremal
+    functions f with f >= floor everywhere, assigning the vertices in `order`.
+    Each leaf is the tuple of f's values in that order; the first leaf for
+    which stop is true is returned, and None once the search is exhausted.
+    Values are tried in ascending order, so leaves come in lexicographic order.
+
+    The value x of vertex i ranges over [L(i), U(i)], where
+    L(i) = max(floor, max_u d(u,i) - f(u), max_u f(u) - d(u,i)) and
     U(i) = min(ecc(i), min_u f(u) + d(u,i)) over the assigned u: feasibility,
     the Lipschitz property of extremal functions and the eccentricity bound.
     Lower bounds are kept only for the unassigned tail, and each assignment
@@ -75,15 +110,9 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     itself) and above max_u d(i,u) - L(u) over the unassigned u would be cut
     at once.
     """
-    _check_bound(g, max_vertices, EXTREMAL_VERTEX_BOUND,
-                 "extremal-function enumeration")
     full = g.dist()
     n = g.n
-    # assign vertices in BFS order from a central vertex: each new vertex then
-    # has an assigned neighbor, so the Lipschitz window leaves <= 3 candidates
-    center = min(range(n), key=lambda v: (max(full[v]), v))
-    order = sorted(range(n), key=lambda v: (full[center][v], v))
-    d = [[full[order[a]][order[b]] for b in range(n)] for a in range(n)]
+    d = [[full[a][b] for b in order] for a in order]
     ecc = [max(row) for row in d]
     # tails list the unassigned vertices last-first, u = n-1, ..., i+1, so
     # the tail of vertex i+1 is the tail of vertex i without its last entry
@@ -94,52 +123,53 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     lip = [[[abs(du - x) for du in tail[i]] for x in range(ecc[i] + 1)]
            for i in range(n)]
 
-    out: list[tuple[int, ...]] = []
-    vals: list[int] = []
-    wit = [n] * n  # tail position of the hint; n is never a valid position
+    def search(floor, stop):
+        vals: list[int] = []
+        wit = [n] * n  # tail position of the hint; n is never a valid position
 
-    def dfs(i: int, lbs: list[int], pending: list[tuple]) -> None:
-        # lbs: lower bounds L(u) for u = n-1, ..., i; lbs[-1] is vertex i
-        # pending: (v, f(v), d(v,.) last-first) for each assigned vertex
-        # without a witness among the assigned
-        if i == n:
-            out.append(tuple(vals))
-            return
-        di = d[i]
-        # x <= own has a witness already: an assigned u, or i itself at x = 0
-        own = max(0, max(map(sub, di, vals), default=0))
-        # U(i), capped where a larger x would find no witness in the tail
-        hi = min(ecc[i], min(map(add, di, vals), default=ecc[i]),
-                 max(own, max(map(sub, tail[i], lbs), default=0)))
-        lips = lip[i]
-        m = n - 1 - i  # tail length after assigning i
-        for x in range(lbs[-1], hi + 1):
-            nlbs = list(map(max, lbs, lips[x]))
-            npending = []
-            for entry in pending:
-                v, fv, rv = entry
-                if di[v] - x == fv:
-                    continue  # i witnesses v
-                k = wit[v]
-                if k >= m or rv[k] - nlbs[k] < fv:
-                    hope = list(map(sub, rv, nlbs))
-                    best = max(hope, default=-1)
-                    if best < fv:
-                        break
-                    wit[v] = hope.index(best)
-                npending.append(entry)
-            else:
-                if x > own:
-                    npending.append((i, x, rev[i]))
-                vals.append(x)
-                dfs(i + 1, nlbs, npending)
-                vals.pop()
+        def dfs(i: int, lbs: list[int], pending: list[tuple]):
+            # lbs: lower bounds L(u) for u = n-1, ..., i; lbs[-1] is vertex i
+            # pending: (v, f(v), d(v,.) last-first) for each assigned vertex
+            # without a witness among the assigned
+            if i == n:
+                f = tuple(vals)
+                return f if stop(f) else None
+            di = d[i]
+            # x <= own has a witness already: an assigned u, or i itself at 0
+            own = max(0, max(map(sub, di, vals), default=0))
+            # U(i), capped where a larger x would find no witness in the tail
+            hi = min(ecc[i], min(map(add, di, vals), default=ecc[i]),
+                     max(own, max(map(sub, tail[i], lbs), default=0)))
+            lips = lip[i]
+            m = n - 1 - i  # tail length after assigning i
+            for x in range(lbs[-1], hi + 1):
+                nlbs = list(map(max, lbs, lips[x]))
+                npending = []
+                for entry in pending:
+                    v, fv, rv = entry
+                    if di[v] - x == fv:
+                        continue  # i witnesses v
+                    k = wit[v]
+                    if k >= m or rv[k] - nlbs[k] < fv:
+                        hope = list(map(sub, rv, nlbs))
+                        best = max(hope, default=-1)
+                        if best < fv:
+                            break
+                        wit[v] = hope.index(best)
+                    npending.append(entry)
+                else:
+                    if x > own:
+                        npending.append((i, x, rev[i]))
+                    vals.append(x)
+                    found = dfs(i + 1, nlbs, npending)
+                    if found is not None:
+                        return found
+                    vals.pop()
+            return None
 
-    dfs(0, [0] * n, [])
-    inverse = [0] * n
-    for pos, v in enumerate(order):
-        inverse[v] = pos
-    return sorted(tuple(f[inverse[v]] for v in range(n)) for f in out)
+        return dfs(0, [floor] * n, [])
+
+    return search
 
 
 def decide_helly(g: Graph) -> bool:
@@ -211,10 +241,10 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
              ) -> tuple[bool, Optional[BallFamily]]:
     """Helly test by `decide_helly`, with a failing ball family on False.
 
-    Only a non-Helly graph is enumerated, and only for the witness: the first
+    Only a non-Helly graph is searched, and only for the witness: the first
     extremal function, in sorted order, that is not a distance function
-    d(x,.).  A graph is Helly iff every extremal function is a distance
-    function.  Why this is equivalent:
+    d(x,.) (`_witness_search`).  A graph is Helly iff every extremal function
+    is a distance function.  Why this is equivalent:
 
     * If some family {B_{r(s)}(s) : s in S} is pairwise intersecting, extend r
       to the total function g(v) = min_s (r(s) + d(v,s)).  g is pairwise
@@ -228,36 +258,25 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
     So a non-distance extremal function IS a pairwise intersecting family with
     empty total intersection, and is returned as the witness.  The size bound
-    applies to the enumeration only: a Helly graph of any size is answered.
+    applies to the search only: a Helly graph of any size is answered.
     """
     if decide_helly(g):
         return True, None
-    return False, _non_helly(g, max_vertices)[1]
+    _check_bound(g, max_vertices)
+    return False, _witness_search(g)
 
 
-def _non_helly(g: Graph, max_vertices: int
-               ) -> tuple[list[tuple[int, ...]], BallFamily]:
-    """The extremal functions of a graph that decide_helly rejected, with the
-    first witness among them.  The two deciders are independent, so a
-    rejected graph without a witness is a bug: AssertionError."""
-    fs = extremal_functions(g, max_vertices=max_vertices)
-    witness = _witness(g, fs)
-    if witness is None:
-        raise AssertionError("Helly deciders disagree: not dismantlable and "
-                             "clique-Helly, but every extremal function is a "
-                             "distance function")
-    return fs, witness
-
-
-def _witness(g: Graph, fs: list[tuple[int, ...]]) -> Optional[BallFamily]:
-    """The first extremal function that is not a distance row, as the ball
-    family centred on every vertex; None when there is none, i.e. when the
-    graph is Helly."""
+def _witness_search(g: Graph) -> BallFamily:
+    """The first extremal function in sorted order that is not a distance row,
+    as the ball family centred on every vertex.  The search assigns vertices
+    0..n-1 in turn, so its leaves come sorted and it stops at the first one
+    that is not a row.  Called only on a graph that decide_helly rejected; the
+    two deciders are independent, so finding none is a bug: AssertionError."""
     rows = set(g.dist())
-    for f in fs:
-        if f not in rows:
-            return tuple(enumerate(f))
-    return None
+    f = _extremal_search(g, list(range(g.n)))(0, lambda f: f not in rows)
+    if f is None:
+        raise AssertionError(_DECIDERS_DISAGREE)
+    return tuple(enumerate(f))
 
 
 def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> int:
@@ -268,30 +287,23 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
     then descends to an extremal one while only increasing the required
     inflation, so the worst case is max over extremal f of
     min_x max_v (d(x,v) - f(v))_+, and that value is attained by the family f
-    itself.  Zero exactly when the graph is Helly, which `decide_helly`
-    answers without enumerating; only a non-Helly graph is enumerated.
+    itself.  By the fixed-point identity max_v (d(x,v) - f(v)) = f(x), so xi
+    is the max over extremal f of min_x f(x): xi >= t iff the search with
+    every lower bound raised to t has a leaf.  t = 1, 2, ... are tried in
+    turn, each search stopping at its first leaf, and xi is the last t that
+    has one.  Zero exactly when the graph is Helly, which `decide_helly`
+    answers without searching; a non-distance extremal function has no zero,
+    so a rejected graph with no leaf at t = 1 is a bug: AssertionError.
     """
     if decide_helly(g):
         return 0
-    return _xi(g, _non_helly(g, max_vertices)[0])
-
-
-def _xi(g: Graph, fs: list[tuple[int, ...]]) -> int:
-    """max over f of max(0, min_x max_v d(x,v) - f(v)).  A row x with
-    max_v d(x,v) - f(v) <= xi so far shows that f cannot raise xi, so the
-    scan of f stops there."""
-    d = g.dist()
+    _check_bound(g, max_vertices)
+    search = _extremal_search(g, _bfs_order(g))
     xi = 0
-    for f in fs:
-        need = None
-        for row in d:
-            m = max(map(sub, row, f))
-            if m <= xi:
-                break
-            if need is None or m < need:
-                need = m
-        else:
-            xi = need  # every row exceeded xi >= 0, so need does too
+    while search(xi + 1, lambda f: True) is not None:
+        xi += 1
+    if xi == 0:
+        raise AssertionError(_DECIDERS_DISAGREE)
     return xi
 
 
@@ -396,22 +408,6 @@ def stable_interval_constant(g: Graph) -> int:
     return best
 
 
-def stable_interval_oracle(g: Graph, cap: int = 100_000) -> int:
-    """Cross-check of stable_interval_constant by explicit geodesic enumeration."""
-    d = g.dist()
-    best = 1
-    for a in range(g.n):
-        for u in g.adj[a]:
-            for b in range(g.n):
-                paths_ab, _ = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
-                paths_ub, _ = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
-                for p in paths_ab:
-                    for w in p:
-                        reach = min(min(d[w][z] for z in q) for q in paths_ub)
-                        best = max(best, reach)
-    return best
-
-
 def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
                   ) -> tuple[Graph, list[int]]:
     """The graph on integral extremal functions with adjacency at sup-distance
@@ -437,7 +433,7 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     embedding = [index[row] for row in g.dist()]
 
     with warnings.catch_warnings():
-        # the output is enumerated only if decide_helly rejects it
+        # the output is searched only if decide_helly rejects it
         warnings.simplefilter("ignore")
         ok_helly, _ = is_helly(out, max_vertices=max(out.n, max_vertices))
     if not ok_helly:
@@ -460,20 +456,15 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
 
 def analyze(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -> dict:
-    """The `analyze` report result: Helly verdict by `decide_helly`, then
-    pseudo-modularity and beta.  Only a non-Helly graph is enumerated, once,
-    for both its witness and xi; a Helly graph has xi 0 and no witness, at
-    any size.  The witness is the ball family as a list of [centre, radius]
-    pairs."""
-    witness = None
-    if decide_helly(g):
-        xi = 0
-    else:
-        fs, witness = _non_helly(g, max_vertices)
-        xi = _xi(g, fs)
-    result = {"is_helly": witness is None, "xi": xi,
+    """The `analyze` report result: xi by `coarse_helly_constant`, which runs
+    `decide_helly` and searches only a non-Helly graph, then that graph's
+    witness by `_witness_search`, pseudo-modularity and beta.  A Helly graph
+    has xi 0 and no witness, at any size.  The witness is the ball family as
+    a list of [centre, radius] pairs."""
+    xi = coarse_helly_constant(g, max_vertices)
+    result = {"is_helly": xi == 0, "xi": xi,
               "pseudo_modular": is_pseudo_modular(g)[0],
               "beta": stable_interval_constant(g)}
-    if witness is not None:
-        result["witness"] = [list(pair) for pair in witness]
+    if xi:
+        result["witness"] = [list(pair) for pair in _witness_search(g)]
     return result

@@ -1,0 +1,53 @@
+"""Oracles over the full enumeration of extremal functions and over explicit
+geodesic lists, kept as the independent references of the searches and the
+interval computation in `hellykit.helly`."""
+
+from operator import sub
+
+from hellykit.graphs import enumerate_geodesics
+
+
+def _witness(g, fs):
+    """The first extremal function that is not a distance row, as the ball
+    family centred on every vertex; None when there is none, i.e. when the
+    graph is Helly."""
+    rows = set(g.dist())
+    for f in fs:
+        if f not in rows:
+            return tuple(enumerate(f))
+    return None
+
+
+def _xi(g, fs):
+    """max over f of max(0, min_x max_v d(x,v) - f(v)).  A row x with
+    max_v d(x,v) - f(v) <= xi so far shows that f cannot raise xi, so the
+    scan of f stops there."""
+    d = g.dist()
+    xi = 0
+    for f in fs:
+        need = None
+        for row in d:
+            m = max(map(sub, row, f))
+            if m <= xi:
+                break
+            if need is None or m < need:
+                need = m
+        else:
+            xi = need  # every row exceeded xi >= 0, so need does too
+    return xi
+
+
+def stable_interval_oracle(g, cap=100_000):
+    """Cross-check of stable_interval_constant by explicit geodesic enumeration."""
+    d = g.dist()
+    best = 1
+    for a in range(g.n):
+        for u in g.adj[a]:
+            for b in range(g.n):
+                paths_ab, _ = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
+                paths_ub, _ = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
+                for p in paths_ab:
+                    for w in p:
+                        reach = min(min(d[w][z] for z in q) for q in paths_ub)
+                        best = max(best, reach)
+    return best

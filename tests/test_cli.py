@@ -70,18 +70,30 @@ class TestAnalyze:
         assert out1.read_bytes() == out2.read_bytes()
 
     # sha256 of the analyze report on C14 (non-Helly, 1,094 extremal
-    # functions) and the 3x3 king grid (Helly); the report records the graph
-    # path, so the file is read by a fixed relative name
+    # functions) and the 3x3 king grid (Helly), and on C16 and C18 (3,281 and
+    # 9,842 extremal functions, run with --max-vertices 18), all computed
+    # when the witness and xi came from the full enumeration; the report
+    # records the graph path, so the file is read by a fixed relative name
     @pytest.mark.parametrize("name, graph, digest", [
         ("c14", lambda: corpus.cycle(14),
          "1ae1df26d1c3f4eea808ee1875d1e23cf4ce82eeefe3bdf7fbe55f542b0f6699"),
         ("king3x3", lambda: corpus.king_grid(3, 3),
          "4b2a084694dc6201595a6098a5a0840463725a622fbb42720abdbf40c40ae8fa"),
-    ], ids=["c14", "king3x3"])
+        ("c16", lambda: corpus.cycle(16),
+         "a9e79327bdf351c54641ac313b070d5edae59000b19623ab62b07026992fa2c1"),
+        ("c18", lambda: corpus.cycle(18),
+         "e4c89c9d98c4260b807db504285db95c82fa401fc1742b96e30851e660f3a6fa"),
+    ], ids=["c14", "king3x3", "c16", "c18"])
     def test_pinned_report_digest(self, tmp_path, monkeypatch, name, graph, digest):
         monkeypatch.chdir(tmp_path)
-        write(tmp_path / f"{name}.json", json.dumps(graph_to_json(graph())))
-        assert main(["analyze", f"{name}.json", "--out", "a.json"]) == 0
+        g = graph()
+        write(tmp_path / f"{name}.json", json.dumps(graph_to_json(g)))
+        argv = ["analyze", f"{name}.json", "--out", "a.json"]
+        if g.n > helly.EXTREMAL_VERTEX_BOUND:
+            with pytest.warns(UserWarning, match="exceeds the default bound"):
+                assert main(argv + ["--max-vertices", "18"]) == 0
+        else:
+            assert main(argv) == 0
         assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == digest
 
 

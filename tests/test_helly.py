@@ -16,12 +16,12 @@ from networkx.generators.atlas import graph_atlas_g
 
 from hellykit import corpus, helly
 from hellykit.graphs import Graph, power_graph
-from hellykit.helly import (ORACLE_VERTEX_BOUND, SizeBoundExceeded, _witness,
-                            analyze, clique_helly, coarse_helly_constant,
-                            decide_helly, dismantlable, extremal_functions,
+from hellykit.helly import (ORACLE_VERTEX_BOUND, SizeBoundExceeded, analyze,
+                            clique_helly, coarse_helly_constant, decide_helly,
+                            dismantlable, extremal_functions,
                             helly_oracle_bruteforce, hellyfication, is_helly,
-                            is_pseudo_modular, stable_interval_constant,
-                            stable_interval_oracle)
+                            is_pseudo_modular, stable_interval_constant)
+from oracles import _witness, _xi, stable_interval_oracle
 
 
 def box_extremal_oracle(g):
@@ -296,6 +296,111 @@ class TestBruteForceOracle:
         graphs += small_random_graphs(40, 4, 7, seed=6)
         for g in graphs:
             assert helly_oracle_bruteforce(g) == enumeration_verdict(g)
+
+
+def assert_searches_match_enumeration(g):
+    """The witness and xi searches against the full enumeration oracles; a
+    witness is a pairwise intersecting ball family with no common vertex.
+    Returns xi."""
+    fs = extremal_functions(g, max_vertices=g.n)
+    xi = coarse_helly_constant(g)
+    assert xi == _xi(g, fs)
+    helly_, witness = is_helly(g)
+    assert witness == _witness(g, fs)
+    assert helly_ == (xi == 0)
+    if witness is not None:
+        assert_pairwise_intersecting_without_common_vertex(g, witness)
+    return xi
+
+
+def assert_pairwise_intersecting_without_common_vertex(g, family):
+    d = g.dist()
+    assert all(r + q >= d[s][t] for s, r in family for t, q in family)
+    assert not any(all(d[x][s] <= r for s, r in family) for x in range(g.n))
+
+
+def four_point_delta2(g):
+    """Twice the four-point hyperbolicity constant: over all quadruples, the
+    largest of the three pair sums d(x,y)+d(z,w) minus the second largest."""
+    d = g.dist()
+    worst = 0
+    for x, y, z, w in itertools.combinations(range(g.n), 4):
+        sums = sorted((d[x][y] + d[z][w], d[x][z] + d[y][w], d[x][w] + d[y][z]))
+        worst = max(worst, sums[2] - sums[1])
+    return worst
+
+
+class TestSearches:
+    """The witness and xi searches against the enumeration they replace, and
+    the laws they obey."""
+
+    def test_atlas(self):
+        graphs = atlas_connected_graphs()
+        xis = [assert_searches_match_enumeration(g) for g in graphs]
+        assert sum(xi == 0 for xi in xis) == 440
+
+    def test_random_graphs(self):
+        rng = random.Random(29)
+        xis = []
+        for _ in range(300):
+            n = rng.randint(7, 11)
+            g = corpus.random_connected(n, rng.randint(0, 3 * n),
+                                        rng.randrange(10 ** 6))
+            xis.append(assert_searches_match_enumeration(g))
+        assert 50 <= sum(xi == 0 for xi in xis) <= 250
+        assert max(xis) >= 2
+
+    @PROPERTY
+    @given(connected_graphs(max_n=10))
+    def test_property(self, g):
+        assert_searches_match_enumeration(g)
+
+    @pytest.mark.parametrize("n", range(3, 29))
+    def test_cycle_xi_is_quarter_length(self, n):
+        g = corpus.cycle(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # C15 and beyond exceed the default
+            xi = coarse_helly_constant(g, max_vertices=28)
+            helly_, witness = is_helly(g, max_vertices=28)
+            fs = extremal_functions(g, max_vertices=16) if n <= 16 else None
+        assert xi == n // 4
+        assert helly_ == (n == 3)
+        if witness is not None:
+            assert_pairwise_intersecting_without_common_vertex(g, witness)
+        if fs is not None:
+            assert xi == _xi(g, fs)
+            assert witness == _witness(g, fs)
+
+    def test_xi_at_most_twice_four_point_delta(self):
+        # Lang (2013, Prop. 1.3): the injective hull of a delta-hyperbolic
+        # space lies within 2 delta of it.  The bound is a cap, not the
+        # answer: it is tight on 26 of the 556 non-Helly graphs
+        non_helly = tight = 0
+        for g in atlas_connected_graphs():
+            xi, bound = coarse_helly_constant(g), four_point_delta2(g)
+            assert xi <= bound
+            if xi:
+                non_helly += 1
+                tight += xi == bound
+        assert (non_helly, tight) == (556, 26)
+
+    def test_analyze_decides_helly_once(self, monkeypatch):
+        calls = []
+        decide = helly.decide_helly
+        monkeypatch.setattr(helly, "decide_helly",
+                            lambda g: calls.append(g) or decide(g))
+        for g in (corpus.cycle(6), corpus.king_grid(3, 3)):
+            calls.clear()
+            analyze(g)
+            assert len(calls) == 1
+
+    def test_size_bound_warns_once(self):
+        # the searches keep the enumeration's bound and its warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert analyze(corpus.cycle(16), max_vertices=16)["xi"] == 4
+        assert len(caught) == 1
+        assert "exceeds the default bound 14" in str(caught[0].message)
 
 
 class TestCoarseConstant:
