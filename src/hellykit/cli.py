@@ -198,103 +198,118 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = ("analyze", "hellyfy", "group", "gamma", "derive", "measure",
+               "quasiconvex", "corpus", "dot")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  Its usage line
+    still lists every subcommand, so the parser of one gives the same help
+    text and usage errors for it as the full parser."""
     parser = argparse.ArgumentParser(prog="hellykit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
 
-    p = sub.add_parser("analyze", help="Helly-type report for a graph file")
-    p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
-                   help="bound on the extremal-function search, which "
-                        "runs only on a non-Helly graph (for its witness and "
-                        "xi); a Helly graph of any size is reported")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze)
+    def add(name, help_line, func):
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            p.set_defaults(func=func)
+            return p
+        return None
 
-    p = sub.add_parser("hellyfy", help="minimal Helly graph containing the input")
-    p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
-                   help="bound on the extremal-function enumeration of the input")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hellyfy)
+    if p := add("analyze", "Helly-type report for a graph file", _cmd_analyze):
+        p.add_argument("graph")
+        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                       help="bound on the extremal-function search, which "
+                            "runs only on a non-Helly graph (for its witness and "
+                            "xi); a Helly graph of any size is reported")
+        p.add_argument("--out")
 
-    p = sub.add_parser("group", help="group-model queries")
-    p.add_argument("action", choices=["ball"])
-    p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--metric", choices=["rel", "abs"], default="rel")
-    p.add_argument("--parabolic-cap", type=int, default=2)
-    p.add_argument("--guard", type=int, default=BALL_GUARD_DEFAULT)
-    p.add_argument("--list-elements", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_group)
+    if p := add("hellyfy", "minimal Helly graph containing the input",
+                _cmd_hellyfy):
+        p.add_argument("graph")
+        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                       help="bound on the extremal-function enumeration of "
+                            "the input")
+        p.add_argument("--out")
 
-    p = sub.add_parser("gamma", help="build a finite window of the glued graph")
-    p.add_argument("action", choices=["build"])
-    p.add_argument("--group", required=True)
-    p.add_argument("--N", dest="n_thick", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
-    p.add_argument("--dot")
-    p.add_argument("--graph-out", dest="graph_out",
-                   help="also write the window projected to a plain graph")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gamma)
+    if p := add("group", "group-model queries", _cmd_group):
+        p.add_argument("action", choices=["ball"])
+        p.add_argument("--spec", required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--metric", choices=["rel", "abs"], default="rel")
+        p.add_argument("--parabolic-cap", type=int, default=2)
+        p.add_argument("--guard", type=int, default=BALL_GUARD_DEFAULT)
+        p.add_argument("--list-elements", action="store_true")
+        p.add_argument("--out")
 
-    p = sub.add_parser("derive", help="derived-word checks over window geodesics")
-    p.add_argument("--group", required=True)
-    p.add_argument("--N", dest="n_thick", type=int, required=True)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_derive)
+    if p := add("gamma", "build a finite window of the glued graph",
+                _cmd_gamma):
+        p.add_argument("action", choices=["build"])
+        p.add_argument("--group", required=True)
+        p.add_argument("--N", dest="n_thick", type=int, required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
+        p.add_argument("--dot")
+        p.add_argument("--graph-out", dest="graph_out",
+                       help="also write the window projected to a plain graph")
+        p.add_argument("--out")
 
-    p = sub.add_parser("measure", help="empirical relative-hyperbolicity constants")
-    p.add_argument("--what", choices=["bcp", "nu", "mu", "delta", "zeta"],
-                   required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", default="2")
-    p.add_argument("--c", default="1")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--parabolic-cap", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_measure)
+    if p := add("derive", "derived-word checks over window geodesics",
+                _cmd_derive):
+        p.add_argument("--group", required=True)
+        p.add_argument("--N", dest="n_thick", type=int, required=True)
+        p.add_argument("--radius", type=int, default=8)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
+        p.add_argument("--out")
 
-    p = sub.add_parser("quasiconvex", help="orbit-subgraph lemma checks")
-    p.add_argument("--ambient", required=True)
-    p.add_argument("--orbit", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--c", default="0")
-    p.add_argument("--xi", type=int, default=None)
-    p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_quasiconvex)
+    if p := add("measure", "empirical relative-hyperbolicity constants",
+                _cmd_measure):
+        p.add_argument("--what", choices=["bcp", "nu", "mu", "delta", "zeta"],
+                       required=True)
+        p.add_argument("--group", required=True)
+        p.add_argument("--radius", type=int, default=6)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--lambda", dest="lam", default="2")
+        p.add_argument("--c", default="1")
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--parabolic-cap", type=int, default=2)
+        p.add_argument("--out")
 
-    p = sub.add_parser("corpus", help="generate corpus graph/group files")
-    p.add_argument("kind", choices=["cycle", "path", "tree-random", "king-grid",
-                                    "complete", "group-freeproduct"])
-    p.add_argument("--param", action="append",
-                   help="key=value, e.g. n=6 or factors=cyclic:2,cyclic:3")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_corpus)
+    if p := add("quasiconvex", "orbit-subgraph lemma checks",
+                _cmd_quasiconvex):
+        p.add_argument("--ambient", required=True)
+        p.add_argument("--orbit", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--lambda", dest="lam", default="1")
+        p.add_argument("--c", default="0")
+        p.add_argument("--xi", type=int, default=None)
+        p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
+        p.add_argument("--out")
 
-    p = sub.add_parser("dot", help="DOT export of a graph file")
-    p.add_argument("graph")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_export_dot)
+    if p := add("corpus", "generate corpus graph/group files", _cmd_corpus):
+        p.add_argument("kind", choices=["cycle", "path", "tree-random",
+                                        "king-grid", "complete",
+                                        "group-freeproduct"])
+        p.add_argument("--param", action="append",
+                       help="key=value, e.g. n=6 or factors=cyclic:2,cyclic:3")
+        p.add_argument("--out")
+
+    if p := add("dot", "DOT export of a graph file", _cmd_export_dot):
+        p.add_argument("graph")
+        p.add_argument("--out")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # one subparser costs a fraction of all nine, on every call
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except AssertionError as exc:

@@ -211,7 +211,9 @@ def is_isometric_subgraph(sub: Graph, embedding: Sequence[int], sup: Graph
     """Check d_sub(u,v) == d_sup(phi u, phi v) for all pairs.
 
     The embedding must map edges to edges (distances can then only drop, so a
-    failure witness always has d_sub > d_sup).  Returns (ok, witness pair).
+    failure witness always has d_sub > d_sup).  Returns (ok, witness pair),
+    the first failing pair in order.  sup is searched by one BFS from each
+    embedded vertex, never all-pairs.
     """
     if len(embedding) != sub.n:
         raise GraphError("embedding has wrong length")
@@ -219,10 +221,10 @@ def is_isometric_subgraph(sub: Graph, embedding: Sequence[int], sup: Graph
         for v in sub.adj[u]:
             if u < v and embedding[v] not in sup.adj[embedding[u]]:
                 raise GraphError(f"embedding does not preserve edge ({u},{v})")
-    ds, dS = sub.dist(), sup.dist()
-    for u in range(sub.n):
+    for u, row in enumerate(sub.dist()):
+        dS = bfs_row(sup.adj, embedding[u])
         for v in range(u + 1, sub.n):
-            if ds[u][v] != dS[embedding[u]][embedding[v]]:
+            if row[v] != dS[embedding[v]]:
                 return False, (u, v)
     return True, None
 

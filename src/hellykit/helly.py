@@ -23,10 +23,11 @@ exponential in the worst case and keep the enumeration's size bound.
 from __future__ import annotations
 
 import warnings
-from operator import add, sub
+from functools import reduce
+from operator import add, and_, sub
 from typing import Callable, Optional
 
-from .graphs import Graph, GraphError, directed_hausdorff, interval
+from .graphs import Graph, GraphError
 
 EXTREMAL_VERTEX_BOUND = 14
 ORACLE_VERTEX_BOUND = 8
@@ -202,25 +203,24 @@ def dismantlable(g: Graph) -> bool:
 def clique_helly(g: Graph) -> bool:
     """Whether the maximal cliques have the Helly property: iff for every
     triangle abc the extended triangle T*, the vertices adjacent to at least
-    two of a, b, c, lies in N[u] for some u.  Such a u is adjacent to a, b
-    and c, which are in T*, so only u in N[a] & N[b] & N[c] are tried, after
-    the u that served the previous triangle: nearby triangles often share
-    one, and any u with T* in N[u] will do."""
+    two of a, b, c, lies in N[u] for some u.  T* is the union of N[x] & N[y]
+    over the three edges xy of the triangle, so u serves abc iff it lies in
+    U(ab), U(ac) and U(bc), where U(xy), the u with N[x] & N[y] within N[u],
+    is the AND of N[z] over z in N[x] & N[y], computed once per edge."""
     nb = _closed_neighbourhoods(g)
-    u = 0
-    for a, na in enumerate(nb):
+    # N[x] & N[y] is listed by set intersection, faster than reading its bits
+    closed = [{v, *a} for v, a in enumerate(g.adj)]
+    # dom[a][b] = U(ab) for each edge ab with a < b
+    dom: list[dict[int, int]] = [{} for _ in nb]
+    for a, above in enumerate(dom):
         for b in g.adj[a]:
-            if b < a:
-                continue
-            nab = na & nb[b]
-            for c in _bits(nab & -(2 << b)):  # c > b, adjacent to a and b
-                star = nab | (na | nb[b]) & nb[c]
-                if star & ~nb[u]:
-                    for u in _bits(nab & nb[c]):
-                        if star & ~nb[u] == 0:
-                            break
-                    else:
-                        return False
+            if b > a:
+                above[b] = reduce(and_, map(nb.__getitem__, closed[a] & closed[b]))
+    for a, above in enumerate(dom):
+        for b, uab in above.items():
+            for c in above.keys() & dom[b].keys():  # c > b, adjacent to a and b
+                if not uab & above[c] & dom[b][c]:
+                    return False
     return True
 
 
@@ -393,18 +393,37 @@ def stable_interval_constant(g: Graph) -> int:
     """Least beta >= 1 such that the graph has beta-stable intervals.
 
     For a geodesic from a to b, a vertex w on it, and u adjacent to a, some
-    geodesic from u to b must pass within beta of w.  Every vertex of
-    interval(u,b) lies on some u-b geodesic and vice versa, so the distance
-    from w to the nearest vertex of interval(u,b) is exactly the best
-    achievable over geodesic choices; maximize over all (a, b, u, w).
+    geodesic from u to b must pass within beta of w.  Every vertex of the
+    interval I(u,b) lies on some u-b geodesic and vice versa, so the distance
+    from w to the nearest vertex of I(u,b) is exactly the best achievable over
+    geodesic choices; maximize over all (a, b, u, w).  For each b the
+    intervals are bitsets, I(x,b) = {x} | the I(y,b) of the neighbours y of x
+    one step closer to b.  For each u, I(u,b) grows one closed neighbourhood
+    at a time until it covers I(a,b) for every a adjacent to u; the number of
+    steps is the max over those a of the directed Hausdorff distance from
+    I(a,b) to I(u,b).
     """
-    row = g.rows()
+    nb = _closed_neighbourhoods(g)
     best = 1  # the defining property quantifies over beta >= 1
-    for a in range(g.n):
-        for u in g.adj[a]:
-            for b in range(g.n):
-                best = max(best, directed_hausdorff(row, interval(g, a, b),
-                                                    interval(g, u, b)))
+    for db in g.dist():
+        iv = [0] * g.n
+        for x in sorted(range(g.n), key=db.__getitem__):
+            ix = 1 << x
+            for y in g.adj[x]:
+                if db[y] < db[x]:
+                    ix |= iv[y]
+            iv[x] = ix
+        for u, grown in enumerate(iv):
+            target = 0
+            for a in g.adj[u]:
+                target |= iv[a]
+            fresh, steps = grown, 0
+            while target & ~grown:
+                reach = grown
+                for v in _bits(fresh):
+                    reach |= nb[v]
+                fresh, grown, steps = reach & ~grown, reach, steps + 1
+            best = max(best, steps)
     return best
 
 
@@ -423,12 +442,19 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
         raise GraphError("graph not connected")
     fs = extremal_functions(g, max_vertices=max_vertices)
     index = {f: i for i, f in enumerate(fs)}
+    # near[v][t]: the functions whose value at v is within 1 of t, as a
+    # bitset (values lie in [0, ecc(v)]); the neighbours of f are the other
+    # functions in the AND of near[v][f(v)] over all v
+    near = []
+    for v, row in enumerate(g.dist()):
+        at = [0] * (max(row) + 3)  # at[t + 1]: the functions with value t
+        for i, f in enumerate(fs):
+            at[f[v] + 1] |= 1 << i
+        near.append([x | y | z for x, y, z in zip(at, at[1:], at[2:])])
     edges = []
     for i, f in enumerate(fs):
-        for j in range(i + 1, len(fs)):
-            h = fs[j]
-            if max(abs(a - b) for a, b in zip(f, h)) == 1:
-                edges.append((i, j))
+        later = reduce(and_, map(list.__getitem__, near, f), -(2 << i))
+        edges += ((i, j) for j in _bits(later))
     out = Graph(len(fs), edges)
     embedding = [index[row] for row in g.dist()]
 

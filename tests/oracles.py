@@ -1,10 +1,12 @@
-"""Oracles over the full enumeration of extremal functions and over explicit
-geodesic lists, kept as the independent references of the searches and the
-interval computation in `hellykit.helly`."""
+"""Oracles over the full enumeration of extremal functions, explicit
+geodesic lists and intervals, and one check per triangle, kept as the
+independent references of the searches, the stable-interval constant and the
+clique-Helly test in `hellykit.helly`."""
 
 from operator import sub
 
-from hellykit.graphs import enumerate_geodesics
+from hellykit.graphs import directed_hausdorff, enumerate_geodesics, interval
+from hellykit.helly import _bits, _closed_neighbourhoods
 
 
 def _witness(g, fs):
@@ -51,3 +53,39 @@ def stable_interval_oracle(g, cap=100_000):
                         reach = min(min(d[w][z] for z in q) for q in paths_ub)
                         best = max(best, reach)
     return best
+
+
+def stable_interval_hausdorff(g):
+    """beta as the max over a, u adjacent to a, and b of the directed
+    Hausdorff distance from interval(a,b) to interval(u,b), starting at 1."""
+    row = g.rows()
+    best = 1
+    for a in range(g.n):
+        for u in g.adj[a]:
+            for b in range(g.n):
+                best = max(best, directed_hausdorff(row, interval(g, a, b),
+                                                    interval(g, u, b)))
+    return best
+
+
+def clique_helly_per_triangle(g):
+    """Clique-Helly by one check per triangle abc: its extended triangle T*,
+    the vertices adjacent to at least two of a, b, c, lies in N[u] for some u
+    in N[a] & N[b] & N[c], trying first the u that served the previous
+    triangle."""
+    nb = _closed_neighbourhoods(g)
+    u = 0
+    for a, na in enumerate(nb):
+        for b in g.adj[a]:
+            if b < a:
+                continue
+            nab = na & nb[b]
+            for c in _bits(nab & -(2 << b)):  # c > b, adjacent to a and b
+                star = nab | (na | nb[b]) & nb[c]
+                if star & ~nb[u]:
+                    for u in _bits(nab & nb[c]):
+                        if star & ~nb[u] == 0:
+                            break
+                    else:
+                        return False
+    return True

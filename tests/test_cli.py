@@ -42,6 +42,26 @@ def cycle_with_chords(n, chords, seed):
     return Graph(n, edges + extra)
 
 
+# the required arguments of each subcommand; with them, an unknown flag
+# gets past the subparser to the top parser, which reports it under its
+# own usage line
+REQUIRED_ARGS = {"analyze": ["g.json"], "hellyfy": ["g.json"],
+                 "group": ["ball", "--spec", "s.json", "--radius", "1"],
+                 "gamma": ["build", "--group", "g.json", "--N", "1",
+                           "--radius", "1"],
+                 "derive": ["--group", "g.json", "--N", "1"],
+                 "measure": ["--what", "nu", "--group", "g.json"],
+                 "quasiconvex": ["--ambient", "a.json", "--orbit", "o.json",
+                                 "--k", "1"],
+                 "corpus": ["cycle"], "dot": ["g.json"]}
+USAGE_CASES = {"no-args": [], "help": ["--help"], "unknown-command": ["frobnicate"]}
+for _command in cli.SUBCOMMANDS:
+    USAGE_CASES[f"{_command}-help"] = [_command, "--help"]
+    USAGE_CASES[f"{_command}-missing-args"] = [_command]
+    USAGE_CASES[f"{_command}-unknown-flag"] = [_command, *REQUIRED_ARGS[_command],
+                                               "--no-such-flag"]
+
+
 class TestAnalyze:
     def test_c4(self, tmp_path, capsys):
         code = main(["analyze", c4_edge_list(tmp_path)])
@@ -108,9 +128,11 @@ class TestHellyfy:
         assert g.n == 5
         assert sorted(len(a) for a in g.adj) == [3, 3, 3, 3, 4]
 
-    # sha256 of the hellyfy report on C8, C9, C10 (a 122-vertex hull) and a
-    # C10 with two seeded chords (43 extremal functions); the report records
-    # the graph path, so the file is read by a fixed relative name
+    # sha256 of the hellyfy report on C8, C9, C10 (a 122-vertex hull), C12
+    # (a 365-vertex hull) and a C10 with two seeded chords (43 extremal
+    # functions), each computed when the hull edges came from a scan of every
+    # pair and the postcondition checked one triangle at a time; the report
+    # records the graph path, so the file is read by a fixed relative name
     @pytest.mark.parametrize("name, graph, digest", [
         ("c8", lambda: corpus.cycle(8),
          "f86b813a2806da70e86ceca78ee27a105c09701d4b439b4f898d4a776a9ff217"),
@@ -120,7 +142,9 @@ class TestHellyfy:
          "cb2e1d780c0cb7b08816027894082d5daeb38721355a0761297193f2a0a64029"),
         ("c10k2", lambda: cycle_with_chords(10, 2, seed=9),
          "ce56c6b75430f59336cdfaf19554a992d86c8f820bf674c6d7e089d5e80d2877"),
-    ], ids=["c8", "c9", "c10", "c10k2"])
+        ("c12", lambda: corpus.cycle(12),
+         "1ccfb5ffe74134e4b3d2e7571b6ef43888e32f1cb76ecc993bdcf178f3d4b149"),
+    ], ids=["c8", "c9", "c10", "c10k2", "c12"])
     def test_pinned_report_digest(self, tmp_path, monkeypatch, capsys, name,
                                   graph, digest):
         monkeypatch.chdir(tmp_path)
@@ -140,6 +164,20 @@ class TestUsage:
             main(["gamma", "build"])
         assert info.value.code == 2
 
+
+    @pytest.mark.parametrize("argv", USAGE_CASES.values(), ids=USAGE_CASES.keys())
+    def test_one_subparser_matches_the_full_parser(self, capsys, argv):
+        # main builds only the named subcommand's parser: its help text, its
+        # usage errors and its exit code are those of the full parser
+        def outcome(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            captured = capsys.readouterr()
+            return info.value.code, captured.out, captured.err
+
+        got = outcome(main)
+        assert got == outcome(cli.build_parser().parse_args)
+        assert got[0] == (0 if "--help" in argv else 2)
 
     def test_readme_examples_parse(self):
         # every command line the README shows must still parse, so a removed

@@ -135,6 +135,19 @@ class TestDerive:
         assert res.word.letters == (("h", 0, (-6, 0)),)
         assert res.word.base == spec.parabolic(0, (6, 0))
 
+    def test_long_suffix_extended(self):
+        # the reverse of the long-prefix path: four internal vertices after
+        # the last free one, so the escape path of the end is appended
+        w = window_zz2(6)
+        spec = w.config.spec
+        inner = [(0, 0), (2, 0), (4, 0), (6, 0)]
+        path = [("free", spec.identity)] + [("int", 0, (), u) for u in inner]
+        res = derive(w, path)
+        assert res.extended_last and not res.extended_first
+        assert res.word.letters == (("h", 0, (6, 0)),)
+        assert res.word.base == spec.identity
+        assert res.segments[-1][0][-1] == z_path(w.config, path[-1])[-1]
+
     def test_trivial_path(self):
         w = window_z23(3)
         res = derive(w, [w.base])

@@ -190,6 +190,26 @@ class TestIsometricSubgraph:
         with pytest.raises(GraphError):
             is_isometric_subgraph(corpus.path(3), [0, 2, 4], corpus.cycle(6))
 
+    def test_matches_all_pairs_on_random_induced_subgraphs(self):
+        # the BFS from the embedded vertices against the all-pairs matrices:
+        # same verdict and the same first failing pair
+        rng = random.Random(5)
+        verdicts = []
+        for _ in range(200):
+            g = corpus.random_connected(rng.randint(4, 12), rng.randint(0, 8),
+                                        rng.randrange(10 ** 6))
+            try:
+                sub, index = full_subgraph(g, rng.sample(range(g.n), g.n // 2 + 1))
+            except GraphError:
+                continue  # a disconnected piece
+            back = sorted(index, key=index.get)
+            d, ds = g.dist(), sub.dist()
+            first = next(((u, v) for u in range(sub.n) for v in range(u + 1, sub.n)
+                          if ds[u][v] != d[back[u]][back[v]]), None)
+            assert is_isometric_subgraph(sub, back, g) == (first is None, first)
+            verdicts.append(first is None)
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
 
 class TestClassifyPath:
     def test_single_edge(self):

@@ -1,7 +1,8 @@
 """Helly recognition: extremal functions against a box-search oracle, the
 polynomial decider against the enumeration verdict and the brute-force family
-oracle, coarse constants, pseudo-modularity, stable intervals, and
-Hellyfication postconditions."""
+oracle, the bitset clique-Helly test and stable-interval constant against the
+per-triangle and interval oracles they replaced, coarse constants,
+pseudo-modularity, stable intervals, and Hellyfication postconditions."""
 
 import hashlib
 import itertools
@@ -21,7 +22,8 @@ from hellykit.helly import (ORACLE_VERTEX_BOUND, SizeBoundExceeded, analyze,
                             dismantlable, extremal_functions,
                             helly_oracle_bruteforce, hellyfication, is_helly,
                             is_pseudo_modular, stable_interval_constant)
-from oracles import _witness, _xi, stable_interval_oracle
+from oracles import (_witness, _xi, clique_helly_per_triangle,
+                     stable_interval_hausdorff, stable_interval_oracle)
 
 
 def box_extremal_oracle(g):
@@ -533,6 +535,57 @@ class TestStableIntervals:
     def test_matches_geodesic_oracle(self):
         for g in small_random_graphs(10, 4, 7, seed=10):
             assert stable_interval_constant(g) == stable_interval_oracle(g)
+
+
+def assert_bitset_checks_match_oracles(g):
+    """clique_helly and beta equal their per-triangle and interval/Hausdorff
+    oracles; the clique-Helly verdict is returned."""
+    verdict = clique_helly(g)
+    assert clique_helly_per_triangle(g) == verdict
+    assert stable_interval_constant(g) == stable_interval_hausdorff(g)
+    return verdict
+
+
+class TestBitsetChecks:
+    """The bitset clique_helly and beta against the algorithms they replaced."""
+
+    def test_atlas(self):
+        graphs = atlas_connected_graphs()
+        assert sum(assert_bitset_checks_match_oracles(g) for g in graphs) == 914
+
+    def test_random_graphs(self):
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(150):
+            n = rng.randint(7, 16)
+            g = corpus.random_connected(n, rng.randint(0, 3 * n),
+                                        rng.randrange(10 ** 6))
+            verdicts.append(assert_bitset_checks_match_oracles(g))
+        assert 40 <= sum(verdicts) <= 110  # both verdicts well represented
+
+    @PROPERTY
+    @given(connected_graphs(max_n=10))
+    def test_property(self, g):
+        assert_bitset_checks_match_oracles(g)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_cycles(self, n):
+        # beta(C_n) grows to 4 here; the atlas and random graphs stop at 2
+        assert_bitset_checks_match_oracles(corpus.cycle(n))
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+    def test_cycle_hulls(self, n):
+        # dense Helly graphs of 41 to 365 vertices, and a copy with a seeded
+        # 2% of the edges removed, which is not clique-Helly
+        hull = hellyfication(corpus.cycle(n))[0]
+        rng = random.Random(n)
+        damaged = Graph(hull.n, [e for e in hull.edges() if rng.random() > 0.02])
+        for g, verdict in ((hull, True), (damaged, False)):
+            assert clique_helly(g) == clique_helly_per_triangle(g) == verdict
+        # the interval oracle takes about 0.5 s on the 41-vertex C8 hull and
+        # 36 s on the 122-vertex C10 hull, so beta is compared on C8 and C9
+        if hull.n <= 41:
+            assert stable_interval_constant(hull) == stable_interval_hausdorff(hull) == 1
 
 
 class TestHellyfication:
