@@ -6,8 +6,8 @@ from .graphs import (Graph, QGParams, ball, classify_path,
                      enumerate_geodesics, full_subgraph, hausdorff_distance,
                      interval, is_isometric_subgraph, power_graph, thinness_delta)
 from .helly import (analyze, coarse_helly_constant, decide_helly,
-                    extremal_functions, helly_oracle_bruteforce, hellyfication,
-                    is_helly, is_pseudo_modular, stable_interval_constant)
+                    extremal_functions, hellyfication, is_helly,
+                    is_pseudo_modular, stable_interval_constant)
 from .groups import (CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec)
 from .relwords import (Component, RelWord, analyze_word, connected,
                        decompose_components, is_rel_geodesic, k_similar,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import corpus as corpus_mod
@@ -24,25 +25,39 @@ from .groups import BALL_GUARD_DEFAULT, GroupSpec
 from .helly import EXTREMAL_VERTEX_BOUND, analyze, hellyfication
 from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, verify_section5
 from .relwords import measure_bcp, measure_delta, measure_triangles, measure_zeta
-from .reports import build_report, dumps, render
+from .reports import build_report, iterencode, validate_report
 
 VIOLATION_EXIT = 1
 USAGE_EXIT = 2
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the file `out`, or to stdout when no file is given."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces to the file `out` as they come, or joined to stdout,
+    which cannot be taken back.  If encoding fails midway, a seekable file is
+    cut back to empty, so it holds no partial report; the path is kept, as
+    it may be /dev/stdout."""
+    if not out:
+        sys.stdout.write("".join(pieces))
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(pieces)
+        except BaseException:
+            if fh.seekable():
+                fh.truncate(0)
+            raise
+
+
+def _report(command: str, config: dict, result: dict, out: str | None) -> None:
+    report = build_report(command, config, result)
+    validate_report(report)  # before `out` is opened
+    _emit(iterencode(report), out)
 
 
 def _cmd_analyze(args) -> int:
     result = analyze(load_graph(args.graph), max_vertices=args.max_vertices)
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
-    _emit(render(build_report("analyze", config, result)), args.out)
+    _report("analyze", config, result, args.out)
     return 0
 
 
@@ -53,7 +68,7 @@ def _cmd_hellyfy(args) -> int:
     result = {"graph": record, "embedding": embedding, "helly": True,
               "isometric": True}
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
-    _emit(render(build_report("hellyfy", config, result)), args.out)
+    _report("hellyfy", config, result, args.out)
     print("helly: true", file=sys.stderr)
     return 0
 
@@ -71,7 +86,7 @@ def _cmd_group(args) -> int:
         result["elements"] = sorted(dist)
     config = {"spec": spec.to_json(), "radius": args.radius,
               "metric": args.metric, "parabolic_cap": args.parabolic_cap}
-    _emit(render(build_report("group-ball", config, result)), args.out)
+    _report("group-ball", config, result, args.out)
     return 0
 
 
@@ -106,13 +121,13 @@ def _cmd_gamma(args) -> int:
     result["assumption_clauses"] = certified_clauses(spec, args.n_thick)
     result["sanity_problems"] = problems
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius}
-    _emit(render(build_report("gamma-build", cfg, result)), args.out)
+    _report("gamma-build", cfg, result, args.out)
     if args.dot:
-        _emit(window.to_dot(), args.dot)
+        _emit([window.to_dot()], args.dot)
     if args.graph_out:
         g, _ = window.to_graph()
-        _emit(dumps(graph_to_json(g, meta={"projected_from": "gamma-window"})),
-              args.graph_out)
+        record = graph_to_json(g, meta={"projected_from": "gamma-window"})
+        _emit(iterencode(record), args.graph_out)
     return VIOLATION_EXIT if problems else 0
 
 
@@ -123,7 +138,7 @@ def _cmd_derive(args) -> int:
     result = verify_derivation_theorems(window, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
-    _emit(render(build_report("derive", cfg, result)), args.out)
+    _report("derive", cfg, result, args.out)
     return VIOLATION_EXIT if result["violations"] else 0
 
 
@@ -145,7 +160,7 @@ def _cmd_measure(args) -> int:
            "seed": args.seed, "radius": args.radius,
            "parabolic_cap": args.parabolic_cap, "lambda": str(lam), "c": str(c),
            "k": args.k}
-    _emit(render(build_report("measure", cfg, result)), args.out)
+    _report("measure", cfg, result, args.out)
     return 0
 
 
@@ -175,7 +190,7 @@ def _cmd_quasiconvex(args) -> int:
                              instance=args.ambient, requested=requested)
     cfg = {"ambient": args.ambient, "orbit": sorted(set(orbit)), "k": args.k,
            "lambda": str(requested.lam), "c": str(requested.c), "cap": args.cap}
-    _emit(render(build_report("quasiconvex", cfg, result)), args.out)
+    _report("quasiconvex", cfg, result, args.out)
     return VIOLATION_EXIT if result["violations"] else 0
 
 
@@ -188,13 +203,13 @@ def _cmd_corpus(args) -> int:
         params["factors"] = (params.get("factors") or "").split(",")
     record, name = corpus_mod.generate(args.kind, params)
     out = args.out or name
-    _emit(dumps(record), out)
+    _emit(iterencode(record), out)
     print(out, file=sys.stderr)
     return 0
 
 
 def _cmd_export_dot(args) -> int:
-    _emit(to_dot(load_graph(args.graph)), args.out)
+    _emit([to_dot(load_graph(args.graph))], args.out)
     return 0
 
 

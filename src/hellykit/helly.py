@@ -30,7 +30,6 @@ from typing import Callable, Optional
 from .graphs import Graph, GraphError
 
 EXTREMAL_VERTEX_BOUND = 14
-ORACLE_VERTEX_BOUND = 8
 
 
 class SizeBoundExceeded(GraphError):
@@ -305,65 +304,6 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
     if xi == 0:
         raise AssertionError(_DECIDERS_DISAGREE)
     return xi
-
-
-def helly_oracle_bruteforce(g: Graph, max_vertices: int = ORACLE_VERTEX_BOUND
-                            ) -> bool:
-    """Independent brute-force Helly test for cross-validation.
-
-    Enumerates ball families directly: each vertex is either not a center or a
-    center with radius below its eccentricity (a ball covering everything never
-    witnesses a failure), keeping only pairwise-feasible choices.  Shrinking
-    any one radius of a pairwise-feasible empty-intersection family keeps both
-    properties, so only families in which every positive radius is tight
-    against some partner need checking.  Returns False iff such a family with
-    empty intersection exists.
-    """
-    _check_bound(g, max_vertices, ORACLE_VERTEX_BOUND,
-                 "brute-force Helly oracle")
-    n = g.n
-    d = g.dist()
-    ecc = [max(row) for row in d]
-    suffix_max = [[0] * n for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for v in range(n):
-            suffix_max[i][v] = max(suffix_max[i + 1][v], d[i][v])
-
-    chosen: list[tuple[int, int]] = []
-
-    def candidates_ok() -> bool:
-        return any(all(d[x][s] <= r for s, r in chosen) for x in range(n))
-
-    def minimal() -> bool:
-        for s, r in chosen:
-            if r > 0 and all(r + r2 > d[s][s2] for s2, r2 in chosen if s2 != s):
-                return False
-        return True
-
-    def dfs(i: int) -> bool:
-        """True while no counterexample found."""
-        if i == n:
-            if len(chosen) >= 2 and minimal() and not candidates_ok():
-                return False
-            return True
-        # tightness hope: a positive radius with no partner yet must still be
-        # matchable by a future center
-        for s, r in chosen:
-            if r > 0 and all(r + r2 > d[s][s2] for s2, r2 in chosen if s2 != s):
-                if suffix_max[i][s] < r:
-                    return True
-        if not dfs(i + 1):  # vertex i not a center
-            return False
-        for r in range(0, max(ecc[i], 1)):
-            if all(r + r2 >= d[i][s2] for s2, r2 in chosen):
-                chosen.append((i, r))
-                ok = dfs(i + 1)
-                chosen.pop()
-                if not ok:
-                    return False
-        return True
-
-    return dfs(0)
 
 
 def is_pseudo_modular(g: Graph) -> tuple[bool, Optional[BallFamily]]:

@@ -13,17 +13,25 @@ The harnesses behind analyze, derive, measure and quasiconvex
 quasiconvex.verify_section5) return their report's `result` object itself,
 so the library and the report share one vocabulary; the CLI adds nothing.
 
-Every JSON file the CLI writes goes through `dumps`, which gives exactly the
-bytes of json.dumps(obj, sort_keys=True, indent=2) and a final newline (sorted
-keys, fixed separators), so equal reports are equal as bytes.  It joins each
-container in one step, and a list of all-int, all-float or all-str items in
-one map.  Dict keys must be strings, as in every report: json would convert
-other scalar keys, `dumps` raises TypeError on them.
+Every JSON file the CLI writes comes from `iterencode`, whose pieces join to
+exactly the bytes of json.dumps(obj, sort_keys=True, indent=2) and a final
+newline (sorted keys, fixed separators), so equal reports are equal as bytes.
+A dict yields one piece per key, and a list of more than 64 items, unless they
+are all int, all float or all str, one piece per item; any other value is one
+piece, each container joined in one step.  So the CLI writes a report to its
+file piece by piece and never holds its whole text (8 MiB for a large `gamma
+build` window).  A tuple is encoded once per (object, indentation) and reused:
+the vertices of a window share their element tuples.  The memo is keyed by
+identity, never by value, as (1,), (True,) and (1.0,) are equal and hash alike
+but encode differently; every tuple stays alive, inside obj, for the whole
+call, so no identity is reused.  Dict keys must be strings, as in every
+report: json would convert other scalar keys, the encoder raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA = "hellykit-report/1"
@@ -50,30 +58,65 @@ def render(report: dict) -> str:
 
 
 def dumps(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2), then a newline."""
-    return _encode(obj, "\n") + "\n"
+    """The text of json.dumps(obj, sort_keys=True, indent=2), then a newline."""
+    return "".join(iterencode(obj))
 
 
-def _encode(o, nl: str) -> str:
-    """JSON text of o, whose container lines are indented by `nl`: a newline
-    and the indentation of the line o starts on."""
-    flat = _FLAT.get(type(o))
-    if flat:
-        return flat(o)
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        types = set(map(type, o))
-        flat = _FLAT.get(types.pop()) if len(types) == 1 else None
-        items = map(flat, o) if flat else [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
-    if isinstance(o, dict):
-        items = [_quote(k) + ": " + _encode(v, inner)  # str keys only
-                 for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
-    for base, text in _SCALARS:
-        if isinstance(o, base):
-            return text(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def iterencode(obj) -> Iterator[str]:
+    """The text of `dumps(obj)` in pieces."""
+    memo: dict[tuple[int, str], str] = {}  # (id(tuple), nl) -> its text
+
+    def pieces(o, nl: str) -> Iterator[str]:
+        inner = nl + "  "
+        if isinstance(o, dict) and o:
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                yield sep + _quote(k) + ": "  # str keys only
+                yield from pieces(v, inner)
+                sep = "," + inner
+            yield nl + "}"
+        elif isinstance(o, list) and len(o) > 64 and not _flat(o):
+            sep = "[" + inner
+            for x in o:
+                yield sep + encode(x, inner)
+                sep = "," + inner
+            yield nl + "]"
+        else:
+            yield encode(o, nl)
+
+    def encode(o, nl: str) -> str:
+        """JSON text of o, whose container lines are indented by `nl`: a
+        newline and the indentation of the line o starts on."""
+        flat = _FLAT.get(type(o))
+        if flat:
+            return flat(o)
+        if isinstance(o, tuple):  # encoded as the list of its items
+            text = memo.get((id(o), nl))
+            if text is None:
+                text = memo[id(o), nl] = encode(list(o), nl)
+            return text
+        inner = nl + "  "
+        if isinstance(o, list):
+            flat = _flat(o)
+            items = map(flat, o) if flat else [encode(x, inner) for x in o]
+            return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
+        if isinstance(o, dict):
+            items = [_quote(k) + ": " + encode(v, inner)  # str keys only
+                     for k, v in sorted(o.items())]
+            return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+        for base, text in _SCALARS:
+            if isinstance(o, base):
+                return text(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    yield from pieces(obj, "\n")
+    yield "\n"
+
+
+def _flat(items):
+    """The encoder of every item when all are int, all float or all str."""
+    types = set(map(type, items))
+    return _FLAT.get(types.pop()) if len(types) == 1 else None
 
 
 _FLAT = {str: _quote, int: int.__repr__, float: json.dumps}

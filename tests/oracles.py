@@ -1,12 +1,72 @@
-"""Oracles over the full enumeration of extremal functions, explicit
-geodesic lists and intervals, and one check per triangle, kept as the
-independent references of the searches, the stable-interval constant and the
-clique-Helly test in `hellykit.helly`."""
+"""Oracles over ball families, the full enumeration of extremal functions,
+explicit geodesic lists and intervals, and one check per triangle, kept as the
+independent references of the Helly decider, the searches, the
+stable-interval constant and the clique-Helly test in `hellykit.helly`."""
 
 from operator import sub
 
 from hellykit.graphs import directed_hausdorff, enumerate_geodesics, interval
-from hellykit.helly import _bits, _closed_neighbourhoods
+from hellykit.helly import _bits, _check_bound, _closed_neighbourhoods
+
+ORACLE_VERTEX_BOUND = 8
+
+
+def helly_oracle_bruteforce(g, max_vertices=ORACLE_VERTEX_BOUND):
+    """Independent brute-force Helly test for cross-validation.
+
+    Enumerates ball families directly: each vertex is either not a center or a
+    center with radius below its eccentricity (a ball covering everything never
+    witnesses a failure), keeping only pairwise-feasible choices.  Shrinking
+    any one radius of a pairwise-feasible empty-intersection family keeps both
+    properties, so only families in which every positive radius is tight
+    against some partner need checking.  Returns False iff such a family with
+    empty intersection exists.
+    """
+    _check_bound(g, max_vertices, ORACLE_VERTEX_BOUND,
+                 "brute-force Helly oracle")
+    n = g.n
+    d = g.dist()
+    ecc = [max(row) for row in d]
+    suffix_max = [[0] * n for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for v in range(n):
+            suffix_max[i][v] = max(suffix_max[i + 1][v], d[i][v])
+
+    chosen = []
+
+    def candidates_ok():
+        return any(all(d[x][s] <= r for s, r in chosen) for x in range(n))
+
+    def minimal():
+        for s, r in chosen:
+            if r > 0 and all(r + r2 > d[s][s2] for s2, r2 in chosen if s2 != s):
+                return False
+        return True
+
+    def dfs(i):
+        """True while no counterexample found."""
+        if i == n:
+            if len(chosen) >= 2 and minimal() and not candidates_ok():
+                return False
+            return True
+        # tightness hope: a positive radius with no partner yet must still be
+        # matchable by a future center
+        for s, r in chosen:
+            if r > 0 and all(r + r2 > d[s][s2] for s2, r2 in chosen if s2 != s):
+                if suffix_max[i][s] < r:
+                    return True
+        if not dfs(i + 1):  # vertex i not a center
+            return False
+        for r in range(0, max(ecc[i], 1)):
+            if all(r + r2 >= d[i][s2] for s2, r2 in chosen):
+                chosen.append((i, r))
+                ok = dfs(i + 1)
+                chosen.pop()
+                if not ok:
+                    return False
+        return True
+
+    return dfs(0)
 
 
 def _witness(g, fs):

@@ -20,13 +20,12 @@ from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
 from hellykit.graphs import Graph, QGParams, power_graph
 from hellykit.groups import random_element
 from hellykit.helly import (coarse_helly_constant, decide_helly,
-                            extremal_functions, hellyfication,
-                            helly_oracle_bruteforce, is_helly,
+                            extremal_functions, hellyfication, is_helly,
                             is_pseudo_modular, stable_interval_constant)
 from hellykit.quasiconvex import OrbitSpec, quasiconvexity_k, verify_section5
 from hellykit.relwords import (analyze_word, geodesic_word, measure_bcp,
                                measure_triangles)
-from oracles import _witness
+from oracles import _witness, helly_oracle_bruteforce
 
 
 def window_neighbors(w, v):

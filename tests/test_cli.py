@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import random
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import hellykit
 from hellykit import cli, corpus, helly
 from hellykit.cli import main
 from hellykit.gamma import recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
-from hellykit.reports import ReportError, dumps, validate_report
+from hellykit.reports import ReportError, dumps, render, validate_report
 
 
 def write(path, text):
@@ -693,3 +697,98 @@ class TestGraphIO:
     def test_schema_rejects_malformed(self):
         with pytest.raises(ReportError):
             validate_report({"schema": "hellykit-report/1"})
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this hellykit."""
+    src = str(pathlib.Path(hellykit.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+# run in a fresh interpreter: spawn `hellykit argv`, print its exit code and
+# its peak RSS
+PEAK_RSS = """\
+import os, sys
+argv = [sys.executable, "-m", "hellykit.cli", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss(argv):
+    """Peak RSS in bytes of `hellykit argv`.  A child's ru_maxrss is at least
+    the peak RSS of the process it was spawned from, so the CLI is spawned
+    from a small fresh interpreter, not from the test process."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0
+    return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
+class TestWriter:
+    # each case's arguments but --out, given a tmp_path
+    CASES = {
+        "analyze": lambda p: ["analyze", c4_edge_list(p)],
+        "group-ball": lambda p: ["group", "ball", "--spec",
+                                 group_file(p, corpus.group_z2_z3()),
+                                 "--radius", "3", "--list-elements"],
+        "gamma-build": lambda p: ["gamma", "build", "--group",
+                                  group_file(p, corpus.group_zsq_z2("king")),
+                                  "--N", "2", "--radius", "4"],
+        "derive": lambda p: ["derive", "--group",
+                             group_file(p, corpus.group_z2_z3()), "--N", "1",
+                             "--radius", "5", "--samples", "10"],
+    }
+
+    @pytest.mark.parametrize("args", CASES.values(), ids=CASES.keys())
+    def test_out_bytes_equal_render(self, tmp_path, monkeypatch, args):
+        # the CLI streams the report it validated; joined, the pieces are
+        # the text render gives that report, tuples and all
+        seen = []
+        monkeypatch.setattr(cli, "validate_report",
+                            lambda report: seen.append(report))
+        out = tmp_path / "r.json"
+        assert main(args(tmp_path) + ["--out", str(out)]) == 0
+        assert out.read_bytes() == render(seen[0]).encode()
+
+    def test_invalid_report_opens_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_report",
+                            lambda command, config, result: {"schema": None})
+        out = tmp_path / "r.json"
+        assert main(["analyze", c4_edge_list(tmp_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_unencodable_result_leaves_no_partial_report(self, tmp_path, to_file):
+        # a harness whose result holds a set: encoding fails after the
+        # pieces before "z" were written, which the file must not keep
+        out = tmp_path / "r.json"
+        script = ("import sys; from hellykit import cli; "
+                  "cli.analyze = lambda g, max_vertices: {'xi': 1, 'z': {1}}; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        argv = ["analyze", c4_edge_list(tmp_path)]
+        argv += ["--out", str(out)] if to_file else []
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert "TypeError: Object of type set" in proc.stderr
+        assert proc.stdout == ""
+        if to_file:
+            assert out.read_bytes() == b""
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_gamma_build_streams_its_report(self, tmp_path):
+        # gamma build and derive build the same window, and the build then
+        # writes an 8.3 MiB report.  Holding its text and the encoded copy
+        # put the build's peak 41 MiB above derive's; streamed, it is 10 MiB
+        group = group_file(tmp_path, corpus.group_zsq_z2("king"))
+        window = ["--group", group, "--N", "2", "--radius", "8"]
+        out = tmp_path / "w.json"
+        build = peak_rss(["gamma", "build", *window, "--out", str(out)])
+        derive = peak_rss(["derive", *window, "--samples", "1",
+                           "--out", str(tmp_path / "d.json")])
+        assert build - derive < 2 * out.stat().st_size

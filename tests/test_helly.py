@@ -17,12 +17,12 @@ from networkx.generators.atlas import graph_atlas_g
 
 from hellykit import corpus, helly
 from hellykit.graphs import Graph, power_graph
-from hellykit.helly import (ORACLE_VERTEX_BOUND, SizeBoundExceeded, analyze,
-                            clique_helly, coarse_helly_constant, decide_helly,
-                            dismantlable, extremal_functions,
-                            helly_oracle_bruteforce, hellyfication, is_helly,
+from hellykit.helly import (SizeBoundExceeded, analyze, clique_helly,
+                            coarse_helly_constant, decide_helly, dismantlable,
+                            extremal_functions, hellyfication, is_helly,
                             is_pseudo_modular, stable_interval_constant)
-from oracles import (_witness, _xi, clique_helly_per_triangle,
+from oracles import (ORACLE_VERTEX_BOUND, _witness, _xi,
+                     clique_helly_per_triangle, helly_oracle_bruteforce,
                      stable_interval_hausdorff, stable_interval_oracle)
 
 

@@ -1,4 +1,5 @@
-"""The report encoder against the json module it replaces."""
+"""The report encoder, whole and in pieces, against the json module it
+replaces."""
 
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hellykit.reports import dumps
+from hellykit.reports import dumps, iterencode
 
 
 def reference(obj):
@@ -24,6 +25,7 @@ SCALARS = (st.booleans() | st.none() | TEXT
 TREES = st.recursive(
     SCALARS,
     lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
                    | st.dictionaries(TEXT, inner, max_size=5)),
     max_leaves=40)
 
@@ -52,7 +54,35 @@ PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
 @example([True, False, None, 1, 0, 1.0, -0.0, 1e300, 5e-324, 2 ** 100])
 @example({"t": True, "f": False, "n": None, "i": 1, "z": 0})
 def test_dumps_matches_json(obj):
-    assert dumps(obj) == reference(obj)
+    assert "".join(iterencode(obj)) == dumps(obj) == reference(obj)
+
+
+SHARED = (1, (2, "x"), [])
+# equal and hashing alike, but encoded differently: a memo by value would
+# write the first one's text for all of them
+LOOKALIKES = [tuple([1]), tuple([True]), tuple([1.0]), tuple([0]),
+              tuple([False]), tuple([-0.0])]
+# more than 64 containers, empty ones among them: one piece per item
+LONG = [[i, "x"] if i % 5 == 0 else {"k": (i,)} if i % 5 == 1 else
+        {} if i % 5 == 2 else [] if i % 5 == 3 else (i, None) for i in range(70)]
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": SHARED, "b": [SHARED, {"c": SHARED}], "d": (SHARED, SHARED)},
+    LOOKALIKES, {"x": LOOKALIKES, "y": [LOOKALIKES, (LOOKALIKES,)]},
+    LONG, {"a": LONG}, {"a": {"b": {"c": LONG}}}, {"a": [{"b": LONG}]},
+    {"a": [LONG, LONG]}, {"a": list(range(70)), "b": [1.5] * 70},
+], ids=["shared-tuple", "lookalikes", "nested-lookalikes", "long-depth-0",
+        "long-depth-1", "long-depth-3", "long-in-list", "long-twice",
+        "long-flat"])
+def test_pieces_match_json(obj):
+    assert "".join(iterencode(obj)) == reference(obj)
+
+
+def test_long_lists_stream_per_item():
+    # the pieces of {"a": LONG}: its key, its 70 items, the "]" and "}" that
+    # close them, and the final newline
+    assert len(list(iterencode({"a": LONG}))) == 74
 
 
 @pytest.mark.parametrize("obj", [
@@ -69,6 +99,8 @@ def test_unserializable_raises_type_error(obj):
         reference(obj)
     with pytest.raises(TypeError):
         dumps(obj)
+    with pytest.raises(TypeError):
+        list(iterencode({"a": obj}))
 
 
 @pytest.mark.parametrize("obj", [{1: "a"}, {"x": {True: 1}}, [{None: 0}]])
