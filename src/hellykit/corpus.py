@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .groups import CyclicFactor, FreeAbelianFactor, GroupSpec
 
 
@@ -158,7 +158,10 @@ def generate(kind: str, params: dict) -> tuple[dict, str]:
     def need(key: str) -> int:
         if key not in params:
             raise ValueError(f"corpus {kind} needs the parameter {key}")
-        return int(params[key])
+        value = int(params[key])
+        if value < 1:
+            raise GraphError(f"corpus {kind} needs {key} >= 1, got {value}")
+        return value
 
     if kind == "cycle":
         n = need("n")

@@ -117,9 +117,6 @@ class Graph:
         take: rows()(x) is the distance function y -> d(x, y)."""
         return [row.__getitem__ for row in self.dist()].__getitem__
 
-    def eccentricity(self, v: int) -> int:
-        return max(self.dist()[v])
-
     def diameter(self) -> int:
         return max(max(row) for row in self.dist())
 
@@ -135,12 +132,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class QGParams:
-    """Quasigeodesic parameters: stretch lam >= 1, additive c >= 0, optional
-    window bound for local-geodesic checks."""
+    """Quasigeodesic parameters: stretch lam >= 1, additive c >= 0."""
 
     lam: Fraction
     c: Fraction
-    k_local: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
@@ -149,15 +144,6 @@ class QGParams:
             raise ValueError("lam must be >= 1")
         if self.c < 0:
             raise ValueError("c must be >= 0")
-        if self.k_local is not None and self.k_local < 2:
-            raise ValueError("k_local must be >= 2")
-
-
-@dataclass(frozen=True)
-class PathClass:
-    is_geodesic: bool
-    is_quasigeodesic: bool
-    is_k_local_geodesic: Optional[bool]
 
 
 def ball(g: Graph, center: int, rho: int) -> list[int]:
@@ -229,40 +215,6 @@ def is_isometric_subgraph(sub: Graph, embedding: Sequence[int], sup: Graph
     return True, None
 
 
-def _check_path(g: Graph, path: Sequence[int]) -> None:
-    if not path:
-        raise GraphError("empty vertex sequence is not a path")
-    for v in path:
-        if not 0 <= v < g.n:
-            raise GraphError("path vertex out of range")
-    for a, b in zip(path, path[1:]):
-        if b not in g.adj[a]:
-            raise GraphError(f"({a},{b}) is not an edge")
-
-
-def classify_path(g: Graph, path: Sequence[int], q: QGParams) -> PathClass:
-    """Geodesic / (lam,c)-quasigeodesic / k-local-geodesic classification.
-
-    The quasigeodesic test is satisfies_quasigeodesic in the hop metric.
-    """
-    _check_path(g, path)
-    d = g.dist()
-    n = len(path) - 1
-    is_geo = n == d[path[0]][path[n]]
-    is_qg = satisfies_quasigeodesic(g.rows(), path, q.lam, q.c)
-    local = None
-    if q.k_local is not None:
-        local = True
-        for i in range(n + 1):
-            for j in range(i + 1, min(i + q.k_local, n) + 1):
-                if j - i != d[path[i]][path[j]]:
-                    local = False
-                    break
-            if not local:
-                break
-    return PathClass(is_geo, is_qg, local)
-
-
 # Metric-generic constants.  A metric is given by rows: row(x) returns the
 # distance function y -> d(x, y).  For a graph that is Graph.rows(); for a group,
 # GroupSpec.x_row or GroupSpec.rel_row, which invert x once per row instead of
@@ -305,14 +257,6 @@ def slim_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
     return max(directed_hausdorff(row, p, (*q, *r)),
                directed_hausdorff(row, q, (*r, *p)),
                directed_hausdorff(row, r, (*p, *q)))
-
-
-def hausdorff_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    sa, sb = sorted(set(a)), sorted(set(b))
-    if not sa or not sb:
-        raise GraphError("hausdorff distance needs nonempty sets")
-    row = g.rows()
-    return max(directed_hausdorff(row, sa, sb), directed_hausdorff(row, sb, sa))
 
 
 # The geodesic distance DAG of a pair u, v is read off two single-source rows:
@@ -383,54 +327,3 @@ def sample_geodesic(adj: Sequence[Sequence[int]], dv: Sequence[int], u: int,
         z = nxt[rng.randrange(len(nxt))]
         path.append(z)
     return path
-
-
-@dataclass(frozen=True)
-class ThinnessReport:
-    delta_thin: int
-    delta_slim: int
-    triangles: int
-    exhaustive: bool
-    samples: int
-
-
-def thinness_delta(g: Graph, max_exhaustive: int = 10, samples: int = 2000,
-                   seed: int = 0, cap: int = GEODESIC_CAP_DEFAULT) -> ThinnessReport:
-    """Max thin and slim constants over geodesic triangles.
-
-    Exhaustive over all corner triples and all geodesic choices when
-    n <= max_exhaustive; otherwise `samples` random triangles are drawn with a
-    seeded generator and the report says so.
-    """
-    import random
-
-    d = g.dist()
-    row = g.rows()
-    thin = slim = 0
-    checked = 0
-    if g.n <= max_exhaustive:
-        geos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for u in range(g.n):
-            for v in range(g.n):
-                geos[(u, v)], _ = enumerate_geodesics(g.adj, d[u], d[v], cap=cap)
-        for a in range(g.n):
-            for b in range(g.n):
-                for c in range(g.n):
-                    for p in geos[(a, b)]:
-                        for q in geos[(b, c)]:
-                            for r in geos[(c, a)]:
-                                thin = max(thin, thin_constant(row, p, q, r))
-                                slim = max(slim, slim_constant(row, p, q, r))
-                                checked += 1
-        return ThinnessReport(thin, slim, checked, True, 0)
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a, b, c = (rng.randrange(g.n) for _ in range(3))
-        p = sample_geodesic(g.adj, d[b], a, rng)
-        q = sample_geodesic(g.adj, d[c], b, rng)
-        r = sample_geodesic(g.adj, d[a], c, rng)
-        thin = max(thin, thin_constant(row, p, q, r))
-        slim = max(slim, slim_constant(row, p, q, r))
-        checked += 1
-    return ThinnessReport(thin, slim, checked, False, samples)

@@ -37,9 +37,6 @@ Letter = tuple
 
 BALL_GUARD_DEFAULT = 1_000_000
 
-# Tests flip this on: every multiply re-validates its output normal form.
-DEBUG_VALIDATE = False
-
 
 class GroupError(ValueError):
     pass
@@ -295,10 +292,7 @@ class GroupSpec:
         out = list(a)
         for syl in b:
             self._append(out, syl)
-        result = tuple(out)
-        if DEBUG_VALIDATE:
-            self.validate(result)
-        return result
+        return tuple(out)
 
     def invert(self, a: Element) -> Element:
         out = []

@@ -9,6 +9,7 @@ bound computed under a binding cap is flagged as a lower bound.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -54,9 +55,6 @@ class QCResult:
     enumerated: int        # quasigeodesics with endpoints in the orbit seen
     explored: int          # DFS prefixes visited
     capped: bool           # True: k is only a lower bound
-
-    def is_exact(self) -> bool:
-        return not self.capped
 
 
 def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
@@ -144,9 +142,18 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     checked conclusion that fails indicates an implementation bug, so callers
     treat it as a hard error; `violations` counts them.  A claimed xi_ambient
     is checked against the computed one and reported in its place.
+
+    max_vertices bounds the coarse constant of the ambient graph and of Delta
+    in place of `helly`'s default bound, so within it no size warning is given.
     """
     ambient, k = spec.ambient, spec.k
-    xi = coarse_helly_constant(ambient, max_vertices=max_vertices)
+
+    def xi_of(g: Graph) -> int:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return coarse_helly_constant(g, max_vertices=max_vertices)
+
+    xi = xi_of(ambient)
     if xi_ambient is not None:
         if xi > xi_ambient:
             raise GraphError(
@@ -169,7 +176,7 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     delta, embedding, gk = build_delta(spec)
 
     if coarse_hyp["holds"]:
-        xi_delta = coarse_helly_constant(delta, max_vertices=max_vertices)
+        xi_delta = xi_of(delta)
         bound = 3 + ceil(Fraction(xi, k))
         coarse_conc = {"checked": True, "xi_delta": xi_delta, "bound": bound,
                        "holds": xi_delta <= bound}

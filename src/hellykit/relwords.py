@@ -151,12 +151,6 @@ def is_quasigeodesic(spec: GroupSpec, w: RelWord, lam, c) -> bool:
                                    Fraction(c))
 
 
-def k_similar(spec: GroupSpec, p: RelWord, q: RelWord, k: int) -> bool:
-    if spec.d_x(p.base, q.base) > k:
-        return False
-    return spec.d_x(end_vertex(spec, p), end_vertex(spec, q)) <= k
-
-
 def geodesic_word(spec: GroupSpec, start: Element, end: Element) -> RelWord:
     q = spec.multiply(end, spec.invert(start))
     return RelWord(start, tuple(spec.geodesic_letters(q)))

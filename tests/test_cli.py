@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -393,6 +394,8 @@ class TestErrorBoundary:
         ("ball_negative_radius", "GroupError"),
         ("corpus_no_n", "ValueError"),
         ("corpus_factor_no_order", "ValueError"),
+        ("corpus_tree_n_zero", "GraphError"),
+        ("corpus_king_negative", "GraphError"),
         ("size_bound", "SizeBoundExceeded"),
         ("measure_lambda_zero_denominator", "ValueError"),
         ("measure_c_zero_denominator", "ValueError"),
@@ -437,11 +440,14 @@ class TestErrorBoundary:
                   "factors_not_list": {"factors": "abc"},
                   "free_rank_float": {"factors": [{"kind": "cyclic", "order": 2}],
                                       "free_rank": 1.5}}
-        if case == "corpus_no_n":
-            argv = ["corpus", "cycle", "--out", str(tmp_path / "c.json")]
-        elif case == "corpus_factor_no_order":
-            argv = ["corpus", "group-freeproduct", "--param", "factors=cyclic",
-                    "--out", str(tmp_path / "g.json")]
+        corpora = {"corpus_no_n": ["cycle"],
+                   "corpus_factor_no_order": ["group-freeproduct", "--param",
+                                              "factors=cyclic"],
+                   # a tree on 0 vertices; a king grid of (-1) x (-1) = 1 vertex
+                   "corpus_tree_n_zero": ["tree-random", "--param", "n=0"],
+                   "corpus_king_negative": ["king-grid", "--param=w=-1", "--param=h=-1"]}
+        if case in corpora:
+            argv = ["corpus", *corpora[case], "--out", str(tmp_path / "c.json")]
         elif case == "ball_negative_radius":
             argv = ["group", "ball", "--spec",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "-1"]
@@ -585,9 +591,12 @@ class TestQuasiconvexCommand:
                  if v[0] == "free" and all(s[0] == "p" and s[1] == 1 for s in v[1])]
         assert len(orbit) == 3  # identity, a, a^2
         opath = write(tmp_path / "orbit.json", json.dumps(orbit))
-        code = main(["quasiconvex", "--ambient", str(ambient), "--orbit",
-                     str(opath), "--k", "3", "--out", str(tmp_path / "q.json")])
-        assert code == 0
+        # the ambient (28 vertices) and Delta (24) are within quasiconvex's bound
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["quasiconvex", "--ambient", str(ambient), "--orbit",
+                         str(opath), "--k", "3", "--out", str(tmp_path / "q.json")])
+        assert code == 0 and caught == []
         report = json.loads((tmp_path / "q.json").read_text())
         assert report["result"]["violations"] == 0
 

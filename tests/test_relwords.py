@@ -7,7 +7,7 @@ from hellykit import corpus
 from hellykit.groups import random_element
 from hellykit.relwords import (RelWord, analyze_word, bcp_defects, connected,
                                decompose_components, end_vertex, geodesic_word,
-                               is_quasigeodesic, is_rel_geodesic, k_similar,
+                               is_quasigeodesic, is_rel_geodesic,
                                measure_bcp, measure_delta, measure_triangles,
                                measure_zeta, perturbed_word,
                                triangle_mu_defects, value, vertices)
@@ -162,25 +162,29 @@ class TestRelGeodesic:
 
 
 class TestKSimilar:
+    """X-distances of the starts and of the ends of two words (k-similarity)."""
+
     def test_identical_endpoints(self):
         spec = z23()
         w = geodesic_word(spec, spec.identity, spec.parabolic(1, 1))
-        assert k_similar(spec, w, w, 0)
+        assert spec.d_x(w.base, w.base) == 0
+        assert spec.d_x(end_vertex(spec, w), end_vertex(spec, w)) == 0
 
     def test_one_letter_offset(self):
         spec = z23()
         w1 = geodesic_word(spec, spec.identity, spec.parabolic(1, 1))
         off = spec.parabolic(0, 1)
         w2 = geodesic_word(spec, off, spec.multiply(off, spec.parabolic(1, 1)))
-        assert k_similar(spec, w1, w2, 1)
+        assert spec.d_x(w1.base, w2.base) == 1
+        assert spec.d_x(end_vertex(spec, w1), end_vertex(spec, w2)) == 1
 
     def test_big_syllable_offset(self):
         spec = corpus.group_zsq_z2("square")
         w1 = geodesic_word(spec, spec.identity, spec.parabolic(1, 1))
         off = spec.parabolic(0, (3, 2))  # l1 norm 5
         w2 = geodesic_word(spec, off, spec.multiply(off, spec.parabolic(1, 1)))
-        assert k_similar(spec, w1, w2, 5)
-        assert not k_similar(spec, w1, w2, 4)
+        assert spec.d_x(w1.base, w2.base) == 5
+        assert spec.d_x(end_vertex(spec, w1), end_vertex(spec, w2)) == 5
 
 
 class TestQuasigeodesicCheck:
