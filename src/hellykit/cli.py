@@ -123,7 +123,7 @@ def _cmd_gamma(args) -> int:
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius}
     _report("gamma-build", cfg, result, args.out)
     if args.dot:
-        _emit([window.to_dot()], args.dot)
+        _emit(window.to_dot(), args.dot)
     if args.graph_out:
         g, _ = window.to_graph()
         record = graph_to_json(g, meta={"projected_from": "gamma-window"})

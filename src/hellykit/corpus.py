@@ -9,6 +9,12 @@ from .graphs import Graph, GraphError
 from .groups import CyclicFactor, FreeAbelianFactor, GroupSpec
 
 
+def _at_least_one(what: str, **sizes: int) -> None:
+    for key, value in sizes.items():
+        if value < 1:
+            raise GraphError(f"{what} needs {key} >= 1, got {value}")
+
+
 def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -26,6 +32,7 @@ def star(leaves: int) -> Graph:
 
 
 def grid(w: int, h: int) -> Graph:
+    _at_least_one("grid", w=w, h=h)
     def vid(x, y):
         return y * w + x
     edges = []
@@ -40,6 +47,7 @@ def grid(w: int, h: int) -> Graph:
 
 def king_grid(w: int, h: int) -> Graph:
     """w x h grid with orthogonal and diagonal moves; these are Helly."""
+    _at_least_one("king_grid", w=w, h=h)
     def vid(x, y):
         return y * w + x
     edges = []
@@ -60,6 +68,7 @@ def wheel(rim: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform labelled tree from a random Pruefer sequence."""
+    _at_least_one("random_tree", n=n)
     if n == 1:
         return Graph(1, [])
     if n == 2:
@@ -159,8 +168,7 @@ def generate(kind: str, params: dict) -> tuple[dict, str]:
         if key not in params:
             raise ValueError(f"corpus {kind} needs the parameter {key}")
         value = int(params[key])
-        if value < 1:
-            raise GraphError(f"corpus {kind} needs {key} >= 1, got {value}")
+        _at_least_one(f"corpus {kind}", **{key: value})
         return value
 
     if kind == "cycle":

@@ -25,8 +25,11 @@ distance in the infinite graph.
 
 A window's BFS interns each vertex as an int id when it first meets it and
 keeps adjacency and base distances on ids; one sort then renumbers them 0..n-1
-in tuple order.  Id order is tuple order, so a walk that picks among neighbours
-in adjacency order makes the same choices on ids as on tuples.
+in tuple order, in place: the sorted vertex list and the BFS dict, its values
+rewritten, become verts and index, and each adjacency list goes as its
+renumbered tuple is made.  Id order is tuple order, so a walk that picks among
+neighbours in adjacency order makes the same choices on ids as on tuples.  The
+export (to_json, to_dot) reads verts and adj lazily, building no second copy.
 
 The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
 at that depth and stopped once u is labelled, reaches u exactly when
@@ -38,6 +41,7 @@ window_distance returns (None, False).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -191,13 +195,20 @@ class GammaWindow:
                 if dist[k] == radius:  # never expanded; the rule is symmetric
                     adj[k].append(i)
                 row.append(k)
-        order = sorted(range(len(found)), key=found.__getitem__)
-        rank = sorted(range(len(order)), key=order.__getitem__)  # inverse
-        self.verts = [found[k] for k in order]
-        self.index = dict(zip(self.verts, range(len(order))))
-        self.dist_from_base = [dist[k] for k in order]
-        self.adj = tuple(tuple(sorted(map(rank.__getitem__, adj[k])))
-                         for k in order)
+        # renumber in place: rank maps each BFS id to its tuple-order index
+        found.sort()
+        rank = [0] * len(found)
+        for i, v in enumerate(found):
+            rank[ids[v]] = i
+            ids[v] = i
+        self.verts, self.index = found, ids
+        self.dist_from_base = [0] * len(found)
+        new_adj = [()] * len(found)
+        for k, i in enumerate(rank):
+            self.dist_from_base[i] = dist[k]
+            new_adj[i] = tuple(sorted(map(rank.__getitem__, adj[k])))
+            adj[k] = None  # each old list goes as its tuple is made
+        self.adj = tuple(new_adj)
 
     def free_vertices(self) -> list[GammaVertex]:
         return [v for v in self.verts if v[0] == "free"]
@@ -328,8 +339,9 @@ class GammaWindow:
             counts[v[0]] += 1
         return counts
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, ws in enumerate(self.adj) for b in ws if a < b]
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge (a, b), a < b, once and in order, read lazily from adj."""
+        return ((a, b) for a, ws in enumerate(self.adj) for b in ws if a < b)
 
     def to_graph(self):
         """Project the window to a plain graph on its vertex ids, e.g. to use
@@ -341,28 +353,29 @@ class GammaWindow:
         return Graph(len(self.verts), self.edges(), labels=labels), self.verts
 
     def to_json(self) -> dict:
+        """The window's report fields; vertices, edges and edge_kinds are
+        one-shot generators over verts and adj, streamed by iterencode."""
         verts = self.verts
-        edges = self.edges()
         return {
             "radius": self.radius,
             "n_thick": self.config.n_thick,
             "group": self.config.spec.to_json(),
-            "vertices": [vertex_to_obj(v) for v in verts],
+            "vertices": (vertex_to_obj(v) for v in verts),
             "dist_from_base": self.dist_from_base,
-            "edges": [[a, b] for a, b in edges],
-            "edge_kinds": [GammaConfig.edge_kind(verts[a], verts[b])
-                           for a, b in edges],
+            "edges": ([a, b] for a, b in self.edges()),
+            "edge_kinds": (GammaConfig.edge_kind(verts[a], verts[b])
+                           for a, b in self.edges()),
         }
 
-    def to_dot(self) -> str:
+    def to_dot(self) -> Iterator[str]:
+        """The DOT text of the window, one line per piece."""
         shape = {"free": "circle", "med": "point", "int": "box"}
-        lines = ["graph gamma_window {"]
+        yield "graph gamma_window {\n"
         for i, v in enumerate(self.verts):
-            lines.append(f'  {i} [shape={shape[v[0]]}, label="{v[0]}"];')
+            yield f'  {i} [shape={shape[v[0]]}, label="{v[0]}"];\n'
         for a, b in self.edges():
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f"  {a} -- {b};\n"
+        yield "}\n"
 
 
 def vertex_to_obj(v: GammaVertex) -> dict:

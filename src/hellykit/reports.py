@@ -16,15 +16,18 @@ so the library and the report share one vocabulary; the CLI adds nothing.
 Every JSON file the CLI writes comes from `iterencode`, whose pieces join to
 exactly the bytes of json.dumps(obj, sort_keys=True, indent=2) and a final
 newline (sorted keys, fixed separators), so equal reports are equal as bytes.
-A dict yields one piece per key, and a list of more than 64 items, unless they
-are all int, all float or all str, one piece per item; any other value is one
-piece, each container joined in one step.  So the CLI writes a report to its
-file piece by piece and never holds its whole text (8 MiB for a large `gamma
-build` window).  A tuple is encoded once per (object, indentation) and reused:
-the vertices of a window share their element tuples.  The memo is keyed by
-identity, never by value, as (1,), (True,) and (1.0,) are equal and hash alike
-but encode differently; every tuple stays alive, inside obj, for the whole
-call, so no identity is reused.  Dict keys must be strings, as in every
+A dict yields one piece per key; a generator, and a list of more than 64
+items unless they are all int, all float or all str, one piece per item; any
+other value is one piece, each container joined in one step.  So the CLI
+writes a report to its file piece by piece and never holds its whole text
+(8 MiB for a large `gamma build` window).  A generator (types.GeneratorType
+only; a set still raises TypeError) is the array of what it yields, read once,
+so a window hands over its vertices and edges without building them.  A tuple
+is encoded once per (object, indentation) and reused: the vertices of a window
+share their element tuples.  The memo is keyed by identity, never by value, as
+(1,), (True,) and (1.0,) are equal and hash alike but encode differently; each
+entry holds its tuple, so no identity is reused within the call, even where a
+generator builds a tuple and drops it.  Dict keys must be strings, as in every
 report: json would convert other scalar keys, the encoder raises TypeError.
 """
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 SCHEMA = "hellykit-report/1"
 TOOL_VERSION = "0.1.0"
@@ -64,7 +68,7 @@ def dumps(obj) -> str:
 
 def iterencode(obj) -> Iterator[str]:
     """The text of `dumps(obj)` in pieces."""
-    memo: dict[tuple[int, str], str] = {}  # (id(tuple), nl) -> its text
+    memo: dict[tuple[int, str], tuple] = {}  # (id(t), nl) -> (t, its text)
 
     def pieces(o, nl: str) -> Iterator[str]:
         inner = nl + "  "
@@ -75,12 +79,13 @@ def iterencode(obj) -> Iterator[str]:
                 yield from pieces(v, inner)
                 sep = "," + inner
             yield nl + "}"
-        elif isinstance(o, list) and len(o) > 64 and not _flat(o):
+        elif isinstance(o, GeneratorType) or (
+                isinstance(o, list) and len(o) > 64 and not _flat(o)):
             sep = "[" + inner
             for x in o:
                 yield sep + encode(x, inner)
                 sep = "," + inner
-            yield nl + "]"
+            yield "[]" if sep[0] == "[" else nl + "]"  # [] if o yielded none
         else:
             yield encode(o, nl)
 
@@ -91,11 +96,13 @@ def iterencode(obj) -> Iterator[str]:
         if flat:
             return flat(o)
         if isinstance(o, tuple):  # encoded as the list of its items
-            text = memo.get((id(o), nl))
-            if text is None:
-                text = memo[id(o), nl] = encode(list(o), nl)
-            return text
+            hit = memo.get((id(o), nl))
+            if hit is None:
+                hit = memo[id(o), nl] = (o, encode(list(o), nl))
+            return hit[1]
         inner = nl + "  "
+        if isinstance(o, GeneratorType):
+            o = list(o)
         if isinstance(o, list):
             flat = _flat(o)
             items = map(flat, o) if flat else [encode(x, inner) for x in o]

@@ -1,8 +1,11 @@
 """Glued-graph windows: neighbor rule, degrees, partitions, certificates,
 shortenings, penetration, geodesic enumeration."""
 
+import gc
 import random
+import tracemalloc
 from collections import deque
+from types import GeneratorType
 
 import pytest
 
@@ -245,6 +248,22 @@ class TestWindow:
         with pytest.raises(WindowError):
             GammaWindow(config, 4, max_vertices=n - 1)
 
+    def test_build_peak_near_what_it_keeps(self):
+        # the window is renumbered in place: no second vertex dict, order
+        # list or adjacency copy.  On this 16,647-vertex window the traced
+        # peak is 1.33 times what the window keeps, against 1.75 with copies
+        config = GammaConfig(corpus.group_zsq_z2("king"), 2)
+        GammaWindow(config, 2)  # warm the config's caches outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            w = GammaWindow(config, 8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(w.verts) == 16_647
+        assert peak < 1.5 * kept
+
     @pytest.mark.parametrize("radius", [3, 5, 6])
     @pytest.mark.parametrize("n_thick", [1, 2])
     @pytest.mark.parametrize("group", [
@@ -455,15 +474,18 @@ class TestGeodesicEnumeration:
 class TestExport:
     def test_json_round_shape(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 2)
-        rec = w.to_json()
+        # vertices, edges and edge_kinds are one-shot generators
+        rec = {k: list(v) if isinstance(v, GeneratorType) else v
+               for k, v in w.to_json().items()}
         assert len(rec["vertices"]) == len(w.dist_from_base)
         assert {v["kind"] for v in rec["vertices"]} <= {"free", "medial", "internal"}
+        assert rec["edges"] == [list(e) for e in w.edges()]
         assert len(rec["edges"]) == len(rec["edge_kinds"])
         assert set(rec["edge_kinds"]) <= {"free", "connecting", "internal"}
 
     def test_dot_contains_edges(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 2)
-        dot = w.to_dot()
+        dot = "".join(w.to_dot())  # yielded line by line
         assert dot.startswith("graph") and "--" in dot
 
     def test_projection_to_plain_graph(self):

@@ -318,3 +318,30 @@ class TestThinness:
     def test_complete_graphs_thin(self):
         for n in (3, 4, 5):
             assert thin_slim(corpus.complete(n))[0] <= 1
+
+
+class TestCorpusSizes:
+    # a size below 1 is rejected as corpus.generate rejects it, not passed
+    # on: random_tree(0) used to fail in heappop, and grid(-1, -1) and
+    # king_grid(-1, -1) to give one vertex, as (-1) * (-1) = 1
+    @pytest.mark.parametrize("build", [
+        lambda: corpus.random_tree(0, 3), lambda: corpus.random_tree(-2, 3),
+        lambda: corpus.random_connected(0, 1, 3),
+        lambda: corpus.grid(-1, -1), lambda: corpus.grid(0, 4),
+        lambda: corpus.grid(4, 0), lambda: corpus.king_grid(-1, -1),
+        lambda: corpus.king_grid(0, 3), lambda: corpus.king_grid(3, -2),
+    ])
+    def test_size_below_one_raises(self, build):
+        with pytest.raises(GraphError, match=">= 1"):
+            build()
+
+    @pytest.mark.parametrize("build, n, m", [
+        (lambda: corpus.random_tree(1, 3), 1, 0),
+        (lambda: corpus.random_tree(2, 3), 2, 1),
+        (lambda: corpus.grid(1, 1), 1, 0), (lambda: corpus.grid(1, 3), 3, 2),
+        (lambda: corpus.king_grid(1, 1), 1, 0),
+        (lambda: corpus.king_grid(2, 2), 4, 6),
+    ])
+    def test_size_one_still_builds(self, build, n, m):
+        g = build()
+        assert (g.n, g.edge_count()) == (n, m)
