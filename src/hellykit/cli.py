@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .derived import verify_derivation_theorems
-from .gamma import (WINDOW_GUARD_DEFAULT, GammaConfig, GammaWindow,
+from .gamma import (WINDOW_GUARD_DEFAULT, GammaBall, GammaConfig, GammaWindow,
                     certified_clauses, recommended_n)
 from .graph_io import graph_to_json, load_graph, to_dot
 from .graphs import QGParams, strict_int
@@ -133,9 +133,8 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_derive(args) -> int:
     spec = GroupSpec.load(args.group)
-    window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
-                         max_vertices=args.guard)
-    result = verify_derivation_theorems(window, args.samples, args.seed)
+    region = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
+    result = verify_derivation_theorems(region, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
     _report("derive", cfg, result, args.out)
@@ -270,14 +269,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="also write the window projected to a plain graph")
         p.add_argument("--out")
 
-    if p := add("derive", "derived-word checks over window geodesics",
+    if p := add("derive", "derived-word checks over certified geodesics",
                 _cmd_derive):
         p.add_argument("--group", required=True)
         p.add_argument("--N", dest="n_thick", type=int, required=True)
         p.add_argument("--radius", type=int, default=8)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
+        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT,
+                       help="most free vertices the radius ball may hold")
         p.add_argument("--out")
 
     if p := add("measure", "empirical relative-hyperbolicity constants",

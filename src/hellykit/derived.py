@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gamma import (GammaConfig, GammaVertex, GammaWindow, WindowError,
-                    certified_clauses)
+from .gamma import (GammaBall, GammaConfig, GammaVertex, GammaWindow,
+                    WindowError, certified_clauses)
 from .groups import Letter
 from .relwords import RelWord, analyze_word, value as word_value
 
@@ -75,7 +75,7 @@ def _segment_letter(config: GammaConfig, seg: list[GammaVertex]
     raise WindowError(f"segment interior mixes vertex kinds: {kinds}")
 
 
-def derive(window: GammaWindow, path: list[GammaVertex]) -> DerivedResult:
+def derive(window: GammaBall | GammaWindow, path: list[GammaVertex]) -> DerivedResult:
     """The derived word of a path, built segment by segment.
 
     The endpoint identity epsilon(word) = end * start^{-1} (over the derived
@@ -129,7 +129,7 @@ def derive(window: GammaWindow, path: list[GammaVertex]) -> DerivedResult:
     return DerivedResult(word, tuple(recorded), extended_first, extended_last)
 
 
-def two_local_violations(window: GammaWindow, word: RelWord) -> int:
+def two_local_violations(window: GammaBall | GammaWindow, word: RelWord) -> int:
     """Length-2 subwords of the derived word that are not relative geodesics."""
     spec = window.config.spec
     bad = 0
@@ -141,11 +141,11 @@ def two_local_violations(window: GammaWindow, word: RelWord) -> int:
     return bad
 
 
-def verify_derivation_theorems(window: GammaWindow, samples: int, seed: int
-                               ) -> dict:
-    """The `derive` report result.  Sample window geodesics with certified
-    endpoints, derive them, and check everything the construction guarantees
-    unconditionally:
+def verify_derivation_theorems(window: GammaBall | GammaWindow, samples: int,
+                               seed: int) -> dict:
+    """The `derive` report result.  Sample certified geodesics of the ball
+    (the CLI's; a window draws the same), derive them, and check everything the
+    construction guarantees unconditionally:
 
     * zero length-2 derived subwords fail relative geodesy (hard property),
     * the derived word represents the endpoint quotient (asserted in derive),

@@ -37,6 +37,16 @@ dist(u) + d_window(u, v) <= R.  Its levels are complete below d_window(u, v),
 which is all a walk from u down to v reads, so that one BFS both certifies a
 pair and samples a geodesic between it.  An uncertified pair gets no distance:
 window_distance returns (None, False).
+
+A ball (GammaBall) reads d(w, free b) off a closed form.  A syllable costs
+min(2|h|_j, 2 + ceil(|h|_j/N)) in factor j, 2|w| if a free word w, and cost(q)
+sums them: d(free a, b) = cost(a b^-1), a medial vertex is 1 + its nearer end,
+and an internal (j, rep, u) is ceil(d_j(u, t)/N) + 1 + cost(q), where the copy
+is left at q b, q = coset_rep(rep b^-1, j), model vertex t = project(q b, j):
+leaving elsewhere adds a factor-j syllable of norm c, costing >= ceil(c/N), to
+save <= ceil(c/N) inside.  Pairs with dist(u) + d(u, v) <= R are those the
+bounded BFS reaches; their geodesics expand only vertices strictly inside the
+window, whose neighbours all lie there, in order, so both draw the same walks.
 """
 
 from __future__ import annotations
@@ -149,9 +159,6 @@ class GammaConfig:
                           for u2 in factor.near(u, self.n_thick)]
         raise WindowError(f"unknown vertex kind {kind!r}")
 
-    def is_edge(self, u: GammaVertex, v: GammaVertex) -> bool:
-        return v in self.neighbors(u)
-
     @staticmethod
     def edge_kind(u: GammaVertex, v: GammaVertex) -> str:
         kind = _EDGE_KINDS.get((u[0], v[0]))
@@ -160,7 +167,72 @@ class GammaConfig:
         return kind
 
 
-class GammaWindow:
+class _GammaRegion:
+    """Path analysis for a window or a ball, over whether each _contains a path."""
+
+    def __init__(self, config: GammaConfig, radius: int):
+        if radius < 0:
+            raise WindowError(f"radius must be >= 0, got {radius}")
+        self.config, self.radius, self.base = config, radius, config.base_vertex()
+        self._neighbors = _Memo(config.neighbors)
+
+    def check_path(self, path: list[GammaVertex]) -> None:
+        if not path:
+            raise WindowError("empty path")
+        if not self._contains(path):
+            raise WindowError("path leaves the window")
+        for a, b in zip(path, path[1:]):
+            if b not in self._neighbors[a]:
+                raise WindowError(f"not an edge: {a} - {b}")
+
+    def _internal_runs(self, path: list[GammaVertex]) -> list[tuple[int, int]]:
+        runs = []
+        i = 0
+        while i < len(path):
+            if path[i][0] != "int":
+                i += 1
+                continue
+            k = i
+            while k + 1 < len(path) and path[k + 1][0] == "int":
+                k += 1
+            runs.append((i, k))
+            i = k + 1
+        return runs
+
+    def copy_distance(self, u: GammaVertex, v: GammaVertex) -> int:
+        """Distance inside a thickened copy: ceil of the model distance over N."""
+        if u[0] != "int" or v[0] != "int" or u[1] != v[1] or u[2] != v[2]:
+            raise WindowError("vertices are not in one copy")
+        factor = self.config.spec.factors[u[1]]
+        return ceil(factor.graph_distance(u[3], v[3]) / self.config.n_thick)
+
+    def parabolic_shortenings(self, path: list[GammaVertex]
+                              ) -> list[tuple[int, int, int, int]]:
+        """All-internal subpaths that are not geodesic inside their copy,
+        as (start, end, length, copy_distance).  Checking maximal runs
+        suffices: subpaths of copy-geodesics are copy-geodesics."""
+        self.check_path(path)
+        out = []
+        for a, b in self._internal_runs(path):
+            if a == b:
+                continue
+            need = self.copy_distance(path[a], path[b])
+            if b - a > need:
+                out.append((a, b, b - a, need))
+        return out
+
+    def penetration_profile(self, path: list[GammaVertex]
+                            ) -> list[tuple[tuple, GammaVertex, GammaVertex]]:
+        """Copies visited, in order, with entry and exit vertices."""
+        self.check_path(path)
+        out = []
+        for a, b in self._internal_runs(path):
+            copy_id = (path[a][1], path[a][2])
+            out.append((copy_id, path[a], path[b]))
+        return out
+
+
+class GammaWindow(_GammaRegion):
     """BFS closure of the base free vertex to depth R; immutable once built.
 
     Vertex i is verts[i] (index maps back), adj[i] lists its neighbour ids in
@@ -169,11 +241,7 @@ class GammaWindow:
 
     def __init__(self, config: GammaConfig, radius: int,
                  max_vertices: int = WINDOW_GUARD_DEFAULT):
-        if radius < 0:
-            raise WindowError(f"window radius must be >= 0, got {radius}")
-        self.config = config
-        self.radius = radius
-        self.base = config.base_vertex()
+        super().__init__(config, radius)
         # ids are handed out in discovery (BFS) order, so iterating the
         # growing list is the BFS queue and distances never decrease along it
         found, dist, adj = [self.base], [0], [[]]
@@ -259,63 +327,8 @@ class GammaWindow:
             raise WindowError("distance not certified; enlarge the window")
         return bfs_row(self.adj, iu, depth=dv[iu]), dv
 
-    # -- path analysis -------------------------------------------------------
-
-    def check_path(self, path: list[GammaVertex]) -> None:
-        if not path:
-            raise WindowError("empty path")
-        if any(v not in self.index for v in path):
-            raise WindowError("path leaves the window")
-        for a, b in zip(path, path[1:]):
-            if (self.index[b] not in self.adj[self.index[a]]
-                    and not self.config.is_edge(a, b)):
-                raise WindowError(f"not an edge: {a} - {b}")
-
-    def _internal_runs(self, path: list[GammaVertex]) -> list[tuple[int, int]]:
-        runs = []
-        i = 0
-        while i < len(path):
-            if path[i][0] != "int":
-                i += 1
-                continue
-            k = i
-            while k + 1 < len(path) and path[k + 1][0] == "int":
-                k += 1
-            runs.append((i, k))
-            i = k + 1
-        return runs
-
-    def copy_distance(self, u: GammaVertex, v: GammaVertex) -> int:
-        """Distance inside a thickened copy: ceil of the model distance over N."""
-        if u[0] != "int" or v[0] != "int" or u[1] != v[1] or u[2] != v[2]:
-            raise WindowError("vertices are not in one copy")
-        factor = self.config.spec.factors[u[1]]
-        return ceil(factor.graph_distance(u[3], v[3]) / self.config.n_thick)
-
-    def parabolic_shortenings(self, path: list[GammaVertex]
-                              ) -> list[tuple[int, int, int, int]]:
-        """All-internal subpaths that are not geodesic inside their copy,
-        as (start, end, length, copy_distance).  Checking maximal runs
-        suffices: subpaths of copy-geodesics are copy-geodesics."""
-        self.check_path(path)
-        out = []
-        for a, b in self._internal_runs(path):
-            if a == b:
-                continue
-            need = self.copy_distance(path[a], path[b])
-            if b - a > need:
-                out.append((a, b, b - a, need))
-        return out
-
-    def penetration_profile(self, path: list[GammaVertex]
-                            ) -> list[tuple[tuple, GammaVertex, GammaVertex]]:
-        """Copies visited, in order, with entry and exit vertices."""
-        self.check_path(path)
-        out = []
-        for a, b in self._internal_runs(path):
-            copy_id = (path[a][1], path[a][2])
-            out.append((copy_id, path[a], path[b]))
-        return out
+    def _contains(self, path: list[GammaVertex]) -> bool:
+        return all(v in self.index for v in path)
 
     def geodesics_between(self, u: GammaVertex, v: GammaVertex,
                           cap: int = 100_000, allow_truncate: bool = False
@@ -376,6 +389,96 @@ class GammaWindow:
         for a, b in self.edges():
             yield f"  {a} -- {b};\n"
         yield "}\n"
+
+
+class GammaBall(_GammaRegion):
+    """The radius-R ball around the base, read lazily off the closed form."""
+
+    def __init__(self, config: GammaConfig, radius: int,
+                 max_free: int = WINDOW_GUARD_DEFAULT):
+        super().__init__(config, radius)
+        self.max_free = max_free
+        self._costs = _Memo(self._syllable_cost)
+        self.distances = _Memo(self._closed_form)  # d(w, v) is distances[v][w]
+
+    def _syllable_cost(self, syl: tuple) -> int:
+        if syl[0] == "f":
+            return 2 * len(syl[1])
+        k = self.config.spec.factors[syl[1]].word_length(syl[2])
+        return min(2 * k, 2 - (-k // self.config.n_thick))
+
+    def _closed_form(self, v: GammaVertex) -> _Memo:
+        """d(w, v) by vertex w, for a free v, each filled in on its first read."""
+        spec, cost = self.config.spec, self._costs.__getitem__
+        b_inv, n = spec.invert(v[1]), self.config.n_thick
+
+        def exit_of(copy: tuple) -> tuple:  # (t, 1 + cost(q)), per copy
+            j, rep = copy
+            q = spec.coset_rep(spec.multiply(rep, b_inv), j)
+            return spec.project(spec.multiply(q, v[1]), j), 1 + sum(map(cost, q))
+
+        def fill(w: GammaVertex) -> int:
+            if w[0] == "free":
+                return sum(map(cost, spec.multiply(w[1], b_inv)))
+            if w[0] == "med":
+                return 1 + min(map(row.__getitem__, self._neighbors[w]))
+            t, c = exits[w[1], w[2]]
+            return c - (-spec.factors[w[1]].graph_distance(w[3], t) // n)
+        exits, row = _Memo(exit_of), _Memo(fill)
+        return row
+
+    def _contains(self, path: list[GammaVertex]) -> bool:
+        return max(map(self.distances[self.base].__getitem__, path)) <= self.radius
+
+    def free_vertices(self) -> list[GammaVertex]:
+        """The free vertices within R in tuple order, by a DFS over syllables."""
+        r, spec, cost = self.radius, self.config.spec, self._costs
+        cap = max(r // 2, self.config.n_thick * (r - 2))  # longer ones cost > R
+        too_many = WindowError(f"ball exceeds {self.max_free} free vertices at R={r}")
+        if any(not f.is_finite and f.ball_size(cap) > self.max_free
+               for f in spec.factors):  # each element within cap is a free vertex
+            raise too_many
+        groups = [[("p", j, h) for h in factor.nontrivial_elements(cap)]
+                  for j, factor in enumerate(spec.factors)]
+        letters = [x for i in range(1, spec.free_rank + 1) for x in (i, -i)]
+        words, free = [(x,) for x in letters], []
+        while words and 2 * len(words[0]) <= r and len(free) <= self.max_free:
+            free += [("f", w) for w in words]  # each one free vertex
+            words = [w + (x,) for w in words for x in letters if w[-1] != -x]
+        lists = [sorted((cost[s], s) for s in g) for g in groups + [free]]
+        found: list[Element] = []
+
+        def grow(g: Element, last: int, budget: int) -> None:
+            found.append(g)
+            if len(found) > self.max_free:
+                raise too_many
+            for key, costed in enumerate(lists):
+                for c, syl in costed if key != last else ():
+                    if c > budget:
+                        break
+                    grow(g + (syl,), key, budget - c)
+        grow((), -1, r)
+        return sorted(("free", g) for g in found)
+
+    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
+                        ) -> Optional[list[GammaVertex]]:
+        """A random geodesic u -> v, v free, drawn as GammaWindow draws it,
+        or None when dist(u) + d(u, v) > R (no draw is taken from rng then)."""
+        row = self.distances[v]
+        if self.distances[self.base][u] + row[u] > self.radius:
+            return None
+        return sample_geodesic(self._neighbors, row, u, rng)
+
+
+class _Memo(dict):
+    """The values of fn by argument, each computed on its first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def vertex_to_obj(v: GammaVertex) -> dict:

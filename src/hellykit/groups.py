@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from itertools import chain, product as iproduct
+from math import comb
 from operator import add, neg, sub
 from typing import Iterable, Optional
 
@@ -206,6 +207,12 @@ class FreeAbelianFactor:
                 d for d in iproduct(range(-n, n + 1), repeat=self.rank)
                 if any(d) and self.word_length(d) <= n]
         return [tuple(map(add, u, d)) for d in offsets]
+
+    def ball_size(self, n: int) -> int:
+        """Number of elements of norm <= n, the identity included; none is listed."""
+        if self.gen_style == "king":
+            return (2 * n + 1) ** self.rank
+        return sum(2 ** k * comb(self.rank, k) * comb(n, k) for k in range(self.rank + 1))
 
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         if cap is None:

@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from types import GeneratorType
 
@@ -19,6 +20,7 @@ from hellykit.cli import main
 from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
+from hellykit.groups import FreeAbelianFactor, GroupSpec
 from hellykit.reports import ReportError, dumps, render, validate_report
 
 
@@ -322,6 +324,53 @@ class TestDerive:
                      "--seed", "2024", "--out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_builds_no_window(self, tmp_path, monkeypatch):
+        # derive reads Γ off the closed-form ball; a window would be refused
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("derive built a GammaWindow")
+
+        monkeypatch.setattr(GammaWindow, "__init__", refuse)
+        spec = corpus.group_zsq_z2("king")
+        out = tmp_path / "d.json"
+        assert main(["derive", "--group", group_file(tmp_path, spec), "--N", "2",
+                     "--radius", "8", "--samples", "50", "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["result"]["violations"] == 0
+
+    def test_guard_bounds_the_free_vertices(self, tmp_path, capsys):
+        path = group_file(tmp_path, corpus.group_zsq_z2("king"))
+        argv = ["derive", "--group", path, "--N", "2", "--radius", "8"]
+        assert main(argv + ["--guard", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hellykit derive: WindowError: ball exceeds 10 "
+                                "free vertices at R=8\n")
+        # the default guard refuses R=16 (3,989,250 free vertices) as the
+        # enumeration passes 200,000 of them
+        assert main(argv[:-1] + ["16"]) == 2
+        assert "ball exceeds 200000 free vertices at R=16" in capsys.readouterr().err
+
+    def test_guard_refuses_a_large_lattice_at_once(self, tmp_path, capsys):
+        # Z^3 king at N=8, R=40: each of the 609^3 - 1 elements of norm
+        # <= N(R - 2) = 304 is a free vertex of the ball, so their count
+        # refuses it before any of them is listed
+        spec = GroupSpec([FreeAbelianFactor(3, "king")])
+        start = time.perf_counter()
+        assert main(["derive", "--group", group_file(tmp_path, spec), "--N", "8",
+                     "--radius", "40"]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == ("hellykit derive: WindowError: ball "
+                                           "exceeds 200000 free vertices at R=40\n")
+
+    def test_radius_past_the_window_guard(self, tmp_path):
+        # a window of this radius exceeds 200,000 vertices; the ball lists
+        # 110,210 free vertices and samples from them
+        out = tmp_path / "d.json"
+        assert main(["derive", "--group",
+                     group_file(tmp_path, corpus.group_zsq_z2("king")),
+                     "--N", "2", "--radius", "12", "--out", str(out)]) == 0
+        result = json.loads(out.read_bytes())["result"]
+        assert result["samples"] == 200 and result["violations"] == 0
 
 
 class TestResultIsLibraryReturn:
@@ -728,19 +777,27 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
-# run in a fresh interpreter: spawn `hellykit argv`, print its exit code and
+# run in a fresh interpreter: spawn `python argv`, print its exit code and
 # its peak RSS
 PEAK_RSS = """\
 import os, sys
-argv = [sys.executable, "-m", "hellykit.cli", *sys.argv[1:]]
+argv = [sys.executable, *sys.argv[1:]]
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
+# `python -c BUILD_WINDOW group.json`: import what the CLI imports, build the
+# N=2, R=8 window of the group and exit
+BUILD_WINDOW = """\
+import sys
+from hellykit import cli
+cli.GammaWindow(cli.GammaConfig(cli.GroupSpec.load(sys.argv[1]), 2), 8)
+"""
+
 
 def peak_rss(argv):
-    """Peak RSS in bytes of `hellykit argv`.  A child's ru_maxrss is at least
-    the peak RSS of the process it was spawned from, so the CLI is spawned
+    """Peak RSS in bytes of `python argv`.  A child's ru_maxrss is at least
+    the peak RSS of the process it was spawned from, so the child is spawned
     from a small fresh interpreter, not from the test process."""
     proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
                           env=child_env(), capture_output=True, text=True,
@@ -813,15 +870,14 @@ class TestWriter:
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_gamma_build_streams_its_report(self, tmp_path):
-        # gamma build and derive build the same window, and the build then
-        # writes an 8.3 MiB report.  Holding its text and the encoded copy
-        # put the build's peak 41 MiB above derive's.  Streamed, with the
-        # window's vertices and edges read lazily as they are written, it is
-        # about 6 MiB, the tuple memo most of it
+        # gamma build writes an 8.3 MiB report of the window it builds.
+        # Holding its text and the encoded copy put the build's peak 41 MiB
+        # above that of a child that builds the same window and exits.
+        # Streamed, with the window's vertices and edges read lazily as they
+        # are written, it is about 6 MiB, the tuple memo most of it
         group = group_file(tmp_path, corpus.group_zsq_z2("king"))
-        window = ["--group", group, "--N", "2", "--radius", "8"]
         out = tmp_path / "w.json"
-        build = peak_rss(["gamma", "build", *window, "--out", str(out)])
-        derive = peak_rss(["derive", *window, "--samples", "1",
-                           "--out", str(tmp_path / "d.json")])
-        assert build - derive < out.stat().st_size
+        build = peak_rss(["-m", "hellykit.cli", "gamma", "build", "--group", group,
+                          "--N", "2", "--radius", "8", "--out", str(out)])
+        window = peak_rss(["-c", BUILD_WINDOW, group])
+        assert build - window < out.stat().st_size

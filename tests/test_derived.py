@@ -3,11 +3,15 @@ sampled theorem checks."""
 
 import random
 
+import pytest
+
 from hellykit import corpus
 from hellykit.derived import (derive, two_local_violations, verify_derivation_theorems,
                               z_path)
-from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
+from hellykit.gamma import GammaBall, GammaConfig, GammaWindow, recommended_n
+from hellykit.groups import GroupSpec
 from hellykit.relwords import analyze_word, value as word_value
+from test_gamma import group_s3_z2
 
 
 def window_neighbors(w, v):
@@ -273,6 +277,22 @@ class TestTheoremHarness:
         r1 = verify_derivation_theorems(w, 80, seed=9)
         r2 = verify_derivation_theorems(w, 80, seed=9)
         assert r1 == r2
+
+    # the three pinned derive groups at their least certifying N and 200
+    # samples, the 50-sample derive of the benchmark's glued window, a
+    # nonabelian factor and the free group with no factor
+    @pytest.mark.parametrize("group, samples", [
+        (corpus.group_z2_z3, 200), (corpus.group_z2_z2, 200),
+        (corpus.group_zsq_z2, 200), (corpus.group_zsq_z2, 50),
+        (group_s3_z2, 200), (lambda: GroupSpec([], free_rank=2), 200)],
+        ids=["z2_z3", "z2_z2", "zsq_z2", "zsq_z2_50", "s3_z2", "f2"])
+    def test_ball_gives_the_window_result(self, group, samples):
+        spec = group()
+        config = GammaConfig(spec, recommended_n(spec))
+        w = GammaWindow(config, 8)
+        for seed in (2024, 1, 7):
+            assert (verify_derivation_theorems(GammaBall(config, 8), samples, seed)
+                    == verify_derivation_theorems(w, samples, seed))
 
     def _mixed_closed_path(self, w, h):
         """Closed path: through the copy from 1 to h, back along medial hops."""

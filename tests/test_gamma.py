@@ -4,14 +4,16 @@ shortenings, penetration, geodesic enumeration."""
 import gc
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from types import GeneratorType
 
 import pytest
 
 from hellykit import corpus
-from hellykit.gamma import (GammaConfig, GammaWindow, WindowError,
+from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
                             certified_clauses, recommended_n)
+from hellykit.graphs import bfs_row
+from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
 
 
 def window_neighbors(w, v):
@@ -469,6 +471,173 @@ class TestGeodesicEnumeration:
         if not certified:
             with pytest.raises(WindowError):
                 w.geodesics_between(u, v)
+
+
+def group_s3_z2():
+    """S3 * Z/2, S3 generated by its three transpositions: a nonabelian
+    parabolic, where left and right multiplication inside a copy differ."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms]
+             for p in perms]
+    return GroupSpec([FiniteFactor(table, [3, 4, 5]), CyclicFactor(2)])
+
+
+# (group, N, R) of the windows the ball is checked against: every group the
+# CLI ships, the square Z^2 model, a free letter beside two factors, a
+# nonabelian factor, and the free group with no factor at all
+BALL_ORACLES = {
+    "z2_z3": (corpus.group_z2_z3, 1, 8),
+    "z2_z2": (corpus.group_z2_z2, 2, 10),
+    "zsq_z2_king": (corpus.group_zsq_z2, 2, 7),
+    "zsq_z2_square": (lambda: corpus.group_zsq_z2("square"), 1, 7),
+    "z7_zsq_f1": (lambda: GroupSpec([CyclicFactor(7),
+                                     FreeAbelianFactor(2, "square")], 1), 2, 6),
+    "s3_z2": (group_s3_z2, 2, 8),
+    "f2": (lambda: GroupSpec([], free_rank=2), 1, 8),
+}
+
+
+@pytest.fixture(scope="module", params=BALL_ORACLES.values(),
+                ids=BALL_ORACLES.keys())
+def window_and_ball(request):
+    group, n_thick, radius = request.param
+    config = GammaConfig(group(), n_thick)
+    return GammaWindow(config, radius), GammaBall(config, radius)
+
+
+class TestBall:
+    """GammaBall's closed-form metric and walks against the window's BFS,
+    which stays the oracle."""
+
+    def test_closed_form_matches_window_bfs(self, window_and_ball):
+        # every certified (vertex, free target) pair, for the base and six
+        # more targets: the closed form against a full BFS from the target
+        w, ball = window_and_ball
+        free = w.free_vertices()
+        kinds = set()
+        for t in [w.base] + random.Random(3).sample(free, 6):
+            row, d = bfs_row(w.adj, w.index[t]), ball.distances[t]
+            for i, v in enumerate(w.verts):
+                if w.dist_from_base[i] + row[i] <= w.radius:
+                    assert d[v] == row[i], (v, t)
+                    kinds.add(v[0])
+        assert kinds == ({"free", "med", "int"} if w.config.spec.factors
+                         else {"free", "med"})
+
+    def test_base_distances_match_window(self, window_and_ball):
+        w, ball = window_and_ball
+        d = ball.distances[ball.base]
+        assert [d[v] for v in w.verts] == w.dist_from_base
+
+    def test_certified_window_distance_matches_closed_form(self, window_and_ball):
+        # the two certificates accept the same pairs, at the same distance;
+        # u is drawn from the inner half, and v half the time too, so that
+        # many pairs are certified
+        w, ball = window_and_ball
+        rng = random.Random(7)
+        inner = [v for i, v in enumerate(w.verts)
+                 if 2 * w.dist_from_base[i] <= w.radius]
+        targets = (w.free_vertices(), [v for v in inner if v[0] == "free"])
+        base, certified = ball.distances[ball.base], 0
+        for k in range(300):
+            u = inner[rng.randrange(len(inner))]
+            v = targets[k % 2][rng.randrange(len(targets[k % 2]))]
+            hops, ok = w.window_distance(u, v)
+            d = ball.distances[v][u]
+            assert ok == (base[u] + d <= w.radius)
+            if ok:
+                assert hops == d
+                certified += 1
+        assert 30 <= certified < 300
+
+    def test_free_vertices_match_window(self, window_and_ball):
+        w, ball = window_and_ball
+        assert ball.free_vertices() == w.free_vertices()
+
+    def test_draws_match_window(self, window_and_ball):
+        # the same path from the same rng, which both leave in the same
+        # state; an uncertified pair takes no draw
+        w, ball = window_and_ball
+        rng = random.Random(9)
+        free = w.free_vertices()
+        drawn = 0
+        for seed in range(100):
+            u = w.base if seed % 2 else free[rng.randrange(len(free))]
+            v = free[rng.randrange(len(free))]
+            r1, r2 = random.Random(seed), random.Random(seed)
+            path = ball.random_geodesic(r1, u, v)
+            assert path == w.random_geodesic(r2, u, v)
+            assert r1.getstate() == r2.getstate()
+            if path is None:
+                assert r1.getstate() == random.Random(seed).getstate()
+            else:
+                ball.check_path(path)
+                drawn += 1
+        assert 10 <= drawn < 100
+        # pairs on both sides of the certificate's edge, where
+        # dist(u) + d(u, v) is R or R + 1, from u of every kind
+        base, seen = ball.distances[ball.base], Counter()
+        for _ in range(3000):
+            u = w.verts[rng.randrange(len(w.verts))]
+            v = free[rng.randrange(len(free))]
+            over = base[u] + ball.distances[v][u] - w.radius
+            if over in (0, 1) and seen[over] < 10:
+                seen[over] += 1
+                path = ball.random_geodesic(random.Random(1), u, v)
+                assert path == w.random_geodesic(random.Random(1), u, v)
+                assert (path is None) == over
+        # without factors Γ is a subdivided tree, bipartite with every free
+        # vertex at even distance, so dist(u) + d(u, v) is even there
+        assert seen[0] and (seen[1] or not w.config.spec.factors)
+
+    def test_check_path_rejects_what_the_window_rejects(self):
+        config = GammaConfig(corpus.group_z2_z3(), 1)
+        w, ball = GammaWindow(config, 3), GammaBall(config, 3)
+        med = config.neighbors(w.base)[-1]
+        far = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3][0]
+        outside = [v for v in config.neighbors(far)
+                   if v not in w.index][0]
+        for bad, match in (([], "empty"), ([w.base, far], "not an edge"),
+                           ([far, outside], "leaves")):
+            for region in (w, ball):
+                with pytest.raises(WindowError, match=match):
+                    region.check_path(bad)
+        ball.check_path([w.base, med])
+
+    def test_guard_boundary(self):
+        # the guard counts free vertices as the DFS meets them
+        config = GammaConfig(corpus.group_zsq_z2("king"), 2)
+        n = len(GammaBall(config, 6).free_vertices())
+        assert len(GammaBall(config, 6, max_free=n).free_vertices()) == n
+        with pytest.raises(WindowError, match=f"exceeds {n - 1} free vertices"):
+            GammaBall(config, 6, max_free=n - 1).free_vertices()
+
+    @pytest.mark.parametrize("rank, style", [(2, "king"), (2, "square"),
+                                             (3, "king"), (3, "square")])
+    def test_guard_counts_a_lattice_before_listing_it(self, rank, style,
+                                                      monkeypatch):
+        # with Z^rank alone, the free vertices within R are exactly its
+        # elements of norm <= max(R // 2, N(R - 2)), one syllable each, so
+        # their count decides the guard before any of them is listed
+        factor = FreeAbelianFactor(rank, style)
+        config = GammaConfig(GroupSpec([factor]), 2)
+        n = factor.ball_size(max(6 // 2, 2 * (6 - 2)))
+        assert len(GammaBall(config, 6, max_free=n).free_vertices()) == n
+
+        def refuse(*args):
+            raise AssertionError("listed the elements of a refused factor")
+
+        monkeypatch.setattr(factor, "near", refuse)
+        with pytest.raises(WindowError, match=f"exceeds {n - 1} free vertices"):
+            GammaBall(config, 6, max_free=n - 1).free_vertices()
+        big = GammaConfig(GroupSpec([FreeAbelianFactor(3, "king")]), 8)
+        with pytest.raises(WindowError, match="exceeds 200000 free vertices at R=40"):
+            GammaBall(big, 40).free_vertices()  # 609^3 elements of norm <= 304
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(WindowError, match="radius must be >= 0"):
+            GammaBall(GammaConfig(corpus.group_z2_z3(), 1), -1)
 
 
 class TestExport:

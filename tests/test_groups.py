@@ -296,6 +296,14 @@ class TestFactors:
                 assert f.near(u, n) == want
                 assert f.near(u, n) == want  # the cached offsets again
 
+    @pytest.mark.parametrize("style", ["king", "square"])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_free_abelian_ball_size_counts_near(self, style, rank):
+        f = FreeAbelianFactor(rank, style)
+        assert f.ball_size(0) == 1
+        for n in range(1, 6):
+            assert f.ball_size(n) == 1 + len(f.near(f.identity, n))
+
     @pytest.mark.parametrize("factor", [
         CyclicFactor(2), CyclicFactor(5), FiniteFactor(s3_table()[1], [3, 4, 5]),
         FiniteFactor(s3_table()[1], [1, 2, 3])], ids=["z2", "z5", "s3", "s3_mixed"])

@@ -20,7 +20,7 @@ KEPT = {
     "groups._FiniteFactorBase.elements": "test_groups scans near over every element",
     "gamma.GammaWindow.geodesics_between": "aim-3 oracle: enumeration against DP count",
     "gamma.GammaWindow.count_geodesics": "aim-3 oracle: DP count against enumeration",
-    "gamma.GammaWindow.penetration_profile": "test_derived checks derive against it",
+    "gamma._GammaRegion.penetration_profile": "test_derived checks derive against it",
     # library API
     "gamma.GammaWindow.window_distance": "certificate API, acceptance criterion 6",
     "gamma.GammaWindow.has_full_neighborhood": "window structure, criterion 6",
