@@ -29,7 +29,8 @@ in tuple order, in place: the sorted vertex list and the BFS dict, its values
 rewritten, become verts and index, and each adjacency list goes as its
 renumbered tuple is made.  Id order is tuple order, so a walk that picks among
 neighbours in adjacency order makes the same choices on ids as on tuples.  The
-export (to_json, to_dot) reads verts and adj lazily, building no second copy.
+export (to_json, to_dot) reads verts and adj lazily, building no second copy;
+to_json writes each vertex and edge from a template, in reports.Rows.
 
 The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
 at that depth and stopped once u is labelled, reaches u exactly when
@@ -51,6 +52,7 @@ window, whose neighbours all lie there, in order, so both draw the same walks.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +62,7 @@ from typing import Optional
 from .graphs import (bfs_row, count_geodesics, enumerate_geodesics,
                      sample_geodesic)
 from .groups import Element, GroupError, GroupSpec, Letter
+from .reports import Rows
 
 WINDOW_GUARD_DEFAULT = 200_000
 
@@ -158,13 +161,6 @@ class GammaConfig:
             return out + [("int", j, rep, u2)
                           for u2 in factor.near(u, self.n_thick)]
         raise WindowError(f"unknown vertex kind {kind!r}")
-
-    @staticmethod
-    def edge_kind(u: GammaVertex, v: GammaVertex) -> str:
-        kind = _EDGE_KINDS.get((u[0], v[0]))
-        if kind is None:
-            raise WindowError(f"impossible edge {u[0]}-{v[0]}")
-        return kind
 
 
 class _GammaRegion:
@@ -352,9 +348,13 @@ class GammaWindow(_GammaRegion):
             counts[v[0]] += 1
         return counts
 
+    def _later(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(a, the neighbour ids above a) for each vertex id a, in order."""
+        return ((a, ws[bisect(ws, a):]) for a, ws in enumerate(self.adj))
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge (a, b), a < b, once and in order, read lazily from adj."""
-        return ((a, b) for a, ws in enumerate(self.adj) for b in ws if a < b)
+        return ((a, b) for a, later in self._later() for b in later)
 
     def to_graph(self):
         """Project the window to a plain graph on its vertex ids, e.g. to use
@@ -367,17 +367,45 @@ class GammaWindow(_GammaRegion):
 
     def to_json(self) -> dict:
         """The window's report fields; vertices, edges and edge_kinds are
-        one-shot generators over verts and adj, streamed by iterencode."""
+        Rows over verts and adj, each item written from a template."""
         verts = self.verts
+
+        def vertices(nl: str, encode) -> Iterator[str]:
+            k = nl + "  "
+            free = f'{{{k}"element": %s,{k}"kind": "free"{nl}}}'
+            med = f'{{{k}"element": %s,{k}"kind": "medial",{k}"letter": %s{nl}}}'
+            cop = (f'{{{k}"coset": %s,{k}"factor": %d,{k}"kind": "internal",'
+                   f'{k}"vertex": %s{nl}}}')
+            for v in verts:
+                if v[0] == "free":
+                    yield free % encode(v[1], k)
+                elif v[0] == "med":
+                    yield med % (encode(v[1][0], k), encode(v[1][1], k))
+                else:
+                    yield cop % (encode(v[2], k), v[1], encode(v[3], k))
+
+        def edges(nl: str, encode) -> Iterator[str]:
+            pair = f"[{nl}  %d,{nl}  %d{nl}]"
+            for a, later in self._later():
+                for b in later:
+                    yield pair % (a, b)
+
+        def edge_kinds(nl: str, encode) -> Iterator[str]:
+            kinds = [v[0] for v in verts]
+            text = {pair: encode(kind, nl) for pair, kind in _EDGE_KINDS.items()}
+            for a, later in self._later():
+                ka = kinds[a]
+                for b in later:
+                    yield text[ka, kinds[b]]
+
         return {
             "radius": self.radius,
             "n_thick": self.config.n_thick,
             "group": self.config.spec.to_json(),
-            "vertices": (vertex_to_obj(v) for v in verts),
+            "vertices": Rows(vertices),
             "dist_from_base": self.dist_from_base,
-            "edges": ([a, b] for a, b in self.edges()),
-            "edge_kinds": (GammaConfig.edge_kind(verts[a], verts[b])
-                           for a, b in self.edges()),
+            "edges": Rows(edges),
+            "edge_kinds": Rows(edge_kinds),
         }
 
     def to_dot(self) -> Iterator[str]:
@@ -480,12 +508,3 @@ class _Memo(dict):
         value = self[key] = self.fn(key)
         return value
 
-
-def vertex_to_obj(v: GammaVertex) -> dict:
-    """JSON object of a vertex; elements, letters and model vertices are kept
-    as tuples, which reports.dumps writes as arrays."""
-    if v[0] == "free":
-        return {"kind": "free", "element": v[1]}
-    if v[0] == "med":
-        return {"kind": "medial", "element": v[1][0], "letter": v[1][1]}
-    return {"kind": "internal", "factor": v[1], "coset": v[2], "vertex": v[3]}

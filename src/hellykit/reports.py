@@ -16,30 +16,42 @@ so the library and the report share one vocabulary; the CLI adds nothing.
 Every JSON file the CLI writes comes from `iterencode`, whose pieces join to
 exactly the bytes of json.dumps(obj, sort_keys=True, indent=2) and a final
 newline (sorted keys, fixed separators), so equal reports are equal as bytes.
-A dict yields one piece per key; a generator, and a list of more than 64
-items unless they are all int, all float or all str, one piece per item; any
-other value is one piece, each container joined in one step.  So the CLI
-writes a report to its file piece by piece and never holds its whole text
-(8 MiB for a large `gamma build` window).  A generator (types.GeneratorType
-only; a set still raises TypeError) is the array of what it yields, read once,
-so a window hands over its vertices and edges without building them.  A tuple
-is encoded once per (object, indentation) and reused: the vertices of a window
-share their element tuples.  The memo is keyed by identity, never by value, as
-(1,), (True,) and (1.0,) are equal and hash alike but encode differently; each
-entry holds its tuple, so no identity is reused within the call, even where a
-generator builds a tuple and drops it.  Dict keys must be strings, as in every
-report: json would convert other scalar keys, the encoder raises TypeError.
+A dict yields one piece per key; a list of more than 64 items unless they are
+all int, all float or all str, one piece per item; a Rows, one piece per
+ROWS_CHUNK items; any other value is one piece, each container joined in one
+step.  So the CLI writes a report to its file piece by piece and never holds
+its whole text (8 MiB for a large `gamma build` window).  A Rows is the array
+of the texts its items function yields, called anew per encoding, so a window
+hands over its vertices and edges without building them.  No other iterable
+is an array: a generator, a set or a range raises TypeError.  A tuple is
+encoded once per (object, indentation) and reused: the vertices of a window
+share their element tuples.  The memo is keyed by identity, never by value,
+as (1,), (True,) and (1.0,) are equal and hash alike but encode differently;
+each entry holds its tuple, so no identity is reused within the call, even
+where a Rows builds a tuple and drops it.  Dict keys must be strings, as in
+every report: json would convert other scalar keys, the encoder raises
+TypeError.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from types import GeneratorType
 
 SCHEMA = "hellykit-report/1"
 TOOL_VERSION = "0.1.0"
+ROWS_CHUNK = 1024  # items of a Rows array per piece
+
+
+class Rows:
+    """A JSON array whose items encode themselves: items(nl, encode) yields
+    each item's text, its lines indented by `nl`, given the encoder's own
+    encode, whose tuple memo it thereby shares."""
+
+    def __init__(self, items: Callable[[str, Callable], Iterable[str]]):
+        self.items = items
 
 
 class ReportError(ValueError):
@@ -79,11 +91,16 @@ def iterencode(obj) -> Iterator[str]:
                 yield from pieces(v, inner)
                 sep = "," + inner
             yield nl + "}"
-        elif isinstance(o, GeneratorType) or (
-                isinstance(o, list) and len(o) > 64 and not _flat(o)):
+        elif isinstance(o, list) and len(o) > 64 and not _flat(o):
             sep = "[" + inner
             for x in o:
                 yield sep + encode(x, inner)
+                sep = "," + inner
+            yield nl + "]"
+        elif isinstance(o, Rows):
+            texts, sep = iter(o.items(inner, encode)), "[" + inner
+            while chunk := list(islice(texts, ROWS_CHUNK)):
+                yield sep + ("," + inner).join(chunk)
                 sep = "," + inner
             yield "[]" if sep[0] == "[" else nl + "]"  # [] if o yielded none
         else:
@@ -101,8 +118,9 @@ def iterencode(obj) -> Iterator[str]:
                 hit = memo[id(o), nl] = (o, encode(list(o), nl))
             return hit[1]
         inner = nl + "  "
-        if isinstance(o, GeneratorType):
-            o = list(o)
+        if isinstance(o, Rows):
+            texts = list(o.items(inner, encode))
+            return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
         if isinstance(o, list):
             flat = _flat(o)
             items = map(flat, o) if flat else [encode(x, inner) for x in o]

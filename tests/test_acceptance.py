@@ -16,7 +16,8 @@ from networkx.generators.atlas import graph_atlas_g
 from hellykit import corpus
 from hellykit.cli import main
 from hellykit.derived import verify_derivation_theorems
-from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
+from hellykit.gamma import (_EDGE_KINDS, GammaConfig, GammaWindow,
+                            recommended_n)
 from hellykit.graphs import Graph, QGParams, power_graph
 from hellykit.groups import random_element
 from hellykit.helly import (coarse_helly_constant, decide_helly,
@@ -204,8 +205,8 @@ def test_criterion_6_window_structure():
             elif v[0] == "med":
                 assert w.degree(v) == 2, name
             for u in window_neighbors(w, v):
-                assert GammaConfig.edge_kind(u, v) in ("free", "connecting",
-                                                       "internal")
+                assert _EDGE_KINDS[u[0], v[0]] in ("free", "connecting",
+                                                   "internal")
 
         w_big = GammaWindow(GammaConfig(spec, n), radius + 2)
         rng = random.Random(99)

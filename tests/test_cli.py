@@ -10,14 +10,13 @@ import subprocess
 import sys
 import time
 import warnings
-from types import GeneratorType
 
 import pytest
 
 import hellykit
 from hellykit import cli, corpus, helly
 from hellykit.cli import main
-from hellykit.gamma import GammaConfig, GammaWindow, recommended_n
+from hellykit.gamma import GammaWindow, recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
 from hellykit.groups import FreeAbelianFactor, GroupSpec
@@ -831,16 +830,8 @@ class TestWriter:
                             lambda report: seen.append(report))
         out = tmp_path / "r.json"
         assert main(args(tmp_path) + ["--out", str(out)]) == 0
-        report = seen[0]
-        if report["command"] == "gamma-build":
-            # writing the report used up the window's one-shot generators; a
-            # second window of the same configuration gives them again
-            window = GammaWindow(GammaConfig(corpus.group_zsq_z2("king"), 2), 4)
-            fresh = {k: v for k, v in window.to_json().items()
-                     if isinstance(v, GeneratorType)}
-            assert fresh.keys() == {"vertices", "edges", "edge_kinds"}
-            report["result"].update(fresh)
-        assert out.read_bytes() == render(report).encode()
+        # a window's Rows are re-read, so render writes them once more
+        assert out.read_bytes() == render(seen[0]).encode()
 
     def test_invalid_report_opens_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "build_report",

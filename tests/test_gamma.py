@@ -2,18 +2,27 @@
 shortenings, penetration, geodesic enumeration."""
 
 import gc
+import json
 import random
 import tracemalloc
 from collections import Counter, deque
-from types import GeneratorType
 
 import pytest
 
-from hellykit import corpus
-from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
-                            certified_clauses, recommended_n)
+from hellykit import corpus, reports
+from hellykit.gamma import (_EDGE_KINDS, GammaBall, GammaConfig, GammaWindow,
+                            WindowError, certified_clauses, recommended_n)
 from hellykit.graphs import bfs_row
 from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
+
+
+def vertex_to_obj(v):
+    """The JSON object of a vertex, the form its report text is written from."""
+    if v[0] == "free":
+        return {"kind": "free", "element": v[1]}
+    if v[0] == "med":
+        return {"kind": "medial", "element": v[1][0], "letter": v[1][1]}
+    return {"kind": "internal", "factor": v[1], "coset": v[2], "vertex": v[3]}
 
 
 def window_neighbors(w, v):
@@ -200,20 +209,15 @@ class TestWindow:
         assert sum(kinds.values()) == len(w.dist_from_base)
         for u in w.verts:
             for v in window_neighbors(w, u):
-                assert GammaConfig.edge_kind(u, v) in ("free", "connecting",
-                                                       "internal")
+                assert _EDGE_KINDS[u[0], v[0]] in ("free", "connecting",
+                                                   "internal")
 
     def test_edge_kind_by_tags(self):
-        free = ("free", ())
-        med = ("med", ((), ("xf", 0)))
-        internal = ("int", 0, (), 1)
-        for u, v, kind in [(free, med, "free"), (free, internal, "connecting"),
-                           (internal, internal, "internal")]:
-            assert GammaConfig.edge_kind(u, v) == kind
-            assert GammaConfig.edge_kind(v, u) == kind
-        for u, v in [(free, free), (med, med), (med, internal)]:
-            with pytest.raises(WindowError, match="impossible edge"):
-                GammaConfig.edge_kind(u, v)
+        for u, v, kind in [("free", "med", "free"), ("free", "int", "connecting"),
+                           ("int", "int", "internal")]:
+            assert _EDGE_KINDS[u, v] == _EDGE_KINDS[v, u] == kind
+        for u, v in [("free", "free"), ("med", "med"), ("med", "int")]:
+            assert (u, v) not in _EDGE_KINDS and (v, u) not in _EDGE_KINDS
 
     def test_no_adjacent_free_vertices(self):
         spec = corpus.group_z2_z3()
@@ -643,14 +647,36 @@ class TestBall:
 class TestExport:
     def test_json_round_shape(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 2)
-        # vertices, edges and edge_kinds are one-shot generators
-        rec = {k: list(v) if isinstance(v, GeneratorType) else v
-               for k, v in w.to_json().items()}
+        rec = json.loads(reports.dumps(w.to_json()))
         assert len(rec["vertices"]) == len(w.dist_from_base)
         assert {v["kind"] for v in rec["vertices"]} <= {"free", "medial", "internal"}
         assert rec["edges"] == [list(e) for e in w.edges()]
         assert len(rec["edges"]) == len(rec["edge_kinds"])
         assert set(rec["edge_kinds"]) <= {"free", "connecting", "internal"}
+
+    @pytest.mark.parametrize("spec, n, radius", [
+        pytest.param(spec, n, radius, id=f"{name}-N{n}-R{radius}")
+        for name, spec in [("z2_z3", corpus.group_z2_z3()),
+                           ("z2_z2", corpus.group_z2_z2()),
+                           ("zsq_z2", corpus.group_zsq_z2("king")),
+                           ("z2_f1", corpus.free_product(["cyclic:2"], free_rank=1))]
+        for n in (1, 2) for radius in (0, 1, 3, 5)] + [
+        pytest.param(corpus.group_zsq_z2("king"), 2, 8, id="zsq_z2-N2-R8")])
+    def test_json_bytes_equal_the_object_form(self, spec, n, radius):
+        # the templates write each vertex, edge and kind as json.dumps writes
+        # its object form; R=0 has no edges, free_rank=1 has "xf" letters
+        w = GammaWindow(GammaConfig(spec, n), radius)
+        edges = [[a, b] for a, ws in enumerate(w.adj) for b in ws if a < b]
+        form = {**w.to_json(), "vertices": list(map(vertex_to_obj, w.verts)),
+                "edges": edges,
+                "edge_kinds": [_EDGE_KINDS[w.verts[a][0], w.verts[b][0]]
+                               for a, b in edges]}
+        got = reports.dumps(w.to_json()).split("\n")
+        want = (json.dumps(form, sort_keys=True, indent=2) + "\n").split("\n")
+        # the first differing line, not a diff of megabytes of text
+        assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want))
+                     if a != b), None) is None
+        assert len(got) == len(want)
 
     def test_dot_contains_edges(self):
         w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 2)

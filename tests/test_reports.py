@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hellykit.reports import dumps, iterencode
+from hellykit import cli
+from hellykit.reports import ROWS_CHUNK, Rows, dumps, iterencode
 
 
 def reference(obj):
@@ -25,20 +26,22 @@ SCALARS = (st.booleans() | st.none() | TEXT
 
 
 class Gen(list):
-    """A list that `fresh` hands to the encoder as a generator; json.dumps
+    """A list that `streamed` hands to the encoder as a Rows; json.dumps
     writes it as the list it is."""
 
 
-def fresh(o):
-    """o with each Gen turned into a one-shot generator of its items."""
+def streamed(o):
+    """o with each Gen turned into a Rows of its items, each encoded by the
+    encoder's own function."""
     if isinstance(o, Gen):
-        return (fresh(x) for x in o)
+        items = [streamed(x) for x in o]
+        return Rows(lambda nl, encode: (encode(x, nl) for x in items))
     if isinstance(o, list):
-        return [fresh(x) for x in o]
+        return [streamed(x) for x in o]
     if isinstance(o, tuple):
-        return tuple(fresh(x) for x in o)
+        return tuple(streamed(x) for x in o)
     if isinstance(o, dict):
-        return {k: fresh(v) for k, v in o.items()}
+        return {k: streamed(v) for k, v in o.items()}
     return o
 
 
@@ -76,8 +79,9 @@ PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
 @example({"t": True, "f": False, "n": None, "i": 1, "z": 0})
 @example(Gen([Gen(), [Gen([1, (2,)])], {"g": Gen([Gen(), 0.5])}]))
 def test_dumps_matches_json(obj):
-    # a generator is read once, so each encoding gets its own
-    assert "".join(iterencode(fresh(obj))) == dumps(fresh(obj)) == reference(obj)
+    # a Rows is read anew by each encoding
+    o = streamed(obj)
+    assert "".join(iterencode(o)) == dumps(o) == dumps(o) == reference(obj)
 
 
 SHARED = (1, (2, "x"), [])
@@ -103,7 +107,7 @@ LONG = [[i, "x"] if i % 5 == 0 else {"k": (i,)} if i % 5 == 1 else
         "long-flat", "gen-long", "gen-long-flat", "gen-nested", "gen-empty",
         "gen-empty-depth-1", "gen-empty-joined"])
 def test_pieces_match_json(obj):
-    assert "".join(iterencode(fresh(obj))) == reference(obj)
+    assert "".join(iterencode(streamed(obj))) == reference(obj)
 
 
 def test_long_lists_stream_per_item():
@@ -112,11 +116,51 @@ def test_long_lists_stream_per_item():
     assert len(list(iterencode({"a": LONG}))) == 74
 
 
-def test_generators_stream_per_item():
-    # like a long list, a generator gives one piece per item, however few
-    # or flat: its key, its 3 items, the "]" and "}", the final newline
-    assert len(list(iterencode({"a": (x for x in "xyz")}))) == 7
-    assert list(iterencode(x for x in ())) == ["[]", "\n"]
+def count(n):
+    """A Rows of the ints 0..n-1, each written as its text."""
+    return Rows(lambda nl, encode: map(str, range(n)))
+
+
+def test_rows_stream_per_chunk():
+    # however few or flat its items, a Rows gives one piece per ROWS_CHUNK
+    # items: the key, one piece for the 3 items, the "]" and "}", the final
+    # newline
+    assert len(list(iterencode({"a": count(3)}))) == 5
+    assert list(iterencode(count(0))) == ["[]", "\n"]
+
+
+@pytest.mark.parametrize("n", [0, 1, ROWS_CHUNK - 1, ROWS_CHUNK, ROWS_CHUNK + 1,
+                               2 * ROWS_CHUNK + 1])
+def test_rows_across_the_chunk_boundary(n):
+    pieces = list(iterencode({"a": count(n)}))
+    assert "".join(pieces) == reference({"a": list(range(n))})
+    # the key, one piece per chunk (or "[]"), then "}" and the newline
+    assert len(pieces) == 3 + max(1, -(-n // ROWS_CHUNK)) + (n > 0)
+
+
+@pytest.mark.parametrize("obj, plain", [
+    ([count(5)], [list(range(5))]), ((count(5),), [list(range(5))]),
+    ([count(0), (count(2),)], [[], [[0, 1]]]),
+    ([Rows(lambda nl, encode: (encode((i, [i]), nl) for i in range(3)))],
+     [[[i, [i]] for i in range(3)]]),
+], ids=["in-list", "in-tuple", "empty-and-nested", "encoded-items"])
+def test_rows_inside_a_joined_container(obj, plain):
+    # a short list or a tuple is joined in one step, with its Rows encoded
+    # on that path, not streamed: one piece and the final newline
+    assert len(list(iterencode(obj))) == 2
+    assert dumps(obj) == dumps(obj) == reference(plain)
+
+
+def test_failing_rows_leave_an_empty_file(tmp_path):
+    # the items raise after more than a chunk was written
+    def items(nl, encode):
+        yield from map(str, range(ROWS_CHUNK + 10))
+        raise RuntimeError("midway")
+
+    out = tmp_path / "r.json"
+    with pytest.raises(RuntimeError, match="midway"):
+        cli._emit(iterencode({"a": Rows(items), "b": 1}), str(out))
+    assert out.read_bytes() == b""
 
 
 def test_fresh_tuples_from_a_generator():
@@ -129,8 +173,9 @@ def test_fresh_tuples_from_a_generator():
 
     assert len({id(t) for t in tuples()}) < 200  # ids are reused
     items = [[i, "x" * (i % 3), None] for i in range(200)]
-    assert "".join(iterencode(tuples())) == reference(items)
-    assert dumps({"a": tuples()}) == reference({"a": items})
+    rows = Rows(lambda nl, encode: (encode(t, nl) for t in tuples()))
+    assert "".join(iterencode(rows)) == reference(items)
+    assert dumps({"a": rows}) == reference({"a": items})
 
 
 @pytest.mark.parametrize("obj", [
@@ -154,14 +199,16 @@ def test_unserializable_raises_type_error(obj):
 @pytest.mark.parametrize("obj", [
     Gen([{1, 2}]), Gen([1, Gen([frozenset()])]), [Gen([{1}])], (Gen([{1}]),),
     Gen([map(str, [1])]), map(str, [1]), iter([1]), range(2),
+    (x for x in [1]), Gen([(x for x in [1])]),
 ])
 def test_only_generators_are_arrays(obj):
-    # a set inside a generator still raises, and other iterables are not
-    # arrays: only types.GeneratorType is
+    # only the generator behind a Rows makes an array: a set inside a Rows
+    # still raises, and no other iterable is an array, a bare generator
+    # included
     with pytest.raises(TypeError):
-        dumps(fresh(obj))
+        dumps(streamed(obj))
     with pytest.raises(TypeError):
-        list(iterencode({"a": fresh(obj)}))
+        list(iterencode({"a": streamed(obj)}))
 
 
 @pytest.mark.parametrize("obj", [{1: "a"}, {"x": {True: 1}}, [{None: 0}]])
