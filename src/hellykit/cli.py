@@ -131,7 +131,16 @@ def _cmd_gamma(args) -> int:
     return VIOLATION_EXIT if problems else 0
 
 
+def _at_least(args, floors: dict[str, int]) -> None:
+    """A usage error naming the first flag whose value is below its floor."""
+    for flag, floor in floors.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < floor:
+            raise ValueError(f"{flag} must be >= {floor}, got {value}")
+
+
 def _cmd_derive(args) -> int:
+    _at_least(args, {"--samples": 0})
     spec = GroupSpec.load(args.group)
     region = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
     result = verify_derivation_theorems(region, args.samples, args.seed)
@@ -142,6 +151,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    _at_least(args, {"--samples": 0, "--radius": 0, "--k": 0,
+                     "--parabolic-cap": 1})
     spec = GroupSpec.load(args.group)
     qg = QGParams(_fraction(args.lam, "--lambda"), _fraction(args.c, "--c"))
     lam, c = qg.lam, qg.c

@@ -218,22 +218,21 @@ def is_isometric_subgraph(sub: Graph, embedding: Sequence[int], sup: Graph
 # Metric-generic constants.  A metric is given by rows: row(x) returns the
 # distance function y -> d(x, y).  For a graph that is Graph.rows(); for a group,
 # GroupSpec.x_row or GroupSpec.rel_row, which invert x once per row instead of
-# once per pair.
+# once per pair.  Each metric is symmetric, so one block of rows from a to b
+# gives the distances both ways.
 
-def directed_hausdorff(row, a: Sequence, b: Sequence) -> int:
-    """max over x in a of min over y in b of d(x, y), for nonempty a and b."""
-    return max(min(map(row(x), b)) for x in a)
+def _nearest(row, a: Sequence, b: Sequence) -> tuple[list[int], list[int]]:
+    """For nonempty a and b: each x in a's distance to b, and each y in b's
+    distance to a, from one block of rows, computing each d(x, y) once."""
+    block = [list(map(row(x), b)) for x in a]
+    return list(map(min, block)), list(map(min, zip(*block)))
 
 
-def satisfies_quasigeodesic(row, seq: Sequence, lam, c) -> bool:
-    """k - i <= lam * d(s_i, s_k) + c for every pair i < k of the sequence s,
-    i.e. over all of its subpaths."""
-    for i, x in enumerate(seq):
-        dx = row(x)
-        for k in range(i + 1, len(seq)):
-            if k - i > lam * dx(seq[k]) + c:
-                return False
-    return True
+def hausdorff(row, a: Sequence, b: Sequence) -> int:
+    """Hausdorff distance of nonempty a and b: the larger of the two directed
+    distances, max over x in a of min over y in b of d(x, y) and back."""
+    to_b, to_a = _nearest(row, a, b)
+    return max(max(to_b), max(to_a))
 
 
 def thin_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
@@ -252,11 +251,13 @@ def thin_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
 
 
 def slim_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
-    """Slim constant of a triangle: each side against the union of the other
-    two."""
-    return max(directed_hausdorff(row, p, (*q, *r)),
-               directed_hausdorff(row, q, (*r, *p)),
-               directed_hausdorff(row, r, (*p, *q)))
+    """Slim constant of a triangle: each side's directed Hausdorff distance
+    to the union of the other two, from one block of rows per pair of sides."""
+    p_q, q_p = _nearest(row, p, q)
+    q_r, r_q = _nearest(row, q, r)
+    r_p, p_r = _nearest(row, r, p)
+    return max(max(map(min, p_q, p_r)), max(map(min, q_r, q_p)),
+               max(map(min, r_p, r_q)))
 
 
 # The geodesic distance DAG of a pair u, v is read off two single-source rows:

@@ -32,7 +32,6 @@ from typing import Iterable, Optional
 
 from .graphs import bfs_row, strict_int
 
-Syllable = tuple
 Element = tuple  # tuple of syllables
 Letter = tuple
 
@@ -247,6 +246,7 @@ class GroupSpec:
             raise GroupError("trivial group: no factors and no free letters")
         self.identity: Element = ()
         self._rel_letters: dict[Optional[int], tuple[Letter, ...]] = {}
+        self._images: dict[Letter, Element] = {}
 
     # -- normal form arithmetic -------------------------------------------
 
@@ -270,36 +270,33 @@ class GroupSpec:
             return ()
         return (("f", tuple(w)),)
 
-    def _append(self, out: list, syl: Syllable) -> None:
-        if not out:
-            out.append(syl)
-            return
-        last = out[-1]
-        if syl[0] == "p" and last[0] == "p" and syl[1] == last[1]:
-            j = syl[1]
-            h = self.factors[j].mul(last[2], syl[2])
-            out.pop()
-            if h != self.factors[j].identity:
-                out.append(("p", j, h))
-            return
-        if syl[0] == "f" and last[0] == "f":
-            w1, w2 = last[1], syl[1]
-            i, k = len(w1), 0
-            while i > 0 and k < len(w2) and w1[i - 1] == -w2[k]:
-                i -= 1
-                k += 1
-            merged = w1[:i] + w2[k:]
-            out.pop()
-            if merged:
-                out.append(("f", merged))
-            return
-        out.append(syl)
-
     def multiply(self, a: Element, b: Element) -> Element:
-        out = list(a)
-        for syl in b:
-            self._append(out, syl)
-        return tuple(out)
+        """a b in normal form.  Both factors are normal, so only syllables
+        meeting at the junction reduce: a pair that cancels outright exposes
+        the next pair, and the first that does not ends the reduction."""
+        i, k, mid = len(a), 0, ()
+        while i and k < len(b):
+            last, syl = a[i - 1], b[k]
+            if last[0] != syl[0] or (syl[0] == "p" and last[1] != syl[1]):
+                break
+            i -= 1
+            k += 1
+            if syl[0] == "p":
+                factor = self.factors[syl[1]]
+                h = factor.mul(last[2], syl[2])
+                if h != factor.identity:
+                    mid = (("p", syl[1], h),)
+                    break
+            else:
+                w1, w2 = last[1], syl[1]
+                n, m = len(w1), 0
+                while n and m < len(w2) and w1[n - 1] == -w2[m]:
+                    n -= 1
+                    m += 1
+                if n or m < len(w2):
+                    mid = (("f", w1[:n] + w2[m:]),)
+                    break
+        return a[:i] + mid + b[k:]
 
     def invert(self, a: Element) -> Element:
         out = []
@@ -414,12 +411,18 @@ class GroupSpec:
         return letters
 
     def letter_image(self, letter: Letter) -> Element:
-        tag = letter[0]
-        if tag == "xg" or tag == "h":
-            return self.parabolic(letter[1], letter[2])
-        if tag == "xf":
-            return self.free_word((letter[1],))
-        raise GroupError(f"unknown letter {letter!r}")
+        """The element a letter stands for, computed once per letter."""
+        image = self._images.get(letter)
+        if image is None:
+            tag = letter[0]
+            if tag == "xg" or tag == "h":
+                image = self.parabolic(letter[1], letter[2])
+            elif tag == "xf":
+                image = self.free_word((letter[1],))
+            else:
+                raise GroupError(f"unknown letter {letter!r}")
+            self._images[letter] = image
+        return image
 
     def letter_invert(self, letter: Letter) -> Letter:
         tag = letter[0]

@@ -13,11 +13,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .graphs import (directed_hausdorff, satisfies_quasigeodesic, slim_constant,
-                     thin_constant)
+from .graphs import hausdorff, slim_constant, thin_constant
 from .groups import Element, GroupSpec, Letter, random_element
 
 
@@ -146,9 +144,45 @@ def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
 
 
 def is_quasigeodesic(spec: GroupSpec, w: RelWord, lam, c) -> bool:
-    """Exact (lam,c)-quasigeodesic check over every subword, via rel_length."""
-    return satisfies_quasigeodesic(spec.rel_row, vertices(spec, w), Fraction(lam),
-                                   Fraction(c))
+    """Exact (lam,c)-quasigeodesic check over every subword: k - i <= lam *
+    d_rel(v_i, v_k) + c for all i < k, in integers; lam and c are ints or
+    Fractions.
+
+    For each start i the quotient v_k v_i^-1 grows by one letter image on the
+    left per step.  It is kept as a stack of atoms, each a parabolic syllable
+    or one free letter, top leftmost; the relative length is then the stack
+    height.
+    """
+    scale = lam.denominator * c.denominator
+    slope = lam.numerator * c.denominator
+    offset = c.numerator * lam.denominator
+    factors = spec.factors
+    # a letter's image is one syllable: parabolic, or a one-letter free word
+    atoms = [syl if syl[0] == "p" else syl[1][0]
+             for syl in (spec.letter_image(x)[0] for x in w.letters)]
+    for i in range(len(atoms)):
+        stack: list = []
+        for k in range(i, len(atoms)):
+            atom = atoms[k]
+            top = stack[-1] if stack else None
+            if type(atom) is int:
+                if top == -atom:
+                    stack.pop()
+                else:
+                    stack.append(atom)
+            else:
+                j = atom[1]
+                if type(top) is tuple and top[1] == j:
+                    h = factors[j].mul(atom[2], top[2])
+                    if h == factors[j].identity:
+                        stack.pop()
+                    else:
+                        stack[-1] = ("p", j, h)
+                else:
+                    stack.append(atom)
+            if (k + 1 - i) * scale > slope * len(stack) + offset:
+                return False
+    return True
 
 
 def geodesic_word(spec: GroupSpec, start: Element, end: Element) -> RelWord:
@@ -179,7 +213,7 @@ def perturbed_word(spec: GroupSpec, rng: random.Random, start: Element,
     """
     rejections = 0
     direct = geodesic_word(spec, start, end)
-    if Fraction(lam) == 1 and Fraction(c) == 0:
+    if lam == 1 and c == 0:
         return direct, 0
     verts = vertices(spec, direct)
     for _ in range(tries):
@@ -205,14 +239,12 @@ def _record(spec: GroupSpec, w: RelWord) -> tuple[list, list[Component]]:
     return [verts[i] for i in _phase_indices(comps, len(w.letters))], comps
 
 
-def _reversed(record: tuple, n: int) -> tuple[list, list[Component]]:
-    """The record of the length-n word walked backwards, from its end vertex
-    over the inverse letters: both lists reverse, and each component keeps its
-    factor and swaps its endpoints."""
-    phase, comps = record
-    return phase[::-1], [Component(c.j, n - 1 - c.end_index, n - 1 - c.start_index,
-                                   c.end_vertex, c.start_vertex)
-                         for c in reversed(comps)]
+def _reversed(comps: Sequence[Component], n: int) -> list[Component]:
+    """The components of the length-n word walked backwards, from its end
+    vertex over the inverse letters: in reverse order, each keeping its factor
+    and swapping its endpoints."""
+    return [Component(c.j, n - 1 - c.end_index, n - 1 - c.start_index,
+                      c.end_vertex, c.start_vertex) for c in reversed(comps)]
 
 
 def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
@@ -221,8 +253,7 @@ def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
     closeness of connected components.  Measured in both directions."""
     phase_p, comps_p = _record(spec, wp)
     phase_q, comps_q = _record(spec, wq)
-    phase_defect = max(directed_hausdorff(spec.x_row, phase_q, phase_p),
-                       directed_hausdorff(spec.x_row, phase_p, phase_q))
+    phase_defect = hausdorff(spec.x_row, phase_q, phase_p)
 
     unmatched = 0
     conn = 0
@@ -239,15 +270,14 @@ def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
 
 def triangle_mu_defects(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> int:
     """Worst defect of a non-backtracking quasigeodesic triangle against the
-    four triangle clauses, closed under rotation and orientation reversal."""
-    fwd = [_record(spec, w) for w in (p, q, r)]
-    rp, rq, rr = (_reversed(rec, len(w)) for rec, w in zip(fwd, (p, q, r)))
-    worst = 0
-    for a, b, c in (fwd, (rq, rp, rr)):
-        for (phase_a, comps_a), (phase_b, comps_b), (phase_c, comps_c) in (
-                (a, b, c), (b, c, a), (c, a, b)):
-            worst = max(worst, directed_hausdorff(spec.x_row, phase_c,
-                                                  phase_a + phase_b))
+    four triangle clauses, closed under rotation and orientation reversal.
+    Over the rotations the phase clause is the slim constant of the three
+    phase sets, which reversal keeps."""
+    (phase_p, cp), (phase_q, cq), (phase_r, cr) = (_record(spec, w) for w in (p, q, r))
+    rp, rq, rr = (_reversed(comps, len(w)) for comps, w in ((cp, p), (cq, q), (cr, r)))
+    worst = slim_constant(spec.x_row, phase_p, phase_q, phase_r)
+    for a, b, c in ((cp, cq, cr), (rq, rp, rr)):
+        for comps_a, comps_b, comps_c in ((a, b, c), (b, c, a), (c, a, b)):
             for cc in comps_c:
                 ca = next((ca for ca in comps_a if connected(spec, cc, ca)), None)
                 cb = next((cb for cb in comps_b if connected(spec, cc, cb)), None)
@@ -369,8 +399,7 @@ def measure_zeta(spec: GroupSpec, qg_lam, qg_c, samples: int, seed: int,
         rejected += rej
         wg = geodesic_word(spec, g1, g2)
         vq, vg = vertices(spec, wq), vertices(spec, wg)
-        zeta = max(zeta, directed_hausdorff(spec.rel_row, vq, vg),
-                   directed_hausdorff(spec.rel_row, vg, vq))
+        zeta = max(zeta, hausdorff(spec.rel_row, vq, vg))
     return _report("zeta", {"lambda": str(qg_lam), "c": str(qg_c),
                             "radius": radius, "parabolic_cap": parabolic_cap,
                             "group": spec.to_json()},

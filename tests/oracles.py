@@ -1,14 +1,34 @@
 """Oracles over ball families, the full enumeration of extremal functions,
 explicit geodesic lists and intervals, and one check per triangle, kept as the
 independent references of the Helly decider, the searches, the
-stable-interval constant and the clique-Helly test in `hellykit.helly`."""
+stable-interval constant and the clique-Helly test in `hellykit.helly`; and
+the directed definitions behind the metric-generic Hausdorff, slim and
+quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`."""
 
 from operator import sub
 
-from hellykit.graphs import directed_hausdorff, enumerate_geodesics, interval
+from hellykit.graphs import enumerate_geodesics, interval
 from hellykit.helly import _bits, _check_bound, _closed_neighbourhoods
 
 ORACLE_VERTEX_BOUND = 8
+
+
+# Metrics are given by rows, as in `hellykit.graphs`: row(x) is y -> d(x, y).
+
+def directed_hausdorff(row, a, b):
+    """max over x in a of min over y in b of d(x, y), for nonempty a and b."""
+    return max(min(map(row(x), b)) for x in a)
+
+
+def satisfies_quasigeodesic(row, seq, lam, c):
+    """k - i <= lam * d(s_i, s_k) + c for every pair i < k of the sequence s,
+    i.e. over all of its subpaths."""
+    for i, x in enumerate(seq):
+        dx = row(x)
+        for k in range(i + 1, len(seq)):
+            if k - i > lam * dx(seq[k]) + c:
+                return False
+    return True
 
 
 def helly_oracle_bruteforce(g, max_vertices=ORACLE_VERTEX_BOUND):

@@ -465,6 +465,11 @@ class TestErrorBoundary:
         ("measure_c_negative", "ValueError"),
         ("quasiconvex_lambda_zero_denominator", "ValueError"),
         ("quasiconvex_c_zero_denominator", "ValueError"),
+        ("measure_samples_negative", "ValueError"),
+        ("measure_radius_negative", "ValueError"),
+        ("measure_k_negative", "ValueError"),
+        ("measure_parabolic_cap_zero", "ValueError"),
+        ("derive_samples_negative", "ValueError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -489,6 +494,12 @@ class TestErrorBoundary:
                      "measure_c_negative": ("--c", "-1"),
                      "quasiconvex_lambda_zero_denominator": ("--lambda", "1/0"),
                      "quasiconvex_c_zero_denominator": ("--c", "1/0")}
+        # sizes below their floor; the stderr line names the flag
+        sizes = {"measure_samples_negative": ("--samples", "-3"),
+                 "measure_radius_negative": ("--radius", "-1"),
+                 "measure_k_negative": ("--k", "-2"),
+                 "measure_parabolic_cap_zero": ("--parabolic-cap", "0"),
+                 "derive_samples_negative": ("--samples", "-3")}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
                   "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
                   "orbit_bool": "[true, 2]"}
@@ -515,7 +526,10 @@ class TestErrorBoundary:
         elif case.startswith("measure_"):
             argv = ["measure", "--what", "bcp", "--group",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
-                    "--samples", "2", *fractions[case]]
+                    "--samples", "2", *fractions.get(case, sizes.get(case))]
+        elif case.startswith("derive_"):
+            argv = ["derive", "--group", group_file(tmp_path, corpus.group_z2_z3()),
+                    "--N", "1", "--radius", "2", *sizes[case]]
         elif case in fractions:
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
@@ -551,6 +565,8 @@ class TestErrorBoundary:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"hellykit {argv[0]}: {error}: ")
+        if case in sizes:
+            assert f"{sizes[case][0]} must be >= " in lines[0]
 
     def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -629,6 +645,36 @@ class TestMeasure:
         code = main(["measure", "--what", what, "--group",
                      group_file(tmp_path, group()), "--radius", "4",
                      "--samples", "20", "--seed", "11", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of the measure report in the benchmark's shape (radius 6,
+    # lambda 2, c 1) at 100 samples and seed 2024: longer words and more
+    # detours than the pins above, over the same samplers and constants
+    @pytest.mark.parametrize("group, what, digest", [
+        (corpus.group_z2_z3, "bcp",
+         "7115b88380993f6bd0da8ca9b28b99efadc4dbd911ecc202c02b8a9d24f53b70"),
+        (corpus.group_z2_z3, "nu",
+         "d15312ae5e48fb4892bde24510fdff17a659aa8bd4a86f3b7995f3bf5da82129"),
+        (corpus.group_z2_z3, "delta",
+         "7939b1531cd431649509ac4813a0324aaa77f15dbbb5ea9902c6c4c5b95a90cb"),
+        (corpus.group_z2_z3, "zeta",
+         "1828625ae3a2372ba2c82edede720f076f6f91b6ab79172062d967f832d0a5b3"),
+        (corpus.group_zsq_z2, "bcp",
+         "920c0b5383381ca0700d9134c4fde4b590b6fe161c6ca42e3bfe591778f00ac2"),
+        (corpus.group_zsq_z2, "nu",
+         "c13e8b3b2e896e67935f0df5bd1ae9456805804e972093c4bbdaf0cb331b395a"),
+        (corpus.group_zsq_z2, "delta",
+         "48410d5c74de7c2f224258e33b4e3eaa48d03f64eba7fee0f9ec986ff041e0bf"),
+        (corpus.group_zsq_z2, "zeta",
+         "8202ac8a2511884696b72a18f4bb71ab2f57a997afa975ac752a15922fa7e263"),
+    ])
+    def test_pinned_benchmark_shaped_digest(self, tmp_path, group, what, digest):
+        out = tmp_path / "m.json"
+        code = main(["measure", "--what", what, "--group",
+                     group_file(tmp_path, group()), "--radius", "6",
+                     "--samples", "100", "--lambda", "2", "--c", "1",
+                     "--seed", "2024", "--out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

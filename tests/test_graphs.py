@@ -9,10 +9,11 @@ import pytest
 from hellykit import corpus
 from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
                              NotConnectedError, ball, count_geodesics,
-                             directed_hausdorff, enumerate_geodesics,
-                             full_subgraph, interval, is_isometric_subgraph,
-                             power_graph, satisfies_quasigeodesic, slim_constant,
-                             thin_constant)
+                             enumerate_geodesics, full_subgraph, hausdorff,
+                             interval, is_isometric_subgraph, power_graph,
+                             slim_constant, thin_constant)
+from hellykit.groups import random_element
+from oracles import directed_hausdorff, satisfies_quasigeodesic
 
 
 def brute_distance(g, u, v):
@@ -240,29 +241,26 @@ class TestClassifyPath:
                     assert satisfies_quasigeodesic(g.rows(), p, lam, c)
 
 
-def hausdorff(g, a, b):
-    row = g.rows()
-    return max(directed_hausdorff(row, a, b), directed_hausdorff(row, b, a))
-
-
 class TestHausdorff:
-    """directed_hausdorff in both directions over the hop metric."""
+    """hausdorff, and the directed distance it is the larger of, over the hop
+    metric."""
 
     def test_equal_sets(self):
-        assert hausdorff(corpus.cycle(6), [0, 2], [0, 2]) == 0
+        assert hausdorff(corpus.cycle(6).rows(), [0, 2], [0, 2]) == 0
 
     def test_antipodes(self):
-        assert hausdorff(corpus.cycle(6), [0], [3]) == 3
+        assert hausdorff(corpus.cycle(6).rows(), [0], [3]) == 3
 
     def test_two_antipodal_arcs(self):
         # the two geodesics between antipodes of C6 stay 1 apart
-        assert hausdorff(corpus.cycle(6), [0, 1, 2, 3], [0, 5, 4, 3]) == 1
+        assert hausdorff(corpus.cycle(6).rows(), [0, 1, 2, 3], [0, 5, 4, 3]) == 1
 
     def test_four_arc_vs_geodesic(self):
         # frozen from the metric: arc vertex 2 is 2 from {0,5,4}, 5 is 1 from the arc
         g = corpus.cycle(6)
         assert directed_hausdorff(g.rows(), [0, 1, 2, 3, 4], [0, 5, 4]) == 2
         assert directed_hausdorff(g.rows(), [0, 5, 4], [0, 1, 2, 3, 4]) == 1
+        assert hausdorff(g.rows(), [0, 5, 4], [0, 1, 2, 3, 4]) == 2
 
     def test_symmetry_and_zero_iff_equal(self):
         rng = random.Random(7)
@@ -272,6 +270,45 @@ class TestHausdorff:
             row = g.rows()
             assert (directed_hausdorff(row, a, b) == 0) == set(a).issubset(b)
             assert (directed_hausdorff(row, b, a) == 0) == set(b).issubset(a)
+            assert hausdorff(row, a, b) == hausdorff(row, b, a)
+            assert (hausdorff(row, a, b) == 0) == (set(a) == set(b))
+
+
+def directed_slim(row, p, q, r):
+    """The slim constant as its definition reads: each side's directed
+    distance to the union of the other two."""
+    return max(directed_hausdorff(row, p, (*q, *r)),
+               directed_hausdorff(row, q, (*r, *p)),
+               directed_hausdorff(row, r, (*p, *q)))
+
+
+class TestAgainstDirectedDefinitions:
+    """hausdorff and slim_constant compute each cross distance once; they
+    must agree with the directed terms on the hop metric and on both group
+    metrics, on sequences with repeats and on single points."""
+
+    @staticmethod
+    def check(row, points, rng, rounds):
+        for _ in range(rounds):
+            a, b, c = ([rng.choice(points) for _ in range(rng.randint(1, 7))]
+                       for _ in range(3))
+            assert hausdorff(row, a, b) == max(directed_hausdorff(row, a, b),
+                                               directed_hausdorff(row, b, a))
+            assert slim_constant(row, a, b, c) == directed_slim(row, a, b, c)
+
+    def test_hop_metric(self):
+        rng = random.Random(17)
+        for g in random_connected_graphs(20, seed=41):
+            self.check(g.rows(), range(g.n), rng, 10)
+
+    def test_group_metrics(self):
+        rng = random.Random(18)
+        for spec in (corpus.group_z2_z3(), corpus.group_zsq_z2(),
+                     corpus.free_product(["cyclic:2"], free_rank=1)):
+            points = [random_element(spec, rng, rng.randint(0, 5))
+                      for _ in range(40)]
+            for row in (spec.x_row, spec.rel_row):
+                self.check(row, points, rng, 60)
 
 
 class TestGeodesicEnumeration:

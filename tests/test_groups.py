@@ -47,7 +47,59 @@ def s3_table():
     return perms, table
 
 
+def fold_append(spec, a, b):
+    """a b as its definition reads: b's syllables pushed onto a one at a
+    time, each merged with the top when it can be."""
+    out = list(a)
+    for syl in b:
+        last = out[-1] if out else (None,)
+        if syl[0] == last[0] == "p" and syl[1] == last[1]:
+            factor = spec.factors[syl[1]]
+            out.pop()
+            h = factor.mul(last[2], syl[2])
+            if h != factor.identity:
+                out.append(("p", syl[1], h))
+        elif syl[0] == last[0] == "f":
+            w1, w2 = last[1], syl[1]
+            i, k = len(w1), 0
+            while i > 0 and k < len(w2) and w1[i - 1] == -w2[k]:
+                i -= 1
+                k += 1
+            out.pop()
+            if w1[:i] + w2[k:]:
+                out.append(("f", w1[:i] + w2[k:]))
+        else:
+            out.append(syl)
+    return tuple(out)
+
+
 class TestMultiply:
+    def test_against_the_fold(self):
+        """multiply reduces only at the junction; the fold reduces at every
+        syllable of b.  Random normal forms; b = s^-1 t, whose head cancels
+        a's tail s outright before t meets what is left; and free words that
+        cancel in part."""
+        rng = random.Random(5)
+        cut_deep = 0
+        for spec in property_specs():
+            for _ in range(300):
+                a = random_element(spec, rng, rng.randint(0, 8), 2)
+                t = random_element(spec, rng, rng.randint(0, 4), 2)
+                tail = a[rng.randint(0, len(a)):]
+                b = fold_append(spec, spec.invert(tail), t)
+                for x, y in ((a, t), (t, a), (a, b), (b, spec.invert(a))):
+                    assert spec.multiply(x, y) == fold_append(spec, x, y)
+                cut_deep += len(tail) >= 2
+        assert cut_deep >= 200
+        spec = GroupSpec([CyclicFactor(3)], free_rank=2)
+        a = spec.multiply(spec.parabolic(0, 1), spec.free_word([1, 2, 2]))
+        for word, want in (([-2, 1], [1, 2, 1]), ([-2, -2, -1], []),
+                           ([-2, -2, -1, 2], [2]), ([1], [1, 2, 2, 1])):
+            b = spec.free_word(word)
+            got = spec.multiply(a, b)
+            assert got == fold_append(spec, a, b)
+            assert got == spec.multiply(spec.parabolic(0, 1), spec.free_word(want))
+
     def test_identity_neutral(self):
         spec = corpus.group_z2_z3()
         g = spec.multiply(spec.parabolic(1, 2), spec.parabolic(0, 1))

@@ -2,6 +2,8 @@
 similarity, and the measurement harnesses."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 from hellykit import corpus
 from hellykit.groups import random_element
@@ -11,6 +13,8 @@ from hellykit.relwords import (RelWord, analyze_word, bcp_defects, connected,
                                measure_bcp, measure_delta, measure_triangles,
                                measure_zeta, perturbed_word,
                                triangle_mu_defects, value, vertices)
+from oracles import satisfies_quasigeodesic
+from test_gamma import group_s3_z2
 
 
 def zz2():
@@ -364,6 +368,13 @@ def ref_triangle_mu(spec, p, q, r):
 
 REFERENCE_SPECS = (z23, corpus.group_z2_z2, zz2)
 
+# the quasigeodesic check also merges a nonabelian factor's syllables, where
+# the order of a product matters, and cancels free letters
+QG_SPECS = REFERENCE_SPECS + (
+    group_s3_z2, lambda: corpus.free_product(["cyclic:2"], free_rank=1))
+QG_PARAMS = ((1, 0), (2, 1), (3, 2), (Fraction(3, 2), Fraction(1, 2)),
+             (Fraction(5, 3), Fraction(2, 3)))
+
 
 def random_word(spec, rng, start, end=None):
     """Up to 6 random relative letters from start, closed by a geodesic to end
@@ -432,3 +443,24 @@ class TestAgainstReference:
                     assert is_quasigeodesic(spec, w, lam, c) == \
                         ref_is_quasigeodesic(spec, w, lam, c)
         assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_quasigeodesic_check(self):
+        """The syllable-stack check against the product-per-pair definition
+        and against the row-generic oracle over the walk, with fractional
+        parameters, on words that wander off and words that return to their
+        start."""
+        verdicts = Counter()
+        for make in QG_SPECS:
+            spec = make()
+            rng = random.Random(15)
+            for n in range(300):
+                start = random_element(spec, rng, 3)
+                w = random_word(spec, rng, start, start if n % 3 == 0 else None)
+                walk = vertices(spec, w)
+                for lam, c in QG_PARAMS:
+                    got = is_quasigeodesic(spec, w, lam, c)
+                    assert got == ref_is_quasigeodesic(spec, w, lam, c)
+                    assert got == satisfies_quasigeodesic(spec.rel_row, walk, lam, c)
+                    verdicts[make, lam, got] += 1
+        # every group and parameter pair sees both verdicts
+        assert len(verdicts) == 2 * len(QG_SPECS) * len(QG_PARAMS)
