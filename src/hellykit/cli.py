@@ -192,6 +192,7 @@ def _read_orbit(path: str) -> list[int]:
 
 
 def _cmd_quasiconvex(args) -> int:
+    _at_least(args, {"--cap": 1})
     ambient = load_graph(args.ambient)
     orbit = _read_orbit(args.orbit)
     spec = OrbitSpec(ambient, tuple(sorted(set(orbit))), args.k)

@@ -59,8 +59,8 @@ from functools import cached_property
 from math import ceil
 from typing import Optional
 
-from .graphs import (bfs_row, count_geodesics, enumerate_geodesics,
-                     sample_geodesic)
+from .graphs import (GEODESIC_CAP_DEFAULT, bfs_row, count_geodesics,
+                     enumerate_geodesics, sample_geodesic)
 from .groups import Element, GroupError, GroupSpec, Letter
 from .reports import Rows
 
@@ -327,13 +327,11 @@ class GammaWindow(_GammaRegion):
         return all(v in self.index for v in path)
 
     def geodesics_between(self, u: GammaVertex, v: GammaVertex,
-                          cap: int = 100_000, allow_truncate: bool = False
-                          ) -> tuple[list[list[GammaVertex]], bool]:
+                          cap: int = GEODESIC_CAP_DEFAULT
+                          ) -> list[list[GammaVertex]]:
         """All geodesics between a certified pair, via the distance DAG."""
-        paths, truncated = enumerate_geodesics(self.adj, *self._dag_rows(u, v),
-                                               cap=cap,
-                                               allow_truncate=allow_truncate)
-        return [[self.verts[i] for i in p] for p in paths], truncated
+        paths = enumerate_geodesics(self.adj, *self._dag_rows(u, v), cap=cap)
+        return [[self.verts[i] for i in p] for p in paths]
 
     def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
         """Geodesic count by dynamic programming over the distance DAG; the

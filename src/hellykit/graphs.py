@@ -24,7 +24,7 @@ class NotConnectedError(GraphError):
 
 
 class GeodesicCapExceeded(GraphError):
-    """Raised when geodesic enumeration would silently truncate."""
+    """Raised when more geodesics exist than the enumeration's cap."""
 
 
 def strict_int(value, what: str, error: type = GraphError) -> int:
@@ -266,18 +266,13 @@ def slim_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
 # and u's own, are read.
 
 def enumerate_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
-                        dv: Sequence[int], cap: int = GEODESIC_CAP_DEFAULT,
-                        allow_truncate: bool = False
-                        ) -> tuple[list[tuple[int, ...]], bool]:
+                        dv: Sequence[int], cap: int = GEODESIC_CAP_DEFAULT
+                        ) -> list[tuple[int, ...]]:
     """All geodesics u -> v as vertex tuples, lexicographically ordered.
-
-    Refuses to truncate silently: if more than `cap` geodesics exist, raises
-    GeodesicCapExceeded unless allow_truncate is set, in which case the first
-    `cap` are returned with a truncation flag.
-    """
+    Never truncates: if more than `cap` geodesics exist, raises
+    GeodesicCapExceeded."""
     u, v = du.index(0), dv.index(0)
     out: list[tuple[int, ...]] = []
-    truncated = False
 
     def walk(z: int, acc: list[int]) -> bool:
         if z == v:
@@ -292,13 +287,9 @@ def enumerate_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
                     return False
         return True
 
-    completed = walk(u, [u])
-    if not completed:
-        if not allow_truncate:
-            raise GeodesicCapExceeded(f"more than {cap} geodesics between {u} and {v}")
-        truncated = True
-        del out[cap:]
-    return out, truncated
+    if not walk(u, [u]):
+        raise GeodesicCapExceeded(f"more than {cap} geodesics between {u} and {v}")
+    return out
 
 
 def count_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],

@@ -22,7 +22,6 @@ exponential in the worst case and keep the enumeration's size bound.
 
 from __future__ import annotations
 
-import warnings
 from functools import reduce
 from operator import add, and_, sub
 from typing import Callable, Optional
@@ -45,16 +44,11 @@ _DECIDERS_DISAGREE = ("Helly deciders disagree: not dismantlable and "
 BallFamily = tuple[tuple[int, int], ...]
 
 
-def _check_bound(g: Graph, bound: int, default: int = EXTREMAL_VERTEX_BOUND,
-                 what: str = "extremal-function enumeration") -> None:
+def _check_bound(g: Graph, bound: int) -> None:
     if g.n > bound:
         raise SizeBoundExceeded(
-            f"{what} is bounded to {bound} vertices (got {g.n}); "
-            "pass a larger bound explicitly to override")
-    if g.n > default:
-        warnings.warn(f"{what} on {g.n} vertices exceeds the default bound "
-                      f"{default}; expect exponential worst-case behaviour",
-                      stacklevel=3)
+            f"extremal-function enumeration is bounded to {bound} vertices "
+            f"(got {g.n}); pass a larger bound explicitly to override")
 
 
 def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
@@ -398,11 +392,8 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     out = Graph(len(fs), edges)
     embedding = [index[row] for row in g.dist()]
 
-    with warnings.catch_warnings():
-        # the output is searched only if decide_helly rejects it
-        warnings.simplefilter("ignore")
-        ok_helly, _ = is_helly(out, max_vertices=max(out.n, max_vertices))
-    if not ok_helly:
+    # the output is searched only if decide_helly rejects it
+    if not is_helly(out, max_vertices=out.n)[0]:
         raise AssertionError("hellyfication postcondition failed: output not Helly")
     ok_iso, pair = is_isometric_subgraph(g, embedding, out)
     if not ok_iso:

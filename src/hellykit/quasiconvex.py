@@ -9,7 +9,6 @@ bound computed under a binding cap is flagged as a lower bound.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -22,10 +21,9 @@ from .graphs import (Graph, GraphError, QGParams, full_subgraph,
 from .helly import coarse_helly_constant, is_pseudo_modular
 
 ENUM_CAP_DEFAULT = 200_000
-
-
-class EnumerationCapExceeded(GraphError):
-    pass
+# the size bound of the coarse constant of the ambient graph and of Delta,
+# in place of helly's default: the lemma instances outgrow 14 vertices
+SECTION5_VERTEX_BOUND = 64
 
 
 def _check_orbit(ambient: Graph, orbit: Sequence[int]) -> None:
@@ -58,15 +56,14 @@ class QCResult:
 
 
 def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
-                     cap: int = ENUM_CAP_DEFAULT,
-                     allow_cap: bool = False) -> QCResult:
+                     cap: int = ENUM_CAP_DEFAULT) -> QCResult:
     """Least k with every enumerated (lam,c)-quasigeodesic with endpoints in
     the orbit inside the orbit's k-neighbourhood.
 
     Depth-first search over walks, pruning any prefix that already violates
     the quasigeodesic inequality (prefixes of quasigeodesics are
     quasigeodesics, so this is lossless).  If the exploration cap binds, the
-    result is a lower bound and says so; without allow_cap that raises.
+    result is a lower bound and says so.
     """
     _check_orbit(ambient, orbit)
     wset = sorted(set(orbit))
@@ -103,15 +100,9 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
         return True
 
     orbit_set = set(wset)
-    done = True
     for w1 in wset:
         if not dfs([w1], to_orbit[w1]):
-            done = False
             break
-    if not done and not allow_cap:
-        raise EnumerationCapExceeded(
-            f"quasigeodesic enumeration exceeded {cap} prefixes; "
-            "pass allow_cap for lower-bound semantics")
     return QCResult(best, enumerated, explored, capped)
 
 
@@ -130,9 +121,8 @@ def build_delta(spec: OrbitSpec) -> tuple[Graph, list[int], Graph]:
 
 
 def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
-                    cap: int = ENUM_CAP_DEFAULT, max_vertices: int = 64,
-                    instance: str = "", requested: Optional[QGParams] = None
-                    ) -> dict:
+                    cap: int = ENUM_CAP_DEFAULT, instance: str = "",
+                    requested: Optional[QGParams] = None) -> dict:
     """The `quasiconvex` report result.  Check both subgraph lemmas on one
     instance, and sweep the requested (lam,c) on top of the lemma grid.  Each
     distinct pair is swept once.
@@ -142,25 +132,15 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     checked conclusion that fails indicates an implementation bug, so callers
     treat it as a hard error; `violations` counts them.  A claimed xi_ambient
     is checked against the computed one and reported in its place.
-
-    max_vertices bounds the coarse constant of the ambient graph and of Delta
-    in place of `helly`'s default bound, so within it no size warning is given.
     """
     ambient, k = spec.ambient, spec.k
-
-    def xi_of(g: Graph) -> int:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return coarse_helly_constant(g, max_vertices=max_vertices)
-
-    xi = xi_of(ambient)
+    xi = coarse_helly_constant(ambient, SECTION5_VERTEX_BOUND)
     if xi_ambient is not None:
         if xi > xi_ambient:
             raise GraphError(
                 f"ambient coarse constant {xi} exceeds the claimed {xi_ambient}")
         xi = xi_ambient
-    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap,
-                                             allow_cap=True))
+    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
     qc1 = sweep(QGParams(1, 2 * xi))
@@ -176,7 +156,7 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     delta, embedding, gk = build_delta(spec)
 
     if coarse_hyp["holds"]:
-        xi_delta = xi_of(delta)
+        xi_delta = coarse_helly_constant(delta, SECTION5_VERTEX_BOUND)
         bound = 3 + ceil(Fraction(xi, k))
         coarse_conc = {"checked": True, "xi_delta": xi_delta, "bound": bound,
                        "holds": xi_delta <= bound}

@@ -8,7 +8,7 @@ quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`."""
 from operator import sub
 
 from hellykit.graphs import enumerate_geodesics, interval
-from hellykit.helly import _bits, _check_bound, _closed_neighbourhoods
+from hellykit.helly import SizeBoundExceeded, _bits, _closed_neighbourhoods
 
 ORACLE_VERTEX_BOUND = 8
 
@@ -42,8 +42,9 @@ def helly_oracle_bruteforce(g, max_vertices=ORACLE_VERTEX_BOUND):
     against some partner need checking.  Returns False iff such a family with
     empty intersection exists.
     """
-    _check_bound(g, max_vertices, ORACLE_VERTEX_BOUND,
-                 "brute-force Helly oracle")
+    if g.n > max_vertices:
+        raise SizeBoundExceeded(f"brute-force Helly oracle is bounded to "
+                                f"{max_vertices} vertices (got {g.n})")
     n = g.n
     d = g.dist()
     ecc = [max(row) for row in d]
@@ -126,8 +127,8 @@ def stable_interval_oracle(g, cap=100_000):
     for a in range(g.n):
         for u in g.adj[a]:
             for b in range(g.n):
-                paths_ab, _ = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
-                paths_ub, _ = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
+                paths_ab = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
+                paths_ub = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
                 for p in paths_ab:
                     for w in p:
                         reach = min(min(d[w][z] for z in q) for q in paths_ub)

@@ -279,13 +279,11 @@ def test_criterion_8_section5_lemmas():
     verified = 0
     skipped = 0
     for name, g, orbit in instances:
-        qc1 = quasiconvexity_k(g, orbit, QGParams(1, 0), cap=500_000,
-                               allow_cap=True)
-        qc5 = quasiconvexity_k(g, orbit, QGParams(5, 0), cap=500_000,
-                               allow_cap=True)
+        qc1 = quasiconvexity_k(g, orbit, QGParams(1, 0), cap=500_000)
+        qc5 = quasiconvexity_k(g, orbit, QGParams(5, 0), cap=500_000)
         k = max(1, qc1.k, 0 if qc5.capped else qc5.k)
         rep = verify_section5(OrbitSpec(g, orbit, k), cap=500_000,
-                              max_vertices=25, instance=name)
+                              instance=name)
         assert rep["violations"] == 0, name
         if rep["coarse_hypothesis"]["holds"] and rep["isometric_hypothesis"]["holds"]:
             assert rep["coarse_conclusion"]["holds"], name

@@ -9,7 +9,6 @@ import shlex
 import subprocess
 import sys
 import time
-import warnings
 
 import pytest
 
@@ -90,6 +89,18 @@ class TestAnalyze:
         assert result["xi"] == 0
         assert "witness" not in result
 
+    def test_search_within_the_bound_is_silent(self, tmp_path):
+        # C16 needs the search, and --max-vertices 16 admits it: the report
+        # is written and stderr stays empty, warnings shown or not
+        path = write(tmp_path / "c16.json",
+                     json.dumps(graph_to_json(corpus.cycle(16))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "hellykit.cli", "analyze",
+             path, "--max-vertices", "16"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["result"]["xi"] == 4
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["analyze", c4_edge_list(tmp_path), "--out", str(out1)])
@@ -117,10 +128,8 @@ class TestAnalyze:
         write(tmp_path / f"{name}.json", json.dumps(graph_to_json(g)))
         argv = ["analyze", f"{name}.json", "--out", "a.json"]
         if g.n > helly.EXTREMAL_VERTEX_BOUND:
-            with pytest.warns(UserWarning, match="exceeds the default bound"):
-                assert main(argv + ["--max-vertices", "18"]) == 0
-        else:
-            assert main(argv) == 0
+            argv += ["--max-vertices", "18"]
+        assert main(argv) == 0
         assert hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest() == digest
 
 
@@ -470,6 +479,8 @@ class TestErrorBoundary:
         ("measure_k_negative", "ValueError"),
         ("measure_parabolic_cap_zero", "ValueError"),
         ("derive_samples_negative", "ValueError"),
+        ("quasiconvex_cap_zero", "ValueError"),
+        ("quasiconvex_cap_negative", "ValueError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -499,7 +510,9 @@ class TestErrorBoundary:
                  "measure_radius_negative": ("--radius", "-1"),
                  "measure_k_negative": ("--k", "-2"),
                  "measure_parabolic_cap_zero": ("--parabolic-cap", "0"),
-                 "derive_samples_negative": ("--samples", "-3")}
+                 "derive_samples_negative": ("--samples", "-3"),
+                 "quasiconvex_cap_zero": ("--cap", "0"),
+                 "quasiconvex_cap_negative": ("--cap", "-3")}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
                   "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
                   "orbit_bool": "[true, 2]"}
@@ -530,10 +543,10 @@ class TestErrorBoundary:
         elif case.startswith("derive_"):
             argv = ["derive", "--group", group_file(tmp_path, corpus.group_z2_z3()),
                     "--N", "1", "--radius", "2", *sizes[case]]
-        elif case in fractions:
+        elif case.startswith("quasiconvex_"):
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
-                    "--k", "1", *fractions[case]]
+                    "--k", "1", *fractions.get(case, sizes.get(case))]
         elif case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
         elif case in groups:
@@ -698,12 +711,11 @@ class TestQuasiconvexCommand:
                  if v[0] == "free" and all(s[0] == "p" and s[1] == 1 for s in v[1])]
         assert len(orbit) == 3  # identity, a, a^2
         opath = write(tmp_path / "orbit.json", json.dumps(orbit))
-        # the ambient (28 vertices) and Delta (24) are within quasiconvex's bound
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["quasiconvex", "--ambient", str(ambient), "--orbit",
-                         str(opath), "--k", "3", "--out", str(tmp_path / "q.json")])
-        assert code == 0 and caught == []
+        # the ambient (28 vertices) and Delta (24) are within quasiconvex's
+        # bound; a warning would fail the suite
+        code = main(["quasiconvex", "--ambient", str(ambient), "--orbit",
+                     str(opath), "--k", "3", "--out", str(tmp_path / "q.json")])
+        assert code == 0
         report = json.loads((tmp_path / "q.json").read_text())
         assert report["result"]["violations"] == 0
 

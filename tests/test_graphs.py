@@ -108,7 +108,7 @@ class TestInterval:
             d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths, _ = enumerate_geodesics(g.adj, d[u], d[v])
+                    paths = enumerate_geodesics(g.adj, d[u], d[v])
                     union = sorted({z for p in paths for z in p})
                     assert union == interval(g, u, v)
 
@@ -234,8 +234,7 @@ class TestClassifyPath:
         for g in random_connected_graphs(10, seed=21):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             d = g.dist()
-            paths, _ = enumerate_geodesics(g.adj, d[u], d[v], cap=50,
-                                           allow_truncate=True)
+            paths = enumerate_geodesics(g.adj, d[u], d[v])
             for p in paths[:5]:
                 for lam, c in ((1, 0), (1, 3), (2, 0), (3, 2)):
                     assert satisfies_quasigeodesic(g.rows(), p, lam, c)
@@ -317,25 +316,26 @@ class TestGeodesicEnumeration:
             d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths, truncated = enumerate_geodesics(g.adj, d[u], d[v])
-                    assert not truncated
+                    paths = enumerate_geodesics(g.adj, d[u], d[v])
                     assert len(paths) == count_geodesics(g.adj, d[u], d[v])
 
     def test_cap_raises_loudly(self):
         # hypercube-ish king power has many geodesics between far corners
         g = corpus.grid(4, 4)
         d = g.dist()
-        with pytest.raises(GeodesicCapExceeded):
+        with pytest.raises(GeodesicCapExceeded, match="more than 3 geodesics"):
             enumerate_geodesics(g.adj, d[0], d[15], cap=3)
-        paths, truncated = enumerate_geodesics(g.adj, d[0], d[15], cap=3,
-                                               allow_truncate=True)
-        assert truncated and len(paths) == 3
+        # the 20 corner-to-corner geodesics: a cap of 20 binds none of them
+        with pytest.raises(GeodesicCapExceeded):
+            enumerate_geodesics(g.adj, d[0], d[15], cap=19)
+        paths = enumerate_geodesics(g.adj, d[0], d[15], cap=20)
+        assert len(paths) == 20 == count_geodesics(g.adj, d[0], d[15])
 
 
 def thin_slim(g):
     """Max thin and slim constants over every geodesic triangle of g."""
     d, row = g.dist(), g.rows()
-    geos = {(u, v): enumerate_geodesics(g.adj, d[u], d[v])[0]
+    geos = {(u, v): enumerate_geodesics(g.adj, d[u], d[v])
             for u in range(g.n) for v in range(g.n)}
     triangles = [(p, q, r) for a, b, c in itertools.product(range(g.n), repeat=3)
                  for p in geos[a, b] for q in geos[b, c] for r in geos[c, a]]

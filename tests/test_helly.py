@@ -7,7 +7,6 @@ pseudo-modularity, stable intervals, and Hellyfication postconditions."""
 import hashlib
 import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -146,11 +145,10 @@ class TestExtremalFunctions:
                     assert f[v] == max(d[u][v] - f[u] for u in range(g.n))
 
     def test_size_guard(self):
-        with pytest.raises(SizeBoundExceeded):
+        with pytest.raises(SizeBoundExceeded, match="bounded to 14 vertices"):
             extremal_functions(corpus.king_grid(4, 4))
-        # explicit override is allowed, with a warning
-        with pytest.warns(UserWarning, match="default bound 14"):
-            assert extremal_functions(corpus.path(15), max_vertices=15)
+        # a larger bound passed explicitly lifts it, without a warning
+        assert extremal_functions(corpus.path(15), max_vertices=15)
 
     # sha256 of repr() of the sorted list on C16 (3,281 functions) and on the
     # 41-vertex Hellyfication output of C8 (41 functions, its distance rows)
@@ -162,9 +160,7 @@ class TestExtremalFunctions:
     ], ids=["c16", "hull-c8"])
     def test_pinned_list_digest(self, graph, digest):
         g = graph()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # both exceed the default bound
-            fs = extremal_functions(g, max_vertices=g.n)
+        fs = extremal_functions(g, max_vertices=g.n)
         assert hashlib.sha256(repr(fs).encode()).hexdigest() == digest
 
 
@@ -197,9 +193,7 @@ class TestIsHelly:
 
 def enumeration_verdict(g):
     """Helly by enumeration: every extremal function is a distance row."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # hulls exceed the default bound
-        return _witness(g, extremal_functions(g, max_vertices=g.n)) is None
+    return _witness(g, extremal_functions(g, max_vertices=g.n)) is None
 
 
 def assert_deciders_agree(g, oracle_bound=ORACLE_VERTEX_BOUND):
@@ -208,9 +202,7 @@ def assert_deciders_agree(g, oracle_bound=ORACLE_VERTEX_BOUND):
     verdict = decide_helly(g)
     assert enumeration_verdict(g) == verdict
     if g.n <= oracle_bound:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # oracle_bound may exceed 8
-            assert helly_oracle_bruteforce(g, max_vertices=oracle_bound) == verdict
+        assert helly_oracle_bruteforce(g, max_vertices=oracle_bound) == verdict
     return verdict
 
 
@@ -361,11 +353,9 @@ class TestSearches:
     @pytest.mark.parametrize("n", range(3, 29))
     def test_cycle_xi_is_quarter_length(self, n):
         g = corpus.cycle(n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # C15 and beyond exceed the default
-            xi = coarse_helly_constant(g, max_vertices=28)
-            helly_, witness = is_helly(g, max_vertices=28)
-            fs = extremal_functions(g, max_vertices=16) if n <= 16 else None
+        xi = coarse_helly_constant(g, max_vertices=28)
+        helly_, witness = is_helly(g, max_vertices=28)
+        fs = extremal_functions(g, max_vertices=16) if n <= 16 else None
         assert xi == n // 4
         assert helly_ == (n == 3)
         if witness is not None:
@@ -397,13 +387,13 @@ class TestSearches:
             analyze(g)
             assert len(calls) == 1
 
-    def test_size_bound_warns_once(self):
-        # the searches keep the enumeration's bound and its warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert analyze(corpus.cycle(16), max_vertices=16)["xi"] == 4
-        assert len(caught) == 1
-        assert "exceeds the default bound 14" in str(caught[0].message)
+    def test_size_bound_is_silent_below_it(self):
+        # the searches keep the enumeration's bound: above it they raise,
+        # within it they answer, and warn in neither case (a UserWarning
+        # fails the suite)
+        with pytest.raises(SizeBoundExceeded, match="bounded to 15 vertices"):
+            analyze(corpus.cycle(16), max_vertices=15)
+        assert analyze(corpus.cycle(16), max_vertices=16)["xi"] == 4
 
 
 class TestCoarseConstant:

@@ -88,3 +88,16 @@ def test_init_imports_exist():
             module = importlib.import_module(f"hellykit.{node.module}")
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_no_module_imports_warnings():
+    # bounded searches raise past their bound and are silent within it, so
+    # no caller has to swap the process-wide warning filters
+    def imported(tree):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                yield from (a.name for a in n.names)
+            elif isinstance(n, ast.ImportFrom):
+                yield n.module
+
+    assert [mod for mod, tree in TREES.items() if "warnings" in imported(tree)] == []

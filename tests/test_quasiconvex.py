@@ -8,7 +8,7 @@ from hellykit import corpus
 from hellykit.gamma import GammaConfig, GammaWindow
 from hellykit.graphs import GraphError, QGParams
 from hellykit.helly import SizeBoundExceeded, is_helly
-from hellykit.quasiconvex import (EnumerationCapExceeded, OrbitSpec, build_delta,
+from hellykit.quasiconvex import (SECTION5_VERTEX_BOUND, OrbitSpec, build_delta,
                                   quasiconvexity_k, verify_section5)
 
 
@@ -66,11 +66,14 @@ class TestQuasiconvexityK:
         assert got.k == 2
 
     def test_cap_semantics(self):
-        g = corpus.king_grid(4, 4)
-        with pytest.raises(EnumerationCapExceeded):
-            quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50)
-        got = quasiconvexity_k(g, [0, 15], QGParams(2, 2), cap=50, allow_cap=True)
-        assert got.capped
+        # a binding cap stops the search and flags k as a lower bound
+        g, q = corpus.king_grid(4, 4), QGParams(2, 2)
+        got = quasiconvexity_k(g, [0, 15], q, cap=50)
+        assert got.capped and got.explored == 51
+        full = quasiconvexity_k(g, [0, 15], q)
+        assert not full.capped and got.k <= full.k
+        # a cap of exactly the prefixes explored does not bind
+        assert quasiconvexity_k(g, [0, 15], q, cap=full.explored) == full
 
 
     @pytest.mark.parametrize("lam, c", [("3/2", "1/2"), ("3/2", "1/3"),
@@ -173,7 +176,7 @@ class TestVerifySection5:
         rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1), requested=QGParams(1, 0))
         assert swept == [QGParams(1, 0), QGParams(5, 0)]
         assert rep["swept_grid"] == ["(1,0)", "(5,0)", "(1,0)"]
-        want = real(g, (3, 4, 5), QGParams(1, 0), allow_cap=True)
+        want = real(g, (3, 4, 5), QGParams(1, 0))
         assert rep["requested_qc"] == {
             "lambda": "1", "c": "0", "k": want.k, "capped": want.capped,
             "enumerated": want.enumerated}
@@ -184,7 +187,8 @@ class TestVerifySection5:
         assert rep["swept_grid"][-1] == "(3/2,1)"
 
     def test_size_bound_raises_above_max_vertices(self):
-        # a 28-vertex window of Z/2*Z/3, which is not Helly
-        g, _ = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 4).to_graph()
-        with pytest.raises(SizeBoundExceeded):
-            verify_section5(OrbitSpec(g, (0,), 1), max_vertices=g.n - 1)
+        # an 83-vertex window of Z/2*Z/3, which is not Helly
+        g, _ = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 8).to_graph()
+        assert g.n == 83 > SECTION5_VERTEX_BOUND
+        with pytest.raises(SizeBoundExceeded, match="bounded to 64 vertices"):
+            verify_section5(OrbitSpec(g, (0,), 1))
