@@ -117,7 +117,7 @@ def _cmd_gamma(args) -> int:
     problems = _window_sanity(window)
     result = window.to_json()
     result["kind_counts"] = window.kind_counts()
-    result["min_n_short_cycles"] = result["recommended_n"] = recommended_n(spec)
+    result["recommended_n"] = recommended_n(spec)
     result["assumption_clauses"] = certified_clauses(spec, args.n_thick)
     result["sanity_problems"] = problems
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius}

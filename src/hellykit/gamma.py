@@ -13,8 +13,9 @@ Vertices come in three kinds:
                          rep = GroupSpec.coset_rep(g, j)
 
 Edges: free (free-medial), connecting (free-internal), internal (two vertices
-of one copy at model distance <= N).  Every free vertex has degree |X| + m and
-every medial vertex degree 2; no two free vertices are adjacent.
+of one copy at model distance <= N); an edge's kind follows from the kinds of
+its ends, so a report lists the edges alone.  Every free vertex has degree
+|X| + m and every medial vertex degree 2; no two free vertices are adjacent.
 
 Windows are truncated balls around the identity free vertex.  A vertex's
 neighbor set is materialized exactly when its distance from the base is < R,
@@ -67,11 +68,6 @@ from .reports import Rows
 WINDOW_GUARD_DEFAULT = 200_000
 
 GammaVertex = tuple
-
-# edge kind by the kinds of its two endpoints, in either order
-_EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
-               ("free", "int"): "connecting", ("int", "free"): "connecting",
-               ("int", "int"): "internal"}
 
 
 class WindowError(GroupError):
@@ -277,12 +273,6 @@ class GammaWindow(_GammaRegion):
     def free_vertices(self) -> list[GammaVertex]:
         return [v for v in self.verts if v[0] == "free"]
 
-    def has_full_neighborhood(self, v: GammaVertex) -> bool:
-        return self.dist_from_base[self._id(v)] < self.radius
-
-    def degree(self, v: GammaVertex) -> int:
-        return len(self.adj[self._id(v)])
-
     def _id(self, v: GammaVertex) -> int:
         try:
             return self.index[v]
@@ -364,8 +354,9 @@ class GammaWindow(_GammaRegion):
         return Graph(len(self.verts), self.edges(), labels=labels), self.verts
 
     def to_json(self) -> dict:
-        """The window's report fields; vertices, edges and edge_kinds are
-        Rows over verts and adj, each item written from a template."""
+        """The window's report fields: dist_from_base, and vertices and edges
+        as Rows over verts and adj, each item written from a template.  The
+        config holds the group, N and R, so they are not repeated here."""
         verts = self.verts
 
         def vertices(nl: str, encode) -> Iterator[str]:
@@ -388,23 +379,8 @@ class GammaWindow(_GammaRegion):
                 for b in later:
                     yield pair % (a, b)
 
-        def edge_kinds(nl: str, encode) -> Iterator[str]:
-            kinds = [v[0] for v in verts]
-            text = {pair: encode(kind, nl) for pair, kind in _EDGE_KINDS.items()}
-            for a, later in self._later():
-                ka = kinds[a]
-                for b in later:
-                    yield text[ka, kinds[b]]
-
-        return {
-            "radius": self.radius,
-            "n_thick": self.config.n_thick,
-            "group": self.config.spec.to_json(),
-            "vertices": Rows(vertices),
-            "dist_from_base": self.dist_from_base,
-            "edges": Rows(edges),
-            "edge_kinds": Rows(edge_kinds),
-        }
+        return {"vertices": Rows(vertices), "dist_from_base": self.dist_from_base,
+                "edges": Rows(edges)}
 
     def to_dot(self) -> Iterator[str]:
         """The DOT text of the window, one line per piece."""

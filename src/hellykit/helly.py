@@ -48,7 +48,7 @@ def _check_bound(g: Graph, bound: int) -> None:
     if g.n > bound:
         raise SizeBoundExceeded(
             f"extremal-function enumeration is bounded to {bound} vertices "
-            f"(got {g.n}); pass a larger bound explicitly to override")
+            f"(got {g.n})")
 
 
 def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND

@@ -80,10 +80,10 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
 
     def dfs(walk: list[int], high: int) -> bool:
         nonlocal best, enumerated, explored, capped
-        explored += 1
-        if explored > cap:
+        if explored == cap:
             capped = True
             return False
+        explored += 1
         tail = walk[-1]
         if tail in orbit_set:
             enumerated += 1

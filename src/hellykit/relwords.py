@@ -34,13 +34,15 @@ class RelWord:
 @dataclass(frozen=True)
 class Component:
     """Maximal run of parabolic letters from one factor, with its endpoint
-    vertices in the group."""
+    vertices in the group.  Two components are connected when their keys,
+    the factor and the right coset of start_vertex, are equal."""
 
     j: int
     start_index: int
     end_index: int  # inclusive letter positions
     start_vertex: Element
     end_vertex: Element
+    key: tuple  # (j, coset_rep(start_vertex, j)), equal for end_vertex
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,11 @@ def end_vertex(spec: GroupSpec, w: RelWord) -> Element:
 
 def decompose_components(spec: GroupSpec, w: RelWord) -> list[Component]:
     """Ordered maximal parabolic runs; letters outside them are X-letters."""
-    return _components(w.letters, vertices(spec, w))
+    return _components(spec, w.letters, vertices(spec, w))
 
 
-def _components(letters: Sequence[Letter], verts: Sequence[Element]
-                ) -> list[Component]:
+def _components(spec: GroupSpec, letters: Sequence[Letter],
+                verts: Sequence[Element]) -> list[Component]:
     comps = []
     i = 0
     n = len(letters)
@@ -89,7 +91,8 @@ def _components(letters: Sequence[Letter], verts: Sequence[Element]
         k = i
         while k + 1 < n and letters[k + 1][0] == "h" and letters[k + 1][1] == j:
             k += 1
-        comps.append(Component(j, i, k, verts[i], verts[k + 1]))
+        comps.append(Component(j, i, k, verts[i], verts[k + 1],
+                               (j, spec.coset_rep(verts[i], j))))
         i = k + 1
     return comps
 
@@ -102,18 +105,9 @@ def _phase_indices(comps: Sequence[Component], n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if i not in interior)
 
 
-def _coset_key(spec: GroupSpec, c: Component) -> tuple:
-    return c.j, spec.coset_rep(c.start_vertex, c.j)
-
-
-def connected(spec: GroupSpec, c1: Component, c2: Component) -> bool:
-    """Same factor and start vertices in the same right coset."""
-    return _coset_key(spec, c1) == _coset_key(spec, c2)
-
-
 def _backtracks(spec: GroupSpec, w: RelWord) -> bool:
     """Whether two components of w are connected."""
-    keys = [_coset_key(spec, c) for c in decompose_components(spec, w)]
+    keys = [c.key for c in decompose_components(spec, w)]
     return len(set(keys)) < len(keys)
 
 
@@ -130,8 +124,8 @@ def _vertex_backtracks(spec: GroupSpec, verts: Sequence[Element]) -> bool:
 
 def analyze_word(spec: GroupSpec, w: RelWord) -> WordAnalysis:
     verts = vertices(spec, w)
-    comps = _components(w.letters, verts)
-    keys = [_coset_key(spec, c) for c in comps]
+    comps = _components(spec, w.letters, verts)
+    keys = [c.key for c in comps]
     count = Counter(keys)
     isolated = tuple(a for a, key in enumerate(keys) if count[key] == 1)
     return WordAnalysis(len(isolated) < len(comps), _vertex_backtracks(spec, verts),
@@ -235,16 +229,16 @@ def perturbed_word(spec: GroupSpec, rng: random.Random, start: Element,
 def _record(spec: GroupSpec, w: RelWord) -> tuple[list, list[Component]]:
     """Phase elements and components of w, off one walk."""
     verts = vertices(spec, w)
-    comps = _components(w.letters, verts)
+    comps = _components(spec, w.letters, verts)
     return [verts[i] for i in _phase_indices(comps, len(w.letters))], comps
 
 
 def _reversed(comps: Sequence[Component], n: int) -> list[Component]:
     """The components of the length-n word walked backwards, from its end
     vertex over the inverse letters: in reverse order, each keeping its factor
-    and swapping its endpoints."""
+    and key and swapping its endpoints."""
     return [Component(c.j, n - 1 - c.end_index, n - 1 - c.start_index,
-                      c.end_vertex, c.start_vertex) for c in reversed(comps)]
+                      c.end_vertex, c.start_vertex, c.key) for c in reversed(comps)]
 
 
 def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
@@ -259,7 +253,7 @@ def bcp_defects(spec: GroupSpec, wp: RelWord, wq: RelWord) -> dict[str, int]:
     conn = 0
     for side_a, side_b in ((comps_q, comps_p), (comps_p, comps_q)):
         for ca in side_a:
-            partners = [cb for cb in side_b if connected(spec, ca, cb)]
+            partners = [cb for cb in side_b if cb.key == ca.key]
             if not partners:
                 unmatched = max(unmatched, spec.d_x(ca.start_vertex, ca.end_vertex))
             for cb in partners:
@@ -279,8 +273,8 @@ def triangle_mu_defects(spec: GroupSpec, p: RelWord, q: RelWord, r: RelWord) -> 
     for a, b, c in ((cp, cq, cr), (rq, rp, rr)):
         for comps_a, comps_b, comps_c in ((a, b, c), (b, c, a), (c, a, b)):
             for cc in comps_c:
-                ca = next((ca for ca in comps_a if connected(spec, cc, ca)), None)
-                cb = next((cb for cb in comps_b if connected(spec, cc, cb)), None)
+                ca = next((ca for ca in comps_a if ca.key == cc.key), None)
+                cb = next((cb for cb in comps_b if cb.key == cc.key), None)
                 if ca is None and cb is None:
                     worst = max(worst, spec.d_x(cc.start_vertex, cc.end_vertex))
                 elif cb is None:

@@ -20,7 +20,7 @@ A dict yields one piece per key; a list of more than 64 items unless they are
 all int, all float or all str, one piece per item; a Rows, one piece per
 ROWS_CHUNK items; any other value is one piece, each container joined in one
 step.  So the CLI writes a report to its file piece by piece and never holds
-its whole text (8 MiB for a large `gamma build` window).  A Rows is the array
+its whole text (7.6 MiB for a large `gamma build` window).  A Rows is the array
 of the texts its items function yields, called anew per encoding, so a window
 hands over its vertices and edges without building them.  No other iterable
 is an array: a generator, a set or a range raises TypeError.  A tuple is

@@ -3,7 +3,8 @@ explicit geodesic lists and intervals, and one check per triangle, kept as the
 independent references of the Helly decider, the searches, the
 stable-interval constant and the clique-Helly test in `hellykit.helly`; and
 the directed definitions behind the metric-generic Hausdorff, slim and
-quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`."""
+quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
+kind of each edge of the glued graph, which `gamma build` does not report."""
 
 from operator import sub
 
@@ -11,6 +12,12 @@ from hellykit.graphs import enumerate_geodesics, interval
 from hellykit.helly import SizeBoundExceeded, _bits, _closed_neighbourhoods
 
 ORACLE_VERTEX_BOUND = 8
+
+# the kind of an edge of the glued graph by the kinds of its two endpoints,
+# in either order; no other pair of kinds is ever adjacent
+EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
+              ("free", "int"): "connecting", ("int", "free"): "connecting",
+              ("int", "int"): "internal"}
 
 
 # Metrics are given by rows, as in `hellykit.graphs`: row(x) is y -> d(x, y).

@@ -20,6 +20,7 @@ from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
 from hellykit.groups import FreeAbelianFactor, GroupSpec
 from hellykit.reports import ReportError, dumps, render, validate_report
+from oracles import EDGE_KINDS
 
 
 def write(path, text):
@@ -247,21 +248,26 @@ class TestGamma:
 
     # sha256 of the gamma build report and of its --graph-out projection;
     # any change to vertex order, adjacency or report encoding moves them.
-    # old_report is the digest from before the override-flag echo and the
-    # quotient bound left the report: restoring those three keys must give it
-    # back, so nothing else in the report moved
-    @pytest.mark.parametrize("group, n_thick, radius, report, old_report, graph", [
-        (corpus.group_z2_z3, 1, 6,
-         "d3b8cc88680aa1c531584b3d7ea02071ab9822a22fc07b86586292cd7b2ccbbf",
-         "fff7a36a47ee48dd8ff7f7b02999332492abdaaf1e35eaac43ee01b73caacdd0",
-         "9740397de180dd4e9761eb672e7cf2e999a16e0048e74e1603c01f1e3b9a82cc"),
-        (lambda: corpus.group_zsq_z2("king"), 2, 5,
-         "2c65ac8e467d9f861a40429d320b9b805b768bf468d4a5ae285c558c5a7dfb27",
-         "07d89bc266f74bb063f355a61bc2202348e25506ccb56df2409b46a710b735e3",
-         "e17bc3f436fc0250c3575e8a8dac809a24ca49ae624e29edb88567e07ec9dbb8"),
-    ], ids=["z2_z3", "zsq_z2_king"])
+    # with_copies is the digest from before the result dropped the five keys
+    # that restate other facts: restoring them must give it back, so nothing
+    # else in the report moved.  old_report is the digest from before the
+    # override-flag echo and the quotient bound left the report: restoring
+    # those three keys as well must give it back
+    @pytest.mark.parametrize(
+        "group, n_thick, radius, report, with_copies, old_report, graph", [
+            (corpus.group_z2_z3, 1, 6,
+             "7e24d4e5d93e95e15c72cf89f9e14cf7497af55b2cb263589e1ac3c9aac23a8f",
+             "d3b8cc88680aa1c531584b3d7ea02071ab9822a22fc07b86586292cd7b2ccbbf",
+             "fff7a36a47ee48dd8ff7f7b02999332492abdaaf1e35eaac43ee01b73caacdd0",
+             "9740397de180dd4e9761eb672e7cf2e999a16e0048e74e1603c01f1e3b9a82cc"),
+            (lambda: corpus.group_zsq_z2("king"), 2, 5,
+             "353dcec8a1b208507477600ff72e090dceb5497e1e9ed555471b2c1423e1744d",
+             "2c65ac8e467d9f861a40429d320b9b805b768bf468d4a5ae285c558c5a7dfb27",
+             "07d89bc266f74bb063f355a61bc2202348e25506ccb56df2409b46a710b735e3",
+             "e17bc3f436fc0250c3575e8a8dac809a24ca49ae624e29edb88567e07ec9dbb8"),
+        ], ids=["z2_z3", "zsq_z2_king"])
     def test_pinned_report_digest(self, tmp_path, group, n_thick, radius,
-                                  report, old_report, graph):
+                                  report, with_copies, old_report, graph):
         out, graph_out = tmp_path / "w.json", tmp_path / "g.json"
         code = main(["gamma", "build", "--group", group_file(tmp_path, group()),
                      "--N", str(n_thick), "--radius", str(radius),
@@ -270,6 +276,15 @@ class TestGamma:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == report
         assert hashlib.sha256(graph_out.read_bytes()).hexdigest() == graph
         restored = json.loads(out.read_bytes())
+        config, result = restored["config"], restored["result"]
+        tag = {"free": "free", "medial": "med", "internal": "int"}
+        kinds = [tag[v["kind"]] for v in result["vertices"]]
+        result["edge_kinds"] = [EDGE_KINDS[kinds[a], kinds[b]]
+                                for a, b in result["edges"]]
+        result["min_n_short_cycles"] = result["recommended_n"]
+        result.update(radius=config["radius"], n_thick=config["N"],
+                      group=config["group"])
+        assert hashlib.sha256(dumps(restored).encode()).hexdigest() == with_copies
         restored["config"]["allow_small_n"] = False
         restored["result"]["allow_small_n"] = False
         restored["result"]["min_n_quotient"] = 1
@@ -719,6 +734,24 @@ class TestQuasiconvexCommand:
         report = json.loads((tmp_path / "q.json").read_text())
         assert report["result"]["violations"] == 0
 
+    def test_window_above_the_fixed_bound_exits_2(self, tmp_path, capsys):
+        # the Z/2*Z/3 window at N=1, R=8 has 83 vertices and is not Helly,
+        # so xi of the ambient graph needs a search past the fixed bound of
+        # 64; no flag lifts that bound, and the message offers none
+        ambient = tmp_path / "window_graph.json"
+        assert main(["gamma", "build", "--group",
+                     group_file(tmp_path, corpus.group_z2_z3()), "--N", "1",
+                     "--radius", "8", "--out", str(tmp_path / "w.json"),
+                     "--graph-out", str(ambient)]) == 0
+        assert load_graph(str(ambient)).n == 83
+        capsys.readouterr()
+        assert main(["quasiconvex", "--ambient", str(ambient), "--orbit",
+                     write(tmp_path / "orbit.json", "[0]"), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "64" in captured.err and "83" in captured.err
+        assert "override" not in captured.err
+
     def test_king_row(self, tmp_path, capsys):
         g = corpus.king_grid(3, 3)
         gpath = write(tmp_path / "king.json", json.dumps(graph_to_json(g)))
@@ -919,7 +952,7 @@ class TestWriter:
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_gamma_build_streams_its_report(self, tmp_path):
-        # gamma build writes an 8.3 MiB report of the window it builds.
+        # gamma build writes a 7.6 MiB report of the window it builds.
         # Holding its text and the encoded copy put the build's peak 41 MiB
         # above that of a child that builds the same window and exits.
         # Streamed, with the window's vertices and edges read lazily as they

@@ -10,10 +10,11 @@ from collections import Counter, deque
 import pytest
 
 from hellykit import corpus, reports
-from hellykit.gamma import (_EDGE_KINDS, GammaBall, GammaConfig, GammaWindow,
-                            WindowError, certified_clauses, recommended_n)
+from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
+                            certified_clauses, recommended_n)
 from hellykit.graphs import bfs_row
 from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
+from oracles import EDGE_KINDS
 
 
 def vertex_to_obj(v):
@@ -209,15 +210,19 @@ class TestWindow:
         assert sum(kinds.values()) == len(w.dist_from_base)
         for u in w.verts:
             for v in window_neighbors(w, u):
-                assert _EDGE_KINDS[u[0], v[0]] in ("free", "connecting",
-                                                   "internal")
+                assert EDGE_KINDS[u[0], v[0]] in ("free", "connecting",
+                                                  "internal")
 
     def test_edge_kind_by_tags(self):
         for u, v, kind in [("free", "med", "free"), ("free", "int", "connecting"),
                            ("int", "int", "internal")]:
-            assert _EDGE_KINDS[u, v] == _EDGE_KINDS[v, u] == kind
+            assert EDGE_KINDS[u, v] == EDGE_KINDS[v, u] == kind
         for u, v in [("free", "free"), ("med", "med"), ("med", "int")]:
-            assert (u, v) not in _EDGE_KINDS and (v, u) not in _EDGE_KINDS
+            assert (u, v) not in EDGE_KINDS and (v, u) not in EDGE_KINDS
+        # the table lists exactly the pairs of kinds a window's edges join
+        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 5)
+        pairs = {(w.verts[a][0], w.verts[b][0]) for a, b in w.edges()}
+        assert pairs | {(b, a) for a, b in pairs} == set(EDGE_KINDS)
 
     def test_no_adjacent_free_vertices(self):
         spec = corpus.group_z2_z3()
@@ -236,7 +241,7 @@ class TestWindow:
         spec = corpus.group_zsq_z2("king")
         w = GammaWindow(GammaConfig(spec, 2), 4)
         for v in w.verts:
-            if v[0] == "int" and w.has_full_neighborhood(v):
+            if v[0] == "int" and w.dist_from_base[w.index[v]] < w.radius:
                 free = [u for u in window_neighbors(w, v) if u[0] == "free"]
                 assert len(free) == 1
 
@@ -649,8 +654,9 @@ class TestExport:
         assert len(rec["vertices"]) == len(w.dist_from_base)
         assert {v["kind"] for v in rec["vertices"]} <= {"free", "medial", "internal"}
         assert rec["edges"] == [list(e) for e in w.edges()]
-        assert len(rec["edges"]) == len(rec["edge_kinds"])
-        assert set(rec["edge_kinds"]) <= {"free", "connecting", "internal"}
+        # an edge's kind follows from its ends, and N, R and the group are
+        # the config's: the fields hold none of them
+        assert set(rec) == {"vertices", "dist_from_base", "edges"}
 
     @pytest.mark.parametrize("spec, n, radius", [
         pytest.param(spec, n, radius, id=f"{name}-N{n}-R{radius}")
@@ -661,14 +667,12 @@ class TestExport:
         for n in (1, 2) for radius in (0, 1, 3, 5)] + [
         pytest.param(corpus.group_zsq_z2("king"), 2, 8, id="zsq_z2-N2-R8")])
     def test_json_bytes_equal_the_object_form(self, spec, n, radius):
-        # the templates write each vertex, edge and kind as json.dumps writes
-        # its object form; R=0 has no edges, free_rank=1 has "xf" letters
+        # the templates write each vertex and edge as json.dumps writes its
+        # object form; R=0 has no edges, free_rank=1 has "xf" letters
         w = GammaWindow(GammaConfig(spec, n), radius)
         edges = [[a, b] for a, ws in enumerate(w.adj) for b in ws if a < b]
         form = {**w.to_json(), "vertices": list(map(vertex_to_obj, w.verts)),
-                "edges": edges,
-                "edge_kinds": [_EDGE_KINDS[w.verts[a][0], w.verts[b][0]]
-                               for a, b in edges]}
+                "edges": edges}
         got = reports.dumps(w.to_json()).split("\n")
         want = (json.dumps(form, sort_keys=True, indent=2) + "\n").split("\n")
         # the first differing line, not a diff of megabytes of text

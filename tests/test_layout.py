@@ -23,8 +23,6 @@ KEPT = {
     "gamma._GammaRegion.penetration_profile": "test_derived checks derive against it",
     # library API
     "gamma.GammaWindow.window_distance": "certificate API, acceptance criterion 6",
-    "gamma.GammaWindow.has_full_neighborhood": "window structure, criterion 6",
-    "gamma.GammaWindow.degree": "window structure, criterion 6",
     "reports.render": "perfbench/tracing.py wraps it",
     "relwords.is_rel_geodesic": "exported",
     "relwords.end_vertex": "exported",

@@ -69,7 +69,7 @@ class TestQuasiconvexityK:
         # a binding cap stops the search and flags k as a lower bound
         g, q = corpus.king_grid(4, 4), QGParams(2, 2)
         got = quasiconvexity_k(g, [0, 15], q, cap=50)
-        assert got.capped and got.explored == 51
+        assert got.capped and got.explored == 50
         full = quasiconvexity_k(g, [0, 15], q)
         assert not full.capped and got.k <= full.k
         # a cap of exactly the prefixes explored does not bind
