@@ -74,6 +74,7 @@ def _cmd_hellyfy(args) -> int:
 
 
 def _cmd_group(args) -> int:
+    _at_least(args, {"--guard": 1})
     spec = GroupSpec.load(args.spec)
     dist = spec.enumerate_ball(args.radius, metric=args.metric,
                                parabolic_cap=args.parabolic_cap,
@@ -111,6 +112,7 @@ def _window_sanity(window: GammaWindow) -> list[str]:
 
 
 def _cmd_gamma(args) -> int:
+    _at_least(args, {"--guard": 1})
     spec = GroupSpec.load(args.group)
     window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
                          max_vertices=args.guard)
@@ -140,7 +142,7 @@ def _at_least(args, floors: dict[str, int]) -> None:
 
 
 def _cmd_derive(args) -> int:
-    _at_least(args, {"--samples": 0})
+    _at_least(args, {"--samples": 0, "--guard": 1})
     spec = GroupSpec.load(args.group)
     region = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
     result = verify_derivation_theorems(region, args.samples, args.seed)

@@ -25,13 +25,15 @@ strictly inside the materialized region, so the window distance is the true
 distance in the infinite graph.
 
 A window's BFS interns each vertex as an int id when it first meets it and
-keeps adjacency and base distances on ids; one sort then renumbers them 0..n-1
-in tuple order, in place: the sorted vertex list and the BFS dict, its values
-rewritten, become verts and index, and each adjacency list goes as its
-renumbered tuple is made.  Id order is tuple order, so a walk that picks among
-neighbours in adjacency order makes the same choices on ids as on tuples.  The
-export (to_json, to_dot) reads verts and adj lazily, building no second copy;
-to_json writes each vertex and edge from a template, in reports.Rows.
+keeps adjacency and base distances on ids; one sort of the ids by their
+vertices then renumbers them 0..n-1 in tuple order, and the BFS dict goes
+(index is built from verts when first read).  An expanded vertex's row is
+neighbors() in its order, which is tuple order, so only the rows at distance
+R, filled in BFS order, are sorted; each adjacency list goes as its renumbered
+tuple is made.  Id order is tuple order, so a walk that picks among neighbours
+in adjacency order makes the same choices on ids as on tuples.  The export
+(to_json, to_dot) reads verts and adj lazily, building no second copy; to_json
+writes each vertex and edge from a template, in reports.Rows.
 
 The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
 at that depth and stopped once u is labelled, reaches u exactly when
@@ -132,6 +134,15 @@ class GammaConfig:
     def base_vertex(self) -> GammaVertex:
         return ("free", self.spec.identity)
 
+    @cached_property
+    def _near(self) -> _Memo:
+        """The model vertices at distance 1..N from u in factor j, by (j, u),
+        each list built once and each model vertex one object in all lists
+        (they are ints or int tuples, so equal ones are interchangeable)."""
+        same: dict = {}
+        return _Memo(lambda ju: [same.setdefault(u2, u2) for u2 in
+                                 self.spec.factors[ju[0]].near(ju[1], self.n_thick)])
+
     # -- the neighbor rule ----------------------------------------------------
 
     def neighbors(self, v: GammaVertex) -> list[GammaVertex]:
@@ -154,8 +165,7 @@ class GammaConfig:
             # image of rep onto u; transitive models give exactly one
             h = factor.mul(u, factor.inv(spec.project(rep, j)))
             out = [("free", spec.multiply(spec.parabolic(j, h), rep))]
-            return out + [("int", j, rep, u2)
-                          for u2 in factor.near(u, self.n_thick)]
+            return out + [("int", j, rep, u2) for u2 in self._near[j, u]]
         raise WindowError(f"unknown vertex kind {kind!r}")
 
 
@@ -255,20 +265,28 @@ class GammaWindow(_GammaRegion):
                 if dist[k] == radius:  # never expanded; the rule is symmetric
                     adj[k].append(i)
                 row.append(k)
-        # renumber in place: rank maps each BFS id to its tuple-order index
-        found.sort()
+        # renumber: order lists the BFS ids in tuple order, rank inverts it;
+        # the ids sorted are the dict's own, so no second set of ints is made
+        order = sorted(ids.values(), key=found.__getitem__)
+        del ids
+        self.verts = [found[k] for k in order]
+        self.dist_from_base = [dist[k] for k in order]
         rank = [0] * len(found)
-        for i, v in enumerate(found):
-            rank[ids[v]] = i
-            ids[v] = i
-        self.verts, self.index = found, ids
-        self.dist_from_base = [0] * len(found)
+        for i, k in enumerate(order):
+            rank[k] = i
         new_adj = [()] * len(found)
         for k, i in enumerate(rank):
-            self.dist_from_base[i] = dist[k]
-            new_adj[i] = tuple(sorted(map(rank.__getitem__, adj[k])))
+            row = list(map(rank.__getitem__, adj[k]))
+            if dist[k] == radius:  # expanded rows are in neighbors() order
+                row.sort()
+            new_adj[i] = tuple(row)
             adj[k] = None  # each old list goes as its tuple is made
         self.adj = tuple(new_adj)
+
+    @cached_property
+    def index(self) -> dict[GammaVertex, int]:
+        """The id of each vertex, built on first use."""
+        return {v: i for i, v in enumerate(self.verts)}
 
     def free_vertices(self) -> list[GammaVertex]:
         return [v for v in self.verts if v[0] == "free"]
@@ -355,8 +373,11 @@ class GammaWindow(_GammaRegion):
 
     def to_json(self) -> dict:
         """The window's report fields: dist_from_base, and vertices and edges
-        as Rows over verts and adj, each item written from a template.  The
-        config holds the group, N and R, so they are not repeated here."""
+        as Rows over verts and adj, each item written from a template.  Each
+        distinct element's text is made once, from its syllables' texts, and
+        looked up by value: vertices hold only ints and strs, so no two equal
+        values encode differently.  The config holds the group, N and R, so
+        they are not repeated here."""
         verts = self.verts
 
         def vertices(nl: str, encode) -> Iterator[str]:
@@ -365,13 +386,18 @@ class GammaWindow(_GammaRegion):
             med = f'{{{k}"element": %s,{k}"kind": "medial",{k}"letter": %s{nl}}}'
             cop = (f'{{{k}"coset": %s,{k}"factor": %d,{k}"kind": "internal",'
                    f'{k}"vertex": %s{nl}}}')
+            inner = k + "  "
+            syllables = _Memo(lambda syl: encode(syl, inner))
+            texts = _Memo(lambda g: "[" + inner + ("," + inner).join(
+                map(syllables.__getitem__, g)) + k + "]" if g else "[]")
+            small = _Memo(lambda o: encode(o, k))  # letters and model vertices
             for v in verts:
                 if v[0] == "free":
-                    yield free % encode(v[1], k)
+                    yield free % texts[v[1]]
                 elif v[0] == "med":
-                    yield med % (encode(v[1][0], k), encode(v[1][1], k))
+                    yield med % (texts[v[1][0]], small[v[1][1]])
                 else:
-                    yield cop % (encode(v[2], k), v[1], encode(v[3], k))
+                    yield cop % (texts[v[2]], v[1], small[v[3]])
 
         def edges(nl: str, encode) -> Iterator[str]:
             pair = f"[{nl}  %d,{nl}  %d{nl}]"

@@ -24,13 +24,14 @@ its whole text (7.6 MiB for a large `gamma build` window).  A Rows is the array
 of the texts its items function yields, called anew per encoding, so a window
 hands over its vertices and edges without building them.  No other iterable
 is an array: a generator, a set or a range raises TypeError.  A tuple is
-encoded once per (object, indentation) and reused: the vertices of a window
-share their element tuples.  The memo is keyed by identity, never by value,
-as (1,), (True,) and (1.0,) are equal and hash alike but encode differently;
-each entry holds its tuple, so no identity is reused within the call, even
-where a Rows builds a tuple and drops it.  Dict keys must be strings, as in
-every report: json would convert other scalar keys, the encoder raises
-TypeError.
+encoded once per (object, indentation) and reused.  (A window's rows look
+their element texts up by value themselves, in GammaWindow.to_json, as equal
+elements there are often distinct objects.)  The memo is keyed by identity,
+never by value, as (1,), (True,) and (1.0,) are equal and hash alike but
+encode differently; each entry holds its tuple, so no identity is reused
+within the call, even where a Rows builds a tuple and drops it.  Dict keys
+must be strings, as in every report: json would convert other scalar keys,
+the encoder raises TypeError.
 """
 
 from __future__ import annotations

@@ -494,6 +494,10 @@ class TestErrorBoundary:
         ("measure_k_negative", "ValueError"),
         ("measure_parabolic_cap_zero", "ValueError"),
         ("derive_samples_negative", "ValueError"),
+        ("derive_guard_zero", "ValueError"),
+        ("gamma_guard_zero", "ValueError"),
+        ("gamma_guard_negative", "ValueError"),
+        ("ball_guard_zero", "ValueError"),
         ("quasiconvex_cap_zero", "ValueError"),
         ("quasiconvex_cap_negative", "ValueError"),
     ])
@@ -526,6 +530,11 @@ class TestErrorBoundary:
                  "measure_k_negative": ("--k", "-2"),
                  "measure_parabolic_cap_zero": ("--parabolic-cap", "0"),
                  "derive_samples_negative": ("--samples", "-3"),
+                 "derive_guard_zero": ("--guard", "0"),
+                 # the base vertex alone is a window: R=0 still needs 1
+                 "gamma_guard_zero": ("--guard", "0"),
+                 "gamma_guard_negative": ("--guard", "-3"),
+                 "ball_guard_zero": ("--guard", "0"),
                  "quasiconvex_cap_zero": ("--cap", "0"),
                  "quasiconvex_cap_negative": ("--cap", "-3")}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
@@ -551,6 +560,14 @@ class TestErrorBoundary:
         elif case == "ball_negative_radius":
             argv = ["group", "ball", "--spec",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "-1"]
+        elif case.startswith("ball_guard"):
+            argv = ["group", "ball", "--spec",
+                    group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
+                    *sizes[case]]
+        elif case.startswith("gamma_guard"):
+            argv = ["gamma", "build", "--group",
+                    group_file(tmp_path, corpus.group_z2_z3()), "--N", "1",
+                    "--radius", "0", *sizes[case]]
         elif case.startswith("measure_"):
             argv = ["measure", "--what", "bcp", "--group",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
@@ -885,6 +902,11 @@ cli.GammaWindow(cli.GammaConfig(cli.GroupSpec.load(sys.argv[1]), 2), 8)
 """
 
 
+# the most a streamed `gamma build` of the N=2, R=8 king window may add to
+# the peak of building that window alone
+STREAMED_PEAK_BOUND = 4 * 2 ** 20
+
+
 def peak_rss(argv):
     """Peak RSS in bytes of `python argv`.  A child's ru_maxrss is at least
     the peak RSS of the process it was spawned from, so the child is spawned
@@ -956,10 +978,27 @@ class TestWriter:
         # Holding its text and the encoded copy put the build's peak 41 MiB
         # above that of a child that builds the same window and exits.
         # Streamed, with the window's vertices and edges read lazily as they
-        # are written, it is about 6 MiB, the tuple memo most of it
+        # are written and each distinct element encoded once, it is about
+        # 3 MiB
         group = group_file(tmp_path, corpus.group_zsq_z2("king"))
         out = tmp_path / "w.json"
         build = peak_rss(["-m", "hellykit.cli", "gamma", "build", "--group", group,
                           "--N", "2", "--radius", "8", "--out", str(out)])
         window = peak_rss(["-c", BUILD_WINDOW, group])
-        assert build - window < out.stat().st_size
+        assert build - window < STREAMED_PEAK_BOUND
+
+
+class TestHashSalt:
+    """str hashes are salted per interpreter; no report byte may follow the
+    salt, so dict and set order never decides what is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "build", "--N", "1", "--radius", "6"],
+        ["derive", "--N", "1", "--samples", "50"]], ids=["gamma-build", "derive"])
+    def test_report_bytes_do_not_depend_on_the_salt(self, tmp_path, argv):
+        group = group_file(tmp_path, corpus.group_z2_z3())
+        reports = [subprocess.run(
+            [sys.executable, "-m", "hellykit.cli", *argv, "--group", group],
+            env=dict(child_env(), PYTHONHASHSEED=salt), capture_output=True,
+            timeout=120, check=True).stdout for salt in ("1", "2")]
+        assert reports[0] and reports[0] == reports[1]
