@@ -35,12 +35,12 @@ in adjacency order makes the same choices on ids as on tuples.  The export
 (to_json, to_dot) reads verts and adj lazily, building no second copy; to_json
 writes each vertex and edge from a template, in reports.Rows.
 
-The certificate needs no distance beyond R - dist(u): one BFS from v, bounded
-at that depth and stopped once u is labelled, reaches u exactly when
-dist(u) + d_window(u, v) <= R.  Its levels are complete below d_window(u, v),
-which is all a walk from u down to v reads, so that one BFS both certifies a
-pair and samples a geodesic between it.  An uncertified pair gets no distance:
-window_distance returns (None, False).
+A window certifies and samples.  The certificate needs no distance beyond
+R - dist(u): one BFS from v, bounded at that depth and stopped once u is
+labelled, reaches u exactly when dist(u) + d_window(u, v) <= R.  Its levels are
+complete below d_window(u, v), which is all a walk from u down to v reads, so
+that one BFS both certifies a pair and samples a geodesic between it.  An
+uncertified pair gets no distance: window_distance returns (None, False).
 
 A ball (GammaBall) reads d(w, free b) off a closed form.  A syllable costs
 min(2|h|_j, 2 + ceil(|h|_j/N)) in factor j, 2|w| if a free word w, and cost(q)
@@ -51,6 +51,8 @@ leaving elsewhere adds a factor-j syllable of norm c, costing >= ceil(c/N), to
 save <= ceil(c/N) inside.  Pairs with dist(u) + d(u, v) <= R are those the
 bounded BFS reaches; their geodesics expand only vertices strictly inside the
 window, whose neighbours all lie there, in order, so both draw the same walks.
+The ball samples, enumerates and counts them on one geodesic DAG, its
+neighbour memo and the row d(., v) taken as graphs' (adj, dv).
 """
 
 from __future__ import annotations
@@ -323,28 +325,8 @@ class GammaWindow(_GammaRegion):
             return None
         return [self.verts[i] for i in sample_geodesic(self.adj, row, iu, rng)]
 
-    def _dag_rows(self, u: GammaVertex, v: GammaVertex
-                  ) -> tuple[list[int], list[int]]:
-        """(du, dv) rows of a certified pair, complete below d(u, v)."""
-        iu, dv = self._certified_row(u, v)
-        if dv is None:
-            raise WindowError("distance not certified; enlarge the window")
-        return bfs_row(self.adj, iu, depth=dv[iu]), dv
-
     def _contains(self, path: list[GammaVertex]) -> bool:
         return all(v in self.index for v in path)
-
-    def geodesics_between(self, u: GammaVertex, v: GammaVertex,
-                          cap: int = GEODESIC_CAP_DEFAULT
-                          ) -> list[list[GammaVertex]]:
-        """All geodesics between a certified pair, via the distance DAG."""
-        paths = enumerate_geodesics(self.adj, *self._dag_rows(u, v), cap=cap)
-        return [[self.verts[i] for i in p] for p in paths]
-
-    def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
-        """Geodesic count by dynamic programming over the distance DAG; the
-        independent cross-check for geodesics_between."""
-        return count_geodesics(self.adj, *self._dag_rows(u, v))
 
     # -- export ---------------------------------------------------------------
 
@@ -437,6 +419,8 @@ class GammaBall(_GammaRegion):
 
     def _closed_form(self, v: GammaVertex) -> _Memo:
         """d(w, v) by vertex w, for a free v, each filled in on its first read."""
+        if v[0] != "free":
+            raise WindowError(f"a ball measures distances to free vertices, not {v}")
         spec, cost = self.config.spec, self._costs.__getitem__
         b_inv, n = spec.invert(v[1]), self.config.n_thick
 
@@ -488,14 +472,35 @@ class GammaBall(_GammaRegion):
         grow((), -1, r)
         return sorted(("free", g) for g in found)
 
+    def _certified_row(self, u: GammaVertex, v: GammaVertex) -> Optional[_Memo]:
+        """d(., v) for a free v if dist(u) + d(u, v) <= R, else None."""
+        row = self.distances[v]
+        return row if self.distances[self.base][u] + row[u] <= self.radius else None
+
     def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
                         ) -> Optional[list[GammaVertex]]:
         """A random geodesic u -> v, v free, drawn as GammaWindow draws it,
         or None when dist(u) + d(u, v) > R (no draw is taken from rng then)."""
-        row = self.distances[v]
-        if self.distances[self.base][u] + row[u] > self.radius:
-            return None
-        return sample_geodesic(self._neighbors, row, u, rng)
+        row = self._certified_row(u, v)
+        return None if row is None else sample_geodesic(self._neighbors, row, u, rng)
+
+    def _dag(self, u: GammaVertex, v: GammaVertex) -> tuple:
+        """(adj, dv, u) of the geodesic DAG of a certified pair, v free."""
+        row = self._certified_row(u, v)
+        if row is None:
+            raise WindowError("distance not certified; enlarge the ball")
+        return self._neighbors, row, u
+
+    def geodesics_between(self, u: GammaVertex, v: GammaVertex,
+                          cap: int = GEODESIC_CAP_DEFAULT
+                          ) -> list[list[GammaVertex]]:
+        """All geodesics u -> v, v free, each step in tuple order."""
+        return list(map(list, enumerate_geodesics(*self._dag(u, v), cap)))
+
+    def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
+        """The geodesic count u -> v, v free, by dynamic programming on the
+        same DAG: the independent cross-check for geodesics_between."""
+        return count_geodesics(*self._dag(u, v))
 
 
 class _Memo(dict):

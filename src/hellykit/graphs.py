@@ -146,21 +146,6 @@ class QGParams:
             raise ValueError("c must be >= 0")
 
 
-def ball(g: Graph, center: int, rho: int) -> list[int]:
-    """Vertices at hop distance <= rho from center, sorted."""
-    if not 0 <= center < g.n:
-        raise GraphError("center out of range")
-    row = g.dist()[center]
-    return [v for v in range(g.n) if row[v] <= rho]
-
-
-def interval(g: Graph, u: int, v: int) -> list[int]:
-    """All vertices on some geodesic between u and v (metric betweenness)."""
-    d = g.dist()
-    duv = d[u][v]
-    return [z for z in range(g.n) if d[u][z] + d[z][v] == duv]
-
-
 def power_graph(g: Graph, k: int) -> Graph:
     """Same vertices, edges between distinct vertices at distance <= k.
 
@@ -260,62 +245,52 @@ def slim_constant(row, p: Sequence, q: Sequence, r: Sequence) -> int:
                max(map(min, r_p, r_q)))
 
 
-# The geodesic distance DAG of a pair u, v is read off two single-source rows:
-# du from u and dv from v (so u is the vertex at 0 in du).  Rows may leave
-# vertices at -1 beyond d(u, v), as windows do; only the labels below d(u, v),
-# and u's own, are read.
+# The geodesic distance DAG of u and v is read off one row, dv from v: a
+# geodesic u -> v is a walk from u that lowers dv by one at each step.  The
+# functions below read only adj[z] and dv[z] for z on the DAG, so adj and dv
+# may be lists on 0..n-1, a bounded BFS row, or a Γ ball's memos by vertex.
 
-def enumerate_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
-                        dv: Sequence[int], cap: int = GEODESIC_CAP_DEFAULT
-                        ) -> list[tuple[int, ...]]:
-    """All geodesics u -> v as vertex tuples, lexicographically ordered.
+def _down(adj, dv, z) -> list:
+    """The DAG's edges out of z: its neighbours one step closer to v, in
+    adjacency order."""
+    return [w for w in adj[z] if dv[w] == dv[z] - 1]
+
+
+def enumerate_geodesics(adj, dv, u, cap: int = GEODESIC_CAP_DEFAULT) -> list[tuple]:
+    """All geodesics from u to v, the source of dv, as vertex tuples built
+    one level at a time, ordered by each step's place in adjacency order.
     Never truncates: if more than `cap` geodesics exist, raises
-    GeodesicCapExceeded."""
-    u, v = du.index(0), dv.index(0)
-    out: list[tuple[int, ...]] = []
-
-    def walk(z: int, acc: list[int]) -> bool:
-        if z == v:
-            out.append(tuple(acc))
-            return len(out) <= cap
-        for w in adj[z]:
-            if du[w] == du[z] + 1 and dv[w] == dv[z] - 1:
-                acc.append(w)
-                ok = walk(w, acc)
-                acc.pop()
-                if not ok:
-                    return False
-        return True
-
-    if not walk(u, [u]):
-        raise GeodesicCapExceeded(f"more than {cap} geodesics between {u} and {v}")
-    return out
+    GeodesicCapExceeded (each partial path extends to one, so a level past
+    `cap` shows it).  None if dv leaves u unreached."""
+    paths = [(u,)] if dv[u] >= 0 else []
+    for _ in range(dv[u]):
+        paths = [p + (w,) for p in paths for w in _down(adj, dv, p[-1])]
+        if len(paths) > cap:
+            raise GeodesicCapExceeded(f"more than {cap} geodesics from {u}")
+    return paths
 
 
-def count_geodesics(adj: Sequence[Sequence[int]], du: Sequence[int],
-                    dv: Sequence[int]) -> int:
-    """Number of geodesics u -> v by dynamic programming over the distance DAG."""
-    u, v = du.index(0), dv.index(0)
-    total = du[v]
-    layer = sorted((z for z in range(len(adj)) if du[z] + dv[z] == total),
-                   key=lambda z: du[z])
-    count = {u: 1}
-    for z in layer:
-        if z == u:
-            continue
-        count[z] = sum(count.get(w, 0) for w in adj[z]
-                       if du[w] == du[z] - 1 and dv[w] == dv[z] + 1)
-    return count.get(v, 0)
+def count_geodesics(adj, dv, u) -> int:
+    """Number of geodesics from u to v, the source of dv, by dynamic
+    programming forward from u, one level at a time: a vertex's count is the
+    sum of its predecessors' counts; 0 if dv leaves u unreached."""
+    count = {u: 1} if dv[u] >= 0 else {}
+    for _ in range(dv[u]):
+        below: dict = {}
+        for z, c in count.items():
+            for w in _down(adj, dv, z):
+                below[w] = below.get(w, 0) + c
+        count = below
+    return sum(count.values())
 
 
-def sample_geodesic(adj: Sequence[Sequence[int]], dv: Sequence[int], u: int,
-                    rng) -> list[int]:
+def sample_geodesic(adj, dv, u, rng) -> list:
     """A geodesic from u to v, the source of dv: each step is drawn uniformly
     among the neighbours one step closer to v, listed in adjacency order."""
     path = [u]
     z = u
     while dv[z]:
-        nxt = [w for w in adj[z] if dv[w] == dv[z] - 1]
+        nxt = _down(adj, dv, z)
         z = nxt[rng.randrange(len(nxt))]
         path.append(z)
     return path

@@ -68,10 +68,6 @@ def value(spec: GroupSpec, w: RelWord) -> Element:
     return vertices(spec, RelWord(spec.identity, w.letters))[-1]
 
 
-def end_vertex(spec: GroupSpec, w: RelWord) -> Element:
-    return vertices(spec, w)[-1]
-
-
 def decompose_components(spec: GroupSpec, w: RelWord) -> list[Component]:
     """Ordered maximal parabolic runs; letters outside them are X-letters."""
     return _components(spec, w.letters, vertices(spec, w))
@@ -131,10 +127,6 @@ def analyze_word(spec: GroupSpec, w: RelWord) -> WordAnalysis:
     return WordAnalysis(len(isolated) < len(comps), _vertex_backtracks(spec, verts),
                         isolated, _phase_indices(comps, len(w.letters)),
                         tuple(comps))
-
-
-def is_rel_geodesic(spec: GroupSpec, w: RelWord) -> bool:
-    return len(w.letters) == spec.rel_length(value(spec, w))
 
 
 def is_quasigeodesic(spec: GroupSpec, w: RelWord, lam, c) -> bool:

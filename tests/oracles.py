@@ -4,12 +4,15 @@ independent references of the Helly decider, the searches, the
 stable-interval constant and the clique-Helly test in `hellykit.helly`; and
 the directed definitions behind the metric-generic Hausdorff, slim and
 quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
-kind of each edge of the glued graph, which `gamma build` does not report."""
+kind of each edge of the glued graph, which `gamma build` does not report;
+and ξ read off the Helly hull, a metric route to the coarse Helly constant
+that shares no search code with it."""
 
 from operator import sub
 
-from hellykit.graphs import enumerate_geodesics, interval
-from hellykit.helly import SizeBoundExceeded, _bits, _closed_neighbourhoods
+from hellykit.graphs import enumerate_geodesics
+from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
+                            hellyfication)
 
 ORACLE_VERTEX_BOUND = 8
 
@@ -127,6 +130,25 @@ def _xi(g, fs):
     return xi
 
 
+def hull_depth(g):
+    """The hop distance from the image of g to the farthest vertex of its
+    Helly hull, by one BFS from every embedded vertex at once.
+
+    For an extremal f and a vertex x, sup_v |f(v) - d(x, v)| = f(x), and the
+    hull (the injective hull; Lang, J. Topol. Anal. 2013) carries that sup
+    metric as its graph metric; so the depth is max over f of min_x f(x),
+    the coarse Helly constant ξ."""
+    hull, embedding = hellyfication(g, max_vertices=g.n)
+    seen = frontier = set(embedding)
+    depth = 0
+    while True:
+        frontier = {w for z in frontier for w in hull.adj[z]} - seen
+        if not frontier:
+            return depth
+        seen = seen | frontier
+        depth += 1
+
+
 def stable_interval_oracle(g, cap=100_000):
     """Cross-check of stable_interval_constant by explicit geodesic enumeration."""
     d = g.dist()
@@ -134,13 +156,19 @@ def stable_interval_oracle(g, cap=100_000):
     for a in range(g.n):
         for u in g.adj[a]:
             for b in range(g.n):
-                paths_ab = enumerate_geodesics(g.adj, d[a], d[b], cap=cap)
-                paths_ub = enumerate_geodesics(g.adj, d[u], d[b], cap=cap)
+                paths_ab = enumerate_geodesics(g.adj, d[b], a, cap=cap)
+                paths_ub = enumerate_geodesics(g.adj, d[b], u, cap=cap)
                 for p in paths_ab:
                     for w in p:
                         reach = min(min(d[w][z] for z in q) for q in paths_ub)
                         best = max(best, reach)
     return best
+
+
+def interval(g, u, v):
+    """All vertices on some geodesic between u and v (metric betweenness)."""
+    d = g.dist()
+    return [z for z in range(g.n) if d[u][z] + d[z][v] == d[u][v]]
 
 
 def stable_interval_hausdorff(g):

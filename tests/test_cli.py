@@ -992,9 +992,14 @@ class TestHashSalt:
     """str hashes are salted per interpreter; no report byte may follow the
     salt, so dict and set order never decides what is written."""
 
+    MEASURED = ("bcp", "nu", "mu", "delta", "zeta")
+
     @pytest.mark.parametrize("argv", [
         ["gamma", "build", "--N", "1", "--radius", "6"],
-        ["derive", "--N", "1", "--samples", "50"]], ids=["gamma-build", "derive"])
+        ["derive", "--N", "1", "--samples", "50"],
+        *(["measure", "--what", what, "--samples", "50", "--seed", "7"]
+          for what in MEASURED)],
+        ids=["gamma-build", "derive", *(f"measure-{what}" for what in MEASURED)])
     def test_report_bytes_do_not_depend_on_the_salt(self, tmp_path, argv):
         group = group_file(tmp_path, corpus.group_z2_z3())
         reports = [subprocess.run(

@@ -12,7 +12,7 @@ import pytest
 from hellykit import corpus, reports
 from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
                             certified_clauses, recommended_n)
-from hellykit.graphs import bfs_row
+from hellykit.graphs import bfs_row, count_geodesics, enumerate_geodesics
 from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
 from oracles import EDGE_KINDS
 
@@ -441,44 +441,97 @@ class TestPathAnalysis:
         assert profile[0][1] == inside and profile[0][2] == inside
 
 
+# (group, N, R) of the windows whose geodesic DAG the ball's is checked
+# against, both finite free products and Z^2 * Z/2 in both generating sets,
+# with their certified (vertex, free target) pairs, u == v included, their
+# geodesics and the most between one pair
+DAG_WINDOWS = {
+    "z2_z3": (corpus.group_z2_z3, 1, 8, 433, 452, 2),
+    "z2_z2": (corpus.group_z2_z2, 1, 8, 137, 137, 1),
+    "zsq_z2_king": (corpus.group_zsq_z2, 2, 5, 5213, 14381, 57),
+    "zsq_z2_square": (lambda: corpus.group_zsq_z2("square"), 1, 6, 1334, 1826, 6),
+}
+
+
 class TestGeodesicEnumeration:
+    """The ball's geodesic DAG: enumeration against the DP count, and both
+    against the same graphs functions on a window's ids."""
+
     def test_adjacent_pair(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
-        assert w.geodesics_between(w.base, med) == [[w.base, med]]
+        config = GammaConfig(corpus.group_z2_z3(), 1)
+        ball = GammaBall(config, 3)
+        med = [v for v in config.neighbors(ball.base) if v[0] == "med"][0]
+        assert ball.geodesics_between(med, ball.base) == [[med, ball.base]]
+        assert ball.count_geodesics(med, ball.base) == 1
 
     def test_medial_hop(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
-        far = [v for v in window_neighbors(w, med) if v != w.base][0]
-        paths = w.geodesics_between(w.base, far)
+        config = GammaConfig(corpus.group_z2_z3(), 1)
+        ball = GammaBall(config, 3)
+        med = [v for v in config.neighbors(ball.base) if v[0] == "med"][0]
+        far = [v for v in config.neighbors(med) if v != ball.base][0]
+        paths = ball.geodesics_between(ball.base, far)
         assert len(paths) >= 1
         assert all(len(p) == 3 for p in paths)
 
     def test_counts_match_dp(self):
-        spec = corpus.group_z2_z3()
-        w = GammaWindow(GammaConfig(spec, 1), 5)
+        # targets of every kind, which the ball does not take, on the
+        # window's ids with a BFS row from the target
+        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 5)
         rng = random.Random(7)
-        verts = w.verts
+        kinds = set()
         done = 0
         while done < 60:
-            u = verts[rng.randrange(len(verts))]
-            v = verts[rng.randrange(len(verts))]
-            hops, certified = w.window_distance(u, v)
+            iu, iv = rng.randrange(len(w.verts)), rng.randrange(len(w.verts))
+            hops, certified = w.window_distance(w.verts[iu], w.verts[iv])
             if not certified:
                 continue
-            paths = w.geodesics_between(u, v, cap=5000)
-            assert len(paths) == w.count_geodesics(u, v)
+            dv = bfs_row(w.adj, iv)
+            paths = enumerate_geodesics(w.adj, dv, iu, cap=5000)
+            assert len(paths) == count_geodesics(w.adj, dv, iu)
+            kinds.add(w.verts[iv][0])
             done += 1
+        assert kinds == {"free", "med", "int"}
 
     def test_uncertified_rejected(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
-        sphere = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
-        u, v = sphere[0], sphere[-1]
-        hops, certified = w.window_distance(u, v)
-        if not certified:
-            with pytest.raises(WindowError):
-                w.geodesics_between(u, v)
+        # two free vertices at distance 2 from the base and 2 or more apart
+        ball = GammaBall(GammaConfig(corpus.group_z2_z3(), 1), 3)
+        u, v = [f for f in ball.free_vertices() if f != ball.base][:2]
+        assert ball.distances[ball.base][u] + ball.distances[v][u] > 3
+        assert ball.random_geodesic(random.Random(1), u, v) is None
+        for query in (ball.geodesics_between, ball.count_geodesics):
+            with pytest.raises(WindowError, match="not certified"):
+                query(u, v)
+
+    def test_target_must_be_free(self):
+        config = GammaConfig(corpus.group_z2_z3(), 1)
+        ball = GammaBall(config, 3)
+        for v in config.neighbors(ball.base):  # internal and medial vertices
+            for query in (ball.geodesics_between, ball.count_geodesics):
+                with pytest.raises(WindowError, match="free vertices"):
+                    query(ball.base, v)
+
+    @pytest.mark.parametrize("group, n_thick, radius, pairs, geodesics, most",
+                             DAG_WINDOWS.values(), ids=DAG_WINDOWS.keys())
+    def test_ball_dag_equals_window_dag(self, group, n_thick, radius, pairs,
+                                        geodesics, most):
+        # every certified pair (u of any kind, v free): the same paths in
+        # the same order, and the DP count of the ball's memos
+        config = GammaConfig(group(), n_thick)
+        w, ball = GammaWindow(config, radius), GammaBall(config, radius)
+        kinds, counts = set(), []
+        for v in w.free_vertices():
+            dv = bfs_row(w.adj, w.index[v])
+            for iu, u in enumerate(w.verts):
+                if w.dist_from_base[iu] + dv[iu] > radius:
+                    continue
+                want = [[w.verts[i] for i in p]
+                        for p in enumerate_geodesics(w.adj, dv, iu)]
+                assert ball.geodesics_between(u, v) == want, (u, v)
+                assert ball.count_geodesics(u, v) == len(want), (u, v)
+                kinds.add(u[0])
+                counts.append(len(want))
+        assert kinds == {"free", "med", "int"}
+        assert (len(counts), sum(counts), max(counts)) == (pairs, geodesics, most)
 
 
 def group_s3_z2():

@@ -1,5 +1,6 @@
-"""Graph core: metric, balls, intervals, powers, quasigeodesic paths, and the
-Hausdorff and thin/slim constants over distance rows."""
+"""Graph core: metric, intervals, powers, quasigeodesic paths, geodesic
+enumeration and counting, and the Hausdorff and thin/slim constants over
+distance rows."""
 
 import itertools
 import random
@@ -8,12 +9,12 @@ import pytest
 
 from hellykit import corpus
 from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
-                             NotConnectedError, ball, count_geodesics,
+                             NotConnectedError, bfs_row, count_geodesics,
                              enumerate_geodesics, full_subgraph, hausdorff,
-                             interval, is_isometric_subgraph, power_graph,
-                             slim_constant, thin_constant)
+                             is_isometric_subgraph, power_graph, slim_constant,
+                             thin_constant)
 from hellykit.groups import random_element
-from oracles import directed_hausdorff, satisfies_quasigeodesic
+from oracles import directed_hausdorff, interval, satisfies_quasigeodesic
 
 
 def brute_distance(g, u, v):
@@ -76,22 +77,6 @@ class TestDistanceMatrix:
         assert g.d(0, 2) == 2
 
 
-class TestBall:
-    def test_c4_radius_one(self):
-        g = corpus.cycle(4)
-        assert ball(g, 0, 1) == [0, 1, 3]
-
-    def test_radius_zero(self):
-        assert ball(corpus.cycle(5), 2, 0) == [2]
-
-    def test_diameter_covers_all(self):
-        g = corpus.random_tree(9, 5)
-        assert ball(g, 0, g.diameter()) == list(range(9))
-
-    def test_c6_radius_two_has_five(self):
-        assert len(ball(corpus.cycle(6), 0, 2)) == 5
-
-
 class TestInterval:
     def test_degenerate(self):
         assert interval(corpus.cycle(5), 3, 3) == [3]
@@ -108,7 +93,7 @@ class TestInterval:
             d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths = enumerate_geodesics(g.adj, d[u], d[v])
+                    paths = enumerate_geodesics(g.adj, d[v], u)
                     union = sorted({z for p in paths for z in p})
                     assert union == interval(g, u, v)
 
@@ -140,6 +125,9 @@ class TestPowerGraph:
                         assert dk[u][v] == -(-d[u][v] // k)
 
     def test_ball_scaling(self):
+        def ball(h, center, rho):
+            return [v for v, d in enumerate(h.dist()[center]) if d <= rho]
+
         for g in random_connected_graphs(10, seed=17):
             for k in (2, 3):
                 gk = power_graph(g, k)
@@ -234,7 +222,7 @@ class TestClassifyPath:
         for g in random_connected_graphs(10, seed=21):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             d = g.dist()
-            paths = enumerate_geodesics(g.adj, d[u], d[v])
+            paths = enumerate_geodesics(g.adj, d[v], u)
             for p in paths[:5]:
                 for lam, c in ((1, 0), (1, 3), (2, 0), (3, 2)):
                     assert satisfies_quasigeodesic(g.rows(), p, lam, c)
@@ -316,26 +304,38 @@ class TestGeodesicEnumeration:
             d = g.dist()
             for u in range(g.n):
                 for v in range(g.n):
-                    paths = enumerate_geodesics(g.adj, d[u], d[v])
-                    assert len(paths) == count_geodesics(g.adj, d[u], d[v])
+                    paths = enumerate_geodesics(g.adj, d[v], u)
+                    assert len(paths) == count_geodesics(g.adj, d[v], u)
+                    assert paths == sorted(paths) and len(set(paths)) == len(paths)
+                    assert all(p[0] == u and p[-1] == v and len(p) == d[u][v] + 1
+                               and all(b in g.adj[a] for a, b in zip(p, p[1:]))
+                               for p in paths)
+
+    def test_unreachable_pair_has_none(self):
+        # a row that leaves u unreached, from a disconnected graph or a BFS
+        # bounded below d(u, v)
+        split, path = Graph(4, [(0, 1), (2, 3)]).adj, corpus.path(4).adj
+        for adj, dv in ((split, bfs_row(split, 3)), (path, bfs_row(path, 3, depth=2))):
+            assert enumerate_geodesics(adj, dv, 0) == []
+            assert count_geodesics(adj, dv, 0) == 0
 
     def test_cap_raises_loudly(self):
         # hypercube-ish king power has many geodesics between far corners
         g = corpus.grid(4, 4)
         d = g.dist()
         with pytest.raises(GeodesicCapExceeded, match="more than 3 geodesics"):
-            enumerate_geodesics(g.adj, d[0], d[15], cap=3)
+            enumerate_geodesics(g.adj, d[15], 0, cap=3)
         # the 20 corner-to-corner geodesics: a cap of 20 binds none of them
         with pytest.raises(GeodesicCapExceeded):
-            enumerate_geodesics(g.adj, d[0], d[15], cap=19)
-        paths = enumerate_geodesics(g.adj, d[0], d[15], cap=20)
-        assert len(paths) == 20 == count_geodesics(g.adj, d[0], d[15])
+            enumerate_geodesics(g.adj, d[15], 0, cap=19)
+        paths = enumerate_geodesics(g.adj, d[15], 0, cap=20)
+        assert len(paths) == 20 == count_geodesics(g.adj, d[15], 0)
 
 
 def thin_slim(g):
     """Max thin and slim constants over every geodesic triangle of g."""
     d, row = g.dist(), g.rows()
-    geos = {(u, v): enumerate_geodesics(g.adj, d[u], d[v])
+    geos = {(u, v): enumerate_geodesics(g.adj, d[v], u)
             for u in range(g.n) for v in range(g.n)}
     triangles = [(p, q, r) for a, b, c in itertools.product(range(g.n), repeat=3)
                  for p in geos[a, b] for q in geos[b, c] for r in geos[c, a]]

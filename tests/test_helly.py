@@ -2,7 +2,8 @@
 polynomial decider against the enumeration verdict and the brute-force family
 oracle, the bitset clique-Helly test and stable-interval constant against the
 per-triangle and interval oracles they replaced, coarse constants,
-pseudo-modularity, stable intervals, and Hellyfication postconditions."""
+pseudo-modularity, stable intervals, Hellyfication postconditions, and ξ
+read off the Helly hull."""
 
 import hashlib
 import itertools
@@ -22,7 +23,8 @@ from hellykit.helly import (SizeBoundExceeded, analyze, clique_helly,
                             is_pseudo_modular, stable_interval_constant)
 from oracles import (ORACLE_VERTEX_BOUND, _witness, _xi,
                      clique_helly_per_triangle, helly_oracle_bruteforce,
-                     stable_interval_hausdorff, stable_interval_oracle)
+                     hull_depth, stable_interval_hausdorff,
+                     stable_interval_oracle)
 
 
 def box_extremal_oracle(g):
@@ -109,6 +111,11 @@ class TestProperties:
     @given(connected_graphs())
     def test_coarse_constant_matches_oracle(self, g):
         assert coarse_helly_constant(g) == coarse_oracle(g)
+
+    @PROPERTY
+    @given(connected_graphs())
+    def test_coarse_constant_is_the_hull_depth(self, g):
+        assert coarse_helly_constant(g) == hull_depth(g)
 
 
 class TestExtremalFunctions:
@@ -603,6 +610,22 @@ class TestHellyfication:
         for g in small_random_graphs(15, 4, 7, seed=11):
             out, embedding = hellyfication(g)
             assert out.n >= g.n
+
+    def test_hull_depth_is_xi_on_atlas(self):
+        for g in atlas_connected_graphs():
+            assert hull_depth(g) == coarse_helly_constant(g), g.edges()
+
+    def test_hull_depth_is_xi_on_random_graphs(self):
+        for g in small_random_graphs(300, 4, 10, seed=23):
+            assert hull_depth(g) == coarse_helly_constant(g), g.edges()
+
+    def test_hull_depth_is_xi_on_cycles(self):
+        # the atlas and the random graphs stop at ξ = 1; C8 and C12 reach
+        # 2 and 3 (the C12 hull has 365 vertices)
+        cycles = [corpus.cycle(n) for n in range(3, 13)]
+        depths = list(map(hull_depth, cycles))
+        assert depths == list(map(coarse_helly_constant, cycles))
+        assert depths == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
     def test_postconditions_on_corpus_up_to_eight(self):
         for name, g in corpus.standard_corpus():

@@ -18,16 +18,13 @@ KEPT = {
     "groups.GroupSpec.d_rel": "the pairwise distance rel_row is checked against",
     "groups.GroupSpec.validate": "checks the normal form of every test_groups product",
     "groups._FiniteFactorBase.elements": "test_groups scans near over every element",
-    "gamma.GammaWindow.geodesics_between": "aim-3 oracle: enumeration against DP count",
-    "gamma.GammaWindow.count_geodesics": "aim-3 oracle: DP count against enumeration",
+    "gamma.GammaBall.geodesics_between": "aim-3 oracle: enumeration against DP count",
+    "gamma.GammaBall.count_geodesics": "aim-3 oracle: DP count against enumeration",
     "gamma._GammaRegion.penetration_profile": "test_derived checks derive against it",
     # library API
-    "gamma.GammaWindow.window_distance": "certificate API, acceptance criterion 6",
+    "gamma.GammaWindow.window_distance":
+        "perfbench/tracing.py wraps it; acceptance criterion 6 reads its certificate",
     "reports.render": "perfbench/tracing.py wraps it",
-    "relwords.is_rel_geodesic": "exported",
-    "relwords.end_vertex": "exported",
-    "graphs.ball": "exported",
-    "graphs.interval": "exported",
     # inputs of the tests and the benchmark
     "corpus.standard_corpus": "the graphs of acceptance criterion 4",
     "corpus.group_z2_z3": "a perfbench example group",

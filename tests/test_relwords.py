@@ -8,13 +8,20 @@ from fractions import Fraction
 from hellykit import corpus
 from hellykit.groups import random_element
 from hellykit.relwords import (RelWord, analyze_word, bcp_defects,
-                               decompose_components, end_vertex, geodesic_word,
-                               is_quasigeodesic, is_rel_geodesic,
-                               measure_bcp, measure_delta, measure_triangles,
-                               measure_zeta, perturbed_word,
+                               decompose_components, geodesic_word,
+                               is_quasigeodesic, measure_bcp, measure_delta,
+                               measure_triangles, measure_zeta, perturbed_word,
                                triangle_mu_defects, value, vertices)
 from oracles import satisfies_quasigeodesic
 from test_gamma import group_s3_z2
+
+
+def end_vertex(spec, w):
+    return vertices(spec, w)[-1]
+
+
+def is_rel_geodesic(spec, w):
+    return len(w.letters) == spec.rel_length(value(spec, w))
 
 
 def zz2():
