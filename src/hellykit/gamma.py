@@ -24,16 +24,16 @@ dist(u) + d_window(u, v) <= R, every potentially shorter path would stay
 strictly inside the materialized region, so the window distance is the true
 distance in the infinite graph.
 
-A window's BFS interns each vertex as an int id when it first meets it and
-keeps adjacency and base distances on ids; one sort of the ids by their
-vertices then renumbers them 0..n-1 in tuple order, and the BFS dict goes
-(index is built from verts when first read).  An expanded vertex's row is
-neighbors() in its order, which is tuple order, so only the rows at distance
-R, filled in BFS order, are sorted; each adjacency list goes as its renumbered
-tuple is made.  Id order is tuple order, so a walk that picks among neighbours
-in adjacency order makes the same choices on ids as on tuples.  The export
-(to_json, to_dot) reads verts and adj lazily, building no second copy; to_json
-writes each vertex and edge from a template, in reports.Rows.
+A window lists that ball whole off the closed form for d(., base) below, with
+no search: the free vertices of cost <= R, in order; then by factor j and by
+free rep of cost <= R - 1 without a leading factor-j syllable, copy (j, rep),
+the model ball of radius N(R - 1 - cost(rep)) around project(rep, j); then the
+medial vertices, each made once from an end of cost <= R - 1 and sorted once.
+So ids come out in tuple order, and walks that pick among neighbours in
+adjacency order choose alike on ids and tuples.  A row below R is the neighbour
+rule's own pieces read as ids, by a copy's offsets and a medial's slot; a row
+at R, its neighbours at R - 1, fills in one pass in id order: no row is sorted.
+to_json writes each vertex from a template and each edge row with one join.
 
 A window certifies and samples.  The certificate needs no distance beyond
 R - dist(u): one BFS from v, bounded at that depth and stopped once u is
@@ -130,8 +130,23 @@ class GammaConfig:
                 for x in spec.x_letters()}
 
     def medial(self, g: Element, x: Letter) -> GammaVertex:
+        return ("med", self._across(g, x)[0])
+
+    def _across(self, g: Element, x: Letter) -> tuple[tuple[Element, Letter], Element]:
+        """The X-edge from free g along x: its medial's name, and image(x) * g."""
         image, inverse = self._x_moves[x]
-        return ("med", min((g, x), (self.spec.multiply(image, g), inverse)))
+        h = self.spec.multiply(image, g)
+        return min((g, x), (h, inverse)), h
+
+    def _entry(self, g: Element, j: int) -> GammaVertex:
+        """The vertex of a factor-j copy joined to free g."""
+        return ("int", j, self.spec.coset_rep(g, j), self.spec.project(g, j))
+
+    def _exit(self, j: int, rep: Element, u) -> Element:
+        """The free vertex h * rep joined to (j, rep, u), h taking project(rep, j) to u."""
+        spec, factor = self.spec, self.spec.factors[j]
+        h = factor.mul(u, factor.inv(spec.project(rep, j)))
+        return spec.multiply(spec.parabolic(j, h), rep)
 
     def base_vertex(self) -> GammaVertex:
         return ("free", self.spec.identity)
@@ -150,23 +165,17 @@ class GammaConfig:
     def neighbors(self, v: GammaVertex) -> list[GammaVertex]:
         """Neighbours of v in increasing tuple order ("free" < "int" < "med"),
         each once; the walks in derived read them in this order."""
-        spec = self.spec
         kind = v[0]
         if kind == "free":
             g = v[1]
-            out = [("int", j, spec.coset_rep(g, j), spec.project(g, j))
-                   for j in range(len(spec.factors))]
+            out = [self._entry(g, j) for j in range(len(self.spec.factors))]
             return out + sorted(self.medial(g, x) for x in self._x_moves)
         if kind == "med":
             g, x = v[1]  # the smaller of two pairs, so g < image(x) * g
-            return [("free", g), ("free", spec.multiply(spec.letter_image(x), g))]
+            return [("free", g), ("free", self._across(g, x)[1])]
         if kind == "int":
             _, j, rep, u = v
-            factor = spec.factors[j]
-            # the connecting free vertex h * rep, with h moving the basepoint
-            # image of rep onto u; transitive models give exactly one
-            h = factor.mul(u, factor.inv(spec.project(rep, j)))
-            out = [("free", spec.multiply(spec.parabolic(j, h), rep))]
+            out = [("free", self._exit(j, rep, u))]
             return out + [("int", j, rep, u2) for u2 in self._near[j, u]]
         raise WindowError(f"unknown vertex kind {kind!r}")
 
@@ -237,7 +246,7 @@ class _GammaRegion:
 
 
 class GammaWindow(_GammaRegion):
-    """BFS closure of the base free vertex to depth R; immutable once built.
+    """The radius-R ball around the base free vertex; immutable once built.
 
     Vertex i is verts[i] (index maps back), adj[i] lists its neighbour ids in
     increasing order and dist_from_base[i] is its distance from the base.
@@ -246,44 +255,72 @@ class GammaWindow(_GammaRegion):
     def __init__(self, config: GammaConfig, radius: int,
                  max_vertices: int = WINDOW_GUARD_DEFAULT):
         super().__init__(config, radius)
-        # ids are handed out in discovery (BFS) order, so iterating the
-        # growing list is the BFS queue and distances never decrease along it
-        found, dist, adj = [self.base], [0], [[]]
-        ids = {self.base: 0}
-        for i, v in enumerate(found):
-            if dist[i] == radius:
-                break
-            row = adj[i]
-            for w in config.neighbors(v):
-                k = ids.get(w)
-                if k is None:
-                    k = ids[w] = len(found)
-                    if k >= max_vertices:
-                        raise WindowError(
-                            f"window exceeds {max_vertices} vertices at R={radius}")
-                    found.append(w)
-                    dist.append(dist[i] + 1)
-                    adj.append([])
-                if dist[k] == radius:  # never expanded; the rule is symmetric
-                    adj[k].append(i)
-                row.append(k)
-        # renumber: order lists the BFS ids in tuple order, rank inverts it;
-        # the ids sorted are the dict's own, so no second set of ints is made
-        order = sorted(ids.values(), key=found.__getitem__)
-        del ids
-        self.verts = [found[k] for k in order]
-        self.dist_from_base = [dist[k] for k in order]
-        rank = [0] * len(found)
-        for i, k in enumerate(order):
-            rank[k] = i
-        new_adj = [()] * len(found)
-        for k, i in enumerate(rank):
-            row = list(map(rank.__getitem__, adj[k]))
-            if dist[k] == radius:  # expanded rows are in neighbors() order
-                row.sort()
-            new_adj[i] = tuple(row)
-            adj[k] = None  # each old list goes as its tuple is made
-        self.adj = tuple(new_adj)
+        spec, n, r = config.spec, config.n_thick, radius
+        too_many = WindowError(f"window exceeds {max_vertices} vertices at R={radius}")
+        ball = GammaBall(config, radius, max_free=max_vertices)
+        try:
+            verts = ball.free_vertices()
+        except WindowError:
+            raise too_many from None
+        dist = [sum(map(ball._costs.__getitem__, v[1])) for v in verts]
+        free_id = {v[1]: i for i, v in enumerate(verts)}
+        inner = [i for i, d in enumerate(dist) if d < r]
+        rows: list = [[] for _ in verts]
+        # the copies, by factor and then rep: copy (j, rep) holds the model
+        # ball of radius N(R - 1 - cost(rep)) around t = project(rep, j)
+        copy_ids, same, near = {}, {}, config._near  # same interns model vertices
+        for j, factor in enumerate(spec.factors):
+            for i in inner:
+                rep = verts[i][1]
+                if spec.coset_rep(rep, j) != rep:
+                    continue
+                reach = n * (r - 1 - dist[i])
+                if len(verts) + factor.ball_size(reach) > max_vertices:
+                    raise too_many
+                t = spec.project(rep, j)
+                us = [same.setdefault(u, u) for u in factor.ball(t, reach)]
+                ids = copy_ids[j, rep] = dict(zip(us, range(len(verts), len(verts) + len(us))))
+                verts += [("int", j, rep, u) for u in us]
+                dist += [dist[i] + 1 - (-factor.graph_distance(t, u) // n) for u in us]
+                rows += [(free_id[config._exit(j, rep, u)], *map(ids.__getitem__, near[j, u]))
+                         if d < r else [] for u, d in zip(us, dist[-len(us):])]
+        # each medial made at its first end below R; done marks the other end
+        moves = list(config._x_moves)
+        back = [moves.index(config._x_moves[x][1]) for x in moves]
+        done, meds, ends = bytearray(len(moves) * len(free_id)), [], []
+        for a in inner:
+            g = verts[a][1]
+            for j in range(len(spec.factors)):
+                _, _, rep, u = config._entry(g, j)
+                rows[a].append(copy_ids[j, rep][u])
+            for i, x in enumerate(moves):
+                if done[a * len(moves) + i]:
+                    continue
+                pair, h = config._across(g, x)
+                b = free_id.get(h)
+                if b is not None:
+                    done[b * len(moves) + back[i]] = 1
+                if len(verts) + len(meds) >= max_vertices:
+                    raise too_many
+                meds.append(pair)
+                ends += (a, b)
+        del copy_ids, free_id, done
+        for c in sorted(range(len(meds)), key=meds.__getitem__):
+            a, b, k = ends[2 * c], ends[2 * c + 1], len(verts)
+            verts.append(("med", meds[c]))
+            dist.append(1 + min(dist[a], r if b is None else dist[b]))
+            rows.append((min(a, b), max(a, b)) if dist[k] < r else [])
+            rows[a].append(k)
+            if b is not None and dist[b] < r:
+                rows[b].append(k)
+        # a row at R lists the neighbours at R - 1, met here in id order
+        for i, row in enumerate(rows):
+            if dist[i] == r - 1:
+                for k in row:
+                    if dist[k] == r:
+                        rows[k].append(i)
+        self.verts, self.dist_from_base = verts, dist
+        self.adj = tuple(map(tuple, rows))
 
     @cached_property
     def index(self) -> dict[GammaVertex, int]:
@@ -382,10 +419,12 @@ class GammaWindow(_GammaRegion):
                     yield cop % (texts[v[2]], v[1], small[v[3]])
 
         def edges(nl: str, encode) -> Iterator[str]:
-            pair = f"[{nl}  %d,{nl}  %d{nl}]"
+            # a's edges to later ids as one text, joined as the array joins items
+            tail = nl + "]"
             for a, later in self._later():
-                for b in later:
-                    yield pair % (a, b)
+                if later:
+                    head = f"[{nl}  {a},{nl}  "
+                    yield head + f"{tail},{nl}{head}".join(map(str, later)) + tail
 
         return {"vertices": Rows(vertices), "dist_from_base": self.dist_from_base,
                 "edges": Rows(edges)}
@@ -447,9 +486,8 @@ class GammaBall(_GammaRegion):
         r, spec, cost = self.radius, self.config.spec, self._costs
         cap = max(r // 2, self.config.n_thick * (r - 2))  # longer ones cost > R
         too_many = WindowError(f"ball exceeds {self.max_free} free vertices at R={r}")
-        if any(not f.is_finite and f.ball_size(cap) > self.max_free
-               for f in spec.factors):  # each element within cap is a free vertex
-            raise too_many
+        if any(f.ball_size(cap) > self.max_free for f in spec.factors):
+            raise too_many  # each element within cap is a free vertex
         groups = [[("p", j, h) for h in factor.nontrivial_elements(cap)]
                   for j, factor in enumerate(spec.factors)]
         letters = [x for i in range(1, spec.free_rank + 1) for x in (i, -i)]

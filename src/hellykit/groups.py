@@ -60,7 +60,6 @@ class _FiniteFactorBase:
                             for a in range(order)], 0)
         if min(self._wl) < 0:
             raise GroupError("generators do not generate the factor")
-        self._near: dict[tuple[int, int], list[int]] = {}
 
     def elements(self):
         return list(range(self.order))
@@ -71,12 +70,17 @@ class _FiniteFactorBase:
     def graph_distance(self, u, v) -> int:
         return self._wl[self.mul(v, self.inv(u))]
 
+    def ball(self, u, r: int) -> list:
+        """Elements within r of u, increasing, u included: a scan of all."""
+        return [v for v in range(self.order) if self.graph_distance(u, v) <= r]
+
+    def ball_size(self, r: int) -> int:
+        """Number of elements within r of any one element; none is listed."""
+        return sum(d <= r for d in self._wl)
+
     def near(self, u, n: int) -> list:
-        """Elements at distance 1..n from u, increasing; scanned once per (u, n)."""
-        if (u, n) not in self._near:
-            self._near[u, n] = [v for v in range(self.order)
-                                if 1 <= self.graph_distance(u, v) <= n]
-        return list(self._near[u, n])
+        """Elements at distance 1..n from u, increasing."""
+        return [v for v in self.ball(u, n) if v != u]
 
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         return list(range(1, self.order))
@@ -197,18 +201,21 @@ class FreeAbelianFactor:
     def graph_distance(self, u, v) -> int:
         return self.word_length(tuple(map(sub, v, u)))
 
+    def ball(self, u, r: int) -> list:
+        """Points within r of u, u included, in lexicographic order: a box walk."""
+        return [tuple(map(add, u, d)) for d in iproduct(range(-r, r + 1), repeat=self.rank)
+                if self.word_length(d) <= r]
+
     def near(self, u, n: int) -> list:
         """Points at distance 1..n from u, in lexicographic order, which is
         translation-invariant: the offsets are listed (in order) once per n."""
         offsets = self._offsets.get(n)
         if offsets is None:
-            offsets = self._offsets[n] = [
-                d for d in iproduct(range(-n, n + 1), repeat=self.rank)
-                if any(d) and self.word_length(d) <= n]
+            offsets = self._offsets[n] = self.nontrivial_elements(n)
         return [tuple(map(add, u, d)) for d in offsets]
 
     def ball_size(self, n: int) -> int:
-        """Number of elements of norm <= n, the identity included; none is listed."""
+        """Size of every ball of radius n, norm <= n around 0; none is listed."""
         if self.gen_style == "king":
             return (2 * n + 1) ** self.rank
         return sum(2 ** k * comb(self.rank, k) * comb(n, k) for k in range(self.rank + 1))
@@ -216,7 +223,7 @@ class FreeAbelianFactor:
     def nontrivial_elements(self, cap: Optional[int] = None) -> list:
         if cap is None:
             raise GroupError("free-abelian letters need a norm cap")
-        return self.near(self.identity, cap)
+        return [d for d in self.ball(self.identity, cap) if any(d)]
 
     def to_json(self):
         return {"kind": "free_abelian", "rank": self.rank, "generators": self.gen_style}

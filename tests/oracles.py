@@ -5,11 +5,15 @@ stable-interval constant and the clique-Helly test in `hellykit.helly`; and
 the directed definitions behind the metric-generic Hausdorff, slim and
 quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
 kind of each edge of the glued graph, which `gamma build` does not report;
-and ξ read off the Helly hull, a metric route to the coarse Helly constant
-that shares no search code with it."""
+and the glued graph's window found by a BFS on the neighbour rule, the
+reference of the window that `gamma build` reads off the closed form; and ξ
+read off the Helly hull, a metric route to the coarse Helly constant that
+shares no search code with it."""
 
+from collections import deque
 from operator import sub
 
+from hellykit.gamma import GammaWindow, _GammaRegion
 from hellykit.graphs import enumerate_geodesics
 from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
                             hellyfication)
@@ -21,6 +25,33 @@ ORACLE_VERTEX_BOUND = 8
 EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
               ("free", "int"): "connecting", ("int", "free"): "connecting",
               ("int", "int"): "internal"}
+
+
+def parent_window(config, radius):
+    """The window as a queue BFS on tuple vertices finds it, then one sort:
+    a GammaWindow whose verts, index, adj and dist_from_base come from
+    config.neighbors alone, with the window's certified queries on them."""
+    base = config.base_vertex()
+    dist, adj = {base: 0}, {base: set()}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in config.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                adj[w] = set()
+                queue.append(w)
+            adj[v].add(w)
+            adj[w].add(v)
+    w = object.__new__(GammaWindow)
+    _GammaRegion.__init__(w, config, radius)
+    w.verts = sorted(dist)
+    w.index = {v: i for i, v in enumerate(w.verts)}
+    w.adj = tuple(tuple(sorted(w.index[u] for u in adj[v])) for v in w.verts)
+    w.dist_from_base = [dist[v] for v in w.verts]
+    return w
 
 
 # Metrics are given by rows, as in `hellykit.graphs`: row(x) is y -> d(x, y).

@@ -25,7 +25,7 @@ from hellykit.helly import (coarse_helly_constant, decide_helly,
 from hellykit.quasiconvex import OrbitSpec, quasiconvexity_k, verify_section5
 from hellykit.relwords import (analyze_word, geodesic_word, measure_bcp,
                                measure_triangles)
-from oracles import EDGE_KINDS, _witness, helly_oracle_bruteforce
+from oracles import EDGE_KINDS, _witness, helly_oracle_bruteforce, parent_window
 
 
 def window_neighbors(w, v):
@@ -187,7 +187,8 @@ def test_criterion_5_relative_cayley_sanity():
 def test_criterion_6_window_structure():
     """Every fully materialized free vertex has degree |X|+m, every medial
     vertex degree 2; vertex and edge kinds partition; certified distances are
-    stable between R and R+2 windows over 1000+ pairs."""
+    stable between R and R+2 windows over 1000+ pairs, the larger one found
+    by the BFS oracle, as the window reads the closed form."""
     pairs_checked = 0
     for name, spec in example_groups():
         n = recommended_n(spec)
@@ -208,7 +209,7 @@ def test_criterion_6_window_structure():
                 assert EDGE_KINDS[u[0], v[0]] in ("free", "connecting",
                                                   "internal")
 
-        w_big = GammaWindow(GammaConfig(spec, n), radius + 2)
+        w_big = parent_window(GammaConfig(spec, n), radius + 2)
         rng = random.Random(99)
         verts = w.verts
         want = 400 if name != "Zsq*Z2" else 250

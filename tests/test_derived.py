@@ -11,6 +11,7 @@ from hellykit.derived import (derive, two_local_violations, verify_derivation_th
 from hellykit.gamma import GammaBall, GammaConfig, GammaWindow, recommended_n
 from hellykit.groups import GroupSpec
 from hellykit.relwords import analyze_word, value as word_value
+from oracles import parent_window
 from test_gamma import group_s3_z2
 
 
@@ -287,9 +288,10 @@ class TestTheoremHarness:
         (group_s3_z2, 200), (lambda: GroupSpec([], free_rank=2), 200)],
         ids=["z2_z3", "z2_z2", "zsq_z2", "zsq_z2_50", "s3_z2", "f2"])
     def test_ball_gives_the_window_result(self, group, samples):
+        # the BFS oracle's window, as GammaWindow reads the ball's closed form
         spec = group()
         config = GammaConfig(spec, recommended_n(spec))
-        w = GammaWindow(config, 8)
+        w = parent_window(config, 8)
         for seed in (2024, 1, 7):
             assert (verify_derivation_theorems(GammaBall(config, 8), samples, seed)
                     == verify_derivation_theorems(w, samples, seed))

@@ -14,7 +14,7 @@ from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
                             certified_clauses, recommended_n)
 from hellykit.graphs import bfs_row, count_geodesics, enumerate_geodesics
 from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
-from oracles import EDGE_KINDS
+from oracles import EDGE_KINDS, parent_window
 
 
 def vertex_to_obj(v):
@@ -68,29 +68,16 @@ def ref_window_vertices(spec, n_thick, radius):
     return seen
 
 
-def parent_window(config, radius):
-    """The dict/set window builder that interning on discovery replaced: a
-    queue BFS on tuple vertices, then one sort.  Returns (verts, index, adj,
-    dist_from_base) in the window's layout."""
-    base = config.base_vertex()
-    dist, adj = {base: 0}, {base: set()}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == radius:
-            continue
-        for w in config.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                adj[w] = set()
-                queue.append(w)
-            adj[v].add(w)
-            adj[w].add(v)
-    verts = sorted(dist)
-    index = {v: i for i, v in enumerate(verts)}
-    return (verts, index,
-            tuple(tuple(sorted(index[w] for w in adj[v])) for v in verts),
-            [dist[v] for v in verts])
+def assert_matches_parent_builder(config, radius):
+    """The window read off the closed form is the one the BFS oracle finds,
+    and the row of each vertex below R is config.neighbors read through
+    index."""
+    w, oracle = GammaWindow(config, radius), parent_window(config, radius)
+    assert w.verts == oracle.verts and w.index == oracle.index
+    assert w.adj == oracle.adj and w.dist_from_base == oracle.dist_from_base
+    for i, v in enumerate(w.verts):
+        if w.dist_from_base[i] < radius:
+            assert w.adj[i] == tuple(map(w.index.__getitem__, config.neighbors(v)))
 
 
 class TestNBounds:
@@ -250,6 +237,30 @@ class TestWindow:
         with pytest.raises(WindowError):
             GammaWindow(GammaConfig(spec, 2), 8, max_vertices=100)
 
+    @pytest.mark.parametrize("n_thick, radius, guard, listed", [
+        (2, 40, 1000, []), (20, 3, 2000, [20])], ids=["free_vertices", "base_copy"])
+    def test_guard_counts_before_it_lists(self, n_thick, radius, guard, listed,
+                                          monkeypatch):
+        # Z^2 * Z/2 king.  At N=2, R=40 the 153^2 lattice elements of norm
+        # <= 76, each a free vertex, exceed the guard, and so does the base
+        # copy's ball.  At N=20, R=3 the 1,682 free vertices fit, listed from
+        # the 41^2 elements of norm <= 20, and the base copy's 81^2 model
+        # vertices exceed the guard.  Only the balls the guard admits are
+        # listed, and the refusal comes at once
+        spec = corpus.group_zsq_z2("king")
+        lattice, radii = spec.factors[0], []
+        ball = lattice.ball
+
+        def counted_ball(u, r):
+            radii.append(r)
+            return ball(u, r)
+
+        monkeypatch.setattr(lattice, "ball", counted_ball)
+        with pytest.raises(WindowError,
+                           match=f"window exceeds {guard} vertices at R={radius}"):
+            GammaWindow(GammaConfig(spec, n_thick), radius, max_vertices=guard)
+        assert radii == listed
+
     @pytest.mark.parametrize("group", [corpus.group_z2_z3,
                                        corpus.group_zsq_z2])
     def test_guard_boundary(self, group):
@@ -260,10 +271,9 @@ class TestWindow:
             GammaWindow(config, 4, max_vertices=n - 1)
 
     def test_build_peak_near_what_it_keeps(self):
-        # the window keeps no vertex dict (index is built when read) and
-        # makes no adjacency copy; its sort reuses the BFS dict's ids.  On
-        # this 16,647-vertex window the traced peak is 1.43 times what the
-        # window keeps (6.4 of 4.5 MiB), against 1.75 with copies
+        # the window keeps no vertex dict (index is built when read) and one
+        # object per model vertex value.  On this 16,647-vertex window the
+        # traced peak is 1.32 times what the window keeps (5.9 of 4.5 MiB)
         config = GammaConfig(corpus.group_zsq_z2("king"), 2)
         GammaWindow(config, 2)  # warm the config's caches outside the trace
         gc.collect()
@@ -276,18 +286,25 @@ class TestWindow:
         assert len(w.verts) == 16_647
         assert peak < 1.5 * kept
 
-    @pytest.mark.parametrize("radius", [3, 5, 6])
-    @pytest.mark.parametrize("n_thick", [1, 2])
+    @pytest.mark.parametrize("radius", range(7))
+    @pytest.mark.parametrize("n_thick", [1, 2, 3])
     @pytest.mark.parametrize("group", [
         corpus.group_z2_z3, corpus.group_z2_z2, corpus.group_zsq_z2,
-        lambda: corpus.group_zsq_z2("square")],
-        ids=["z2_z3", "z2_z2", "zsq_z2_king", "zsq_z2_square"])
+        lambda: corpus.group_zsq_z2("square"), lambda: group_s3_z2(),
+        lambda: GroupSpec([CyclicFactor(7), FreeAbelianFactor(2, "square")], 1),
+        lambda: GroupSpec([FreeAbelianFactor(1), CyclicFactor(2)]),
+        lambda: GroupSpec([CyclicFactor(4), CyclicFactor(5)]),
+        lambda: corpus.free_product(["cyclic:2"], free_rank=1),
+        lambda: GroupSpec([CyclicFactor(3)], free_rank=2),
+        lambda: GroupSpec([], free_rank=2)],
+        ids=["z2_z3", "z2_z2", "zsq_z2_king", "zsq_z2_square", "s3_z2",
+             "z7_zsq_f1", "z_z2", "z4_z5", "z2_f1", "z3_f2", "f2"])
     def test_matches_parent_builder(self, group, n_thick, radius):
-        config = GammaConfig(group(), n_thick)
-        w = GammaWindow(config, radius)
-        verts, index, adj, dist = parent_window(config, radius)
-        assert w.verts == verts and w.index == index
-        assert w.adj == adj and w.dist_from_base == dist
+        assert_matches_parent_builder(GammaConfig(group(), n_thick), radius)
+
+    def test_matches_parent_builder_on_the_benchmark_window(self):
+        config = GammaConfig(corpus.group_zsq_z2("king"), 2)
+        assert_matches_parent_builder(config, 8)
 
 
 class TestWindowDistance:
@@ -515,9 +532,10 @@ class TestGeodesicEnumeration:
     def test_ball_dag_equals_window_dag(self, group, n_thick, radius, pairs,
                                         geodesics, most):
         # every certified pair (u of any kind, v free): the same paths in
-        # the same order, and the DP count of the ball's memos
+        # the same order, and the DP count of the ball's memos, against the
+        # BFS oracle's window, as GammaWindow reads the ball's closed form
         config = GammaConfig(group(), n_thick)
-        w, ball = GammaWindow(config, radius), GammaBall(config, radius)
+        w, ball = parent_window(config, radius), GammaBall(config, radius)
         kinds, counts = set(), []
         for v in w.free_vertices():
             dv = bfs_row(w.adj, w.index[v])
@@ -564,12 +582,12 @@ BALL_ORACLES = {
 def window_and_ball(request):
     group, n_thick, radius = request.param
     config = GammaConfig(group(), n_thick)
-    return GammaWindow(config, radius), GammaBall(config, radius)
+    return parent_window(config, radius), GammaBall(config, radius)
 
 
 class TestBall:
-    """GammaBall's closed-form metric and walks against the window's BFS,
-    which stays the oracle."""
+    """GammaBall's closed-form metric and walks against the BFS oracle's
+    window, which GammaWindow does not build: it reads the closed form."""
 
     def test_closed_form_matches_window_bfs(self, window_and_ball):
         # every certified (vertex, free target) pair, for the base and six
@@ -654,7 +672,7 @@ class TestBall:
 
     def test_check_path_rejects_what_the_window_rejects(self):
         config = GammaConfig(corpus.group_z2_z3(), 1)
-        w, ball = GammaWindow(config, 3), GammaBall(config, 3)
+        w, ball = parent_window(config, 3), GammaBall(config, 3)
         med = config.neighbors(w.base)[-1]
         far = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3][0]
         outside = [v for v in config.neighbors(far)
@@ -689,7 +707,7 @@ class TestBall:
         def refuse(*args):
             raise AssertionError("listed the elements of a refused factor")
 
-        monkeypatch.setattr(factor, "near", refuse)
+        monkeypatch.setattr(factor, "ball", refuse)
         with pytest.raises(WindowError, match=f"exceeds {n - 1} free vertices"):
             GammaBall(config, 6, max_free=n - 1).free_vertices()
         big = GammaConfig(GroupSpec([FreeAbelianFactor(3, "king")]), 8)
@@ -702,9 +720,9 @@ class TestBall:
 
 
 class TestIdOrder:
-    """The orders the window's renumbering relies on: neighbors() lists each
-    vertex's neighbours in increasing tuple order, so an expanded vertex's row
-    needs no sort; only the rows at distance R are sorted."""
+    """The orders the window's ids rely on: neighbors() lists each vertex's
+    neighbours in increasing tuple order, so a row below R, read off the
+    rule's pieces, needs no sort; the rows at R fill in id order."""
 
     @pytest.mark.parametrize("n_thick", [1, 2])
     @pytest.mark.parametrize("group", [

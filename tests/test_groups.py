@@ -366,8 +366,35 @@ class TestFactors:
                         if 1 <= factor.graph_distance(u, v) <= n]
                 got = factor.near(u, n)
                 assert got == want
-                got.append(-1)  # callers own the list; the cache is untouched
+                got.append(-1)  # callers own the list; the next call is fresh
                 assert factor.near(u, n) == want
+
+    @pytest.mark.parametrize("factor", [
+        CyclicFactor(2), CyclicFactor(5), FiniteFactor(s3_table()[1], [3, 4, 5]),
+        FiniteFactor(s3_table()[1], [1, 2, 3])] + [
+        FreeAbelianFactor(rank, style) for style in ("king", "square")
+        for rank in (1, 2, 3)],
+        ids=["z2", "z5", "s3", "s3_mixed", "z1_king", "z2_king", "z3_king",
+             "z1_square", "z2_square", "z3_square"])
+    def test_ball_matches_distance_filter(self, factor):
+        # the window lists each copy's model ball with this helper: every
+        # vertex within r of u, u included, in increasing order, and as many
+        # as ball_size(r) counts before any is listed
+        rng = random.Random(3)
+        if factor.is_finite:
+            points, scan = factor.elements(), lambda u, r: factor.elements()
+        else:
+            rank = len(factor.identity)
+            points = [factor.identity, (5,) * rank] + [
+                tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(3)]
+            # a box one wider than the ball, scanned in lexicographic order
+            scan = lambda u, r: itertools.product(*(range(x - r - 1, x + r + 2)
+                                                    for x in u))
+        for u in points:
+            for r in range(5):
+                want = [v for v in scan(u, r) if factor.graph_distance(u, v) <= r]
+                assert factor.ball(u, r) == want
+                assert factor.ball_size(r) == len(want)
 
     def test_cyclic_generator_symmetry(self):
         assert CyclicFactor(2).generators == [1]
