@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gamma import (GammaBall, GammaConfig, GammaVertex, GammaWindow,
-                    WindowError, certified_clauses)
+from .gamma import (GammaBall, GammaConfig, GammaVertex, WindowError,
+                    certified_clauses)
 from .groups import Letter
 from .relwords import RelWord, analyze_word, value as word_value
 
@@ -75,14 +75,14 @@ def _segment_letter(config: GammaConfig, seg: list[GammaVertex]
     raise WindowError(f"segment interior mixes vertex kinds: {kinds}")
 
 
-def derive(window: GammaBall | GammaWindow, path: list[GammaVertex]) -> DerivedResult:
+def derive(ball: GammaBall, path: list[GammaVertex]) -> DerivedResult:
     """The derived word of a path, built segment by segment.
 
     The endpoint identity epsilon(word) = end * start^{-1} (over the derived
     endpoints) is asserted on every call.
     """
-    config = window.config
-    window.check_path(path)
+    config = ball.config
+    ball.check_path(path)
     free_positions = [i for i, v in enumerate(path) if v[0] == "free"]
 
     segments: list[list[GammaVertex]] = []
@@ -129,9 +129,9 @@ def derive(window: GammaBall | GammaWindow, path: list[GammaVertex]) -> DerivedR
     return DerivedResult(word, tuple(recorded), extended_first, extended_last)
 
 
-def two_local_violations(window: GammaBall | GammaWindow, word: RelWord) -> int:
+def two_local_violations(ball: GammaBall, word: RelWord) -> int:
     """Length-2 subwords of the derived word that are not relative geodesics."""
-    spec = window.config.spec
+    spec = ball.config.spec
     bad = 0
     for i in range(len(word.letters) - 1):
         q = spec.multiply(spec.letter_image(word.letters[i + 1]),
@@ -141,11 +141,11 @@ def two_local_violations(window: GammaBall | GammaWindow, word: RelWord) -> int:
     return bad
 
 
-def verify_derivation_theorems(window: GammaBall | GammaWindow, samples: int,
+def verify_derivation_theorems(ball: GammaBall, samples: int,
                                seed: int) -> dict:
-    """The `derive` report result.  Sample certified geodesics of the ball
-    (the CLI's; a window draws the same), derive them, and check everything the
-    construction guarantees unconditionally:
+    """The `derive` report result.  Sample certified geodesics of the ball,
+    derive them, and check everything the construction guarantees
+    unconditionally:
 
     * zero length-2 derived subwords fail relative geodesy (hard property),
     * the derived word represents the endpoint quotient (asserted in derive),
@@ -156,13 +156,13 @@ def verify_derivation_theorems(window: GammaBall | GammaWindow, samples: int,
     certified stretch constants are not constructive.
     """
     rng = random.Random(seed)
-    spec = window.config.spec
-    free = window.free_vertices()
-    targets = [v for v in free if v != window.base]
+    spec = ball.config.spec
+    free = ball.free_vertices()
+    targets = [v for v in free if v != ball.base]
     if not targets:
-        raise WindowError("window too small to sample geodesics")
+        raise WindowError("ball too small to sample geodesics")
 
-    n_thick = window.config.n_thick
+    n_thick = ball.config.n_thick
     violations = excluded = uncertified = backtracks = 0
     lam_hat = Fraction(1)
     c_hat = 0
@@ -170,20 +170,20 @@ def verify_derivation_theorems(window: GammaBall | GammaWindow, samples: int,
     while accepted < samples:
         v = targets[rng.randrange(len(targets))]
         if rng.random() < 0.5:
-            u = window.base
+            u = ball.base
         else:
             u = free[rng.randrange(len(free))]
             if u == v:
                 continue
-        path = window.random_geodesic(rng, u, v)
+        path = ball.random_geodesic(rng, u, v)
         if path is None:
             uncertified += 1
             continue
-        if window.parabolic_shortenings(path):
+        if ball.parabolic_shortenings(path):
             excluded += 1
             continue
-        word = derive(window, path).word
-        violations += two_local_violations(window, word)
+        word = derive(ball, path).word
+        violations += two_local_violations(ball, word)
         quotient = spec.multiply(v[1], spec.invert(u[1]))
         d_rel = spec.rel_length(quotient)
         n_letters = len(word.letters)
@@ -200,6 +200,6 @@ def verify_derivation_theorems(window: GammaBall | GammaWindow, samples: int,
             "uncertified_rejected": uncertified,
             "vertex_backtracks_observed": backtracks,
             "lambda_hat": str(lam_hat), "c_hat": c_hat, "seed": seed,
-            "radius": window.radius, "estimate": True,
+            "radius": ball.radius, "estimate": True,
             "notes": {"assumption_clauses": certified_clauses(spec, n_thick),
                       "n_thick": n_thick}}

@@ -19,28 +19,22 @@ its ends, so a report lists the edges alone.  Every free vertex has degree
 
 Windows are truncated balls around the identity free vertex.  A vertex's
 neighbor set is materialized exactly when its distance from the base is < R,
-which is what makes the distance certificates below sound: if
-dist(u) + d_window(u, v) <= R, every potentially shorter path would stay
-strictly inside the materialized region, so the window distance is the true
-distance in the infinite graph.
+which is what makes the distance certificate below sound: if
+dist(u) + d(u, v) <= R, every potentially shorter path would stay strictly
+inside the materialized region, so d(u, v) is the distance in the infinite
+graph too.
 
-A window lists that ball whole off the closed form for d(., base) below, with
-no search: the free vertices of cost <= R, in order; then by factor j and by
-free rep of cost <= R - 1 without a leading factor-j syllable, copy (j, rep),
-the model ball of radius N(R - 1 - cost(rep)) around project(rep, j); then the
-medial vertices, each made once from an end of cost <= R - 1 and sorted once.
-So ids come out in tuple order, and walks that pick among neighbours in
-adjacency order choose alike on ids and tuples.  A row below R is the neighbour
-rule's own pieces read as ids, by a copy's offsets and a medial's slot; a row
-at R, its neighbours at R - 1, fills in one pass in id order: no row is sorted.
-to_json writes each vertex from a template and each edge row with one join.
-
-A window certifies and samples.  The certificate needs no distance beyond
-R - dist(u): one BFS from v, bounded at that depth and stopped once u is
-labelled, reaches u exactly when dist(u) + d_window(u, v) <= R.  Its levels are
-complete below d_window(u, v), which is all a walk from u down to v reads, so
-that one BFS both certifies a pair and samples a geodesic between it.  An
-uncertified pair gets no distance: window_distance returns (None, False).
+A window (GammaWindow) is a ball that lists itself whole off the closed form
+for d(., base) below, with no search: the free vertices of cost <= R, in order;
+then by factor j and by free rep of cost <= R - 1 without a leading factor-j
+syllable, copy (j, rep), the model ball of radius N(R - 1 - cost(rep)) around
+project(rep, j); then the medial vertices, each made once from an end of cost
+<= R - 1 and sorted once.  So ids come out in tuple order, and walks that pick
+among neighbours in adjacency order choose alike on ids and tuples.  A row
+below R is the neighbour rule's own pieces read as ids, by a copy's offsets and
+a medial's slot; a row at R, its neighbours at R - 1, fills in one pass in id
+order: no row is sorted.  to_json writes each vertex from a template and each
+edge row with one join.  Its queries are the ball's.
 
 A ball (GammaBall) reads d(w, free b) off a closed form.  A syllable costs
 min(2|h|_j, 2 + ceil(|h|_j/N)) in factor j, 2|w| if a free word w, and cost(q)
@@ -48,11 +42,11 @@ sums them: d(free a, b) = cost(a b^-1), a medial vertex is 1 + its nearer end,
 and an internal (j, rep, u) is ceil(d_j(u, t)/N) + 1 + cost(q), where the copy
 is left at q b, q = coset_rep(rep b^-1, j), model vertex t = project(q b, j):
 leaving elsewhere adds a factor-j syllable of norm c, costing >= ceil(c/N), to
-save <= ceil(c/N) inside.  Pairs with dist(u) + d(u, v) <= R are those the
-bounded BFS reaches; their geodesics expand only vertices strictly inside the
-window, whose neighbours all lie there, in order, so both draw the same walks.
-The ball samples, enumerates and counts them on one geodesic DAG, its
-neighbour memo and the row d(., v) taken as graphs' (adj, dv).
+save <= ceil(c/N) inside.  A pair with dist(u) + d(u, v) <= R is certified: its
+geodesics expand only vertices strictly inside the ball, whose neighbours all
+lie there, in order.  The ball samples, enumerates and counts them on one
+geodesic DAG, its neighbour memo and the row d(., v) taken as graphs'
+(adj, dv).
 """
 
 from __future__ import annotations
@@ -64,8 +58,8 @@ from functools import cached_property
 from math import ceil
 from typing import Optional
 
-from .graphs import (GEODESIC_CAP_DEFAULT, bfs_row, count_geodesics,
-                     enumerate_geodesics, sample_geodesic)
+from .graphs import (GEODESIC_CAP_DEFAULT, count_geodesics, enumerate_geodesics,
+                     sample_geodesic)
 from .groups import Element, GroupError, GroupSpec, Letter
 from .reports import Rows
 
@@ -180,14 +174,117 @@ class GammaConfig:
         raise WindowError(f"unknown vertex kind {kind!r}")
 
 
-class _GammaRegion:
-    """Path analysis for a window or a ball, over whether each _contains a path."""
+class GammaBall:
+    """The radius-R ball around the base, read lazily off the closed form."""
 
-    def __init__(self, config: GammaConfig, radius: int):
+    def __init__(self, config: GammaConfig, radius: int,
+                 max_free: int = WINDOW_GUARD_DEFAULT):
         if radius < 0:
             raise WindowError(f"radius must be >= 0, got {radius}")
         self.config, self.radius, self.base = config, radius, config.base_vertex()
+        self.max_free = max_free
         self._neighbors = _Memo(config.neighbors)
+        self._costs = _Memo(self._syllable_cost)
+        self.distances = _Memo(self._closed_form)  # d(w, v) is distances[v][w]
+
+    def _syllable_cost(self, syl: tuple) -> int:
+        if syl[0] == "f":
+            return 2 * len(syl[1])
+        k = self.config.spec.factors[syl[1]].word_length(syl[2])
+        return min(2 * k, 2 - (-k // self.config.n_thick))
+
+    def _closed_form(self, v: GammaVertex) -> _Memo:
+        """d(w, v) by vertex w, for a free v, each filled in on its first read."""
+        if v[0] != "free":
+            raise WindowError(f"a ball measures distances to free vertices, not {v}")
+        spec, cost = self.config.spec, self._costs.__getitem__
+        b_inv, n = spec.invert(v[1]), self.config.n_thick
+
+        def exit_of(copy: tuple) -> tuple:  # (t, 1 + cost(q)), per copy
+            j, rep = copy
+            q = spec.coset_rep(spec.multiply(rep, b_inv), j)
+            return spec.project(spec.multiply(q, v[1]), j), 1 + sum(map(cost, q))
+
+        def fill(w: GammaVertex) -> int:
+            if w[0] == "free":
+                return sum(map(cost, spec.multiply(w[1], b_inv)))
+            if w[0] == "med":
+                return 1 + min(map(row.__getitem__, self._neighbors[w]))
+            t, c = exits[w[1], w[2]]
+            return c - (-spec.factors[w[1]].graph_distance(w[3], t) // n)
+        exits, row = _Memo(exit_of), _Memo(fill)
+        return row
+
+    def _contains(self, path: list[GammaVertex]) -> bool:
+        return max(map(self.distances[self.base].__getitem__, path)) <= self.radius
+
+    def free_vertices(self) -> list[GammaVertex]:
+        """The free vertices within R in tuple order, by a DFS over syllables."""
+        r, spec, cost = self.radius, self.config.spec, self._costs
+        cap = max(r // 2, self.config.n_thick * (r - 2))  # longer ones cost > R
+        too_many = WindowError(f"ball exceeds {self.max_free} free vertices at R={r}")
+        if any(f.ball_size(cap) > self.max_free for f in spec.factors):
+            raise too_many  # each element within cap is a free vertex
+        groups = [[("p", j, h) for h in factor.nontrivial_elements(cap)]
+                  for j, factor in enumerate(spec.factors)]
+        letters = [x for i in range(1, spec.free_rank + 1) for x in (i, -i)]
+        words, free = [(x,) for x in letters], []
+        while words and 2 * len(words[0]) <= r and len(free) <= self.max_free:
+            free += [("f", w) for w in words]  # each one free vertex
+            words = [w + (x,) for w in words for x in letters if w[-1] != -x]
+        lists = [sorted((cost[s], s) for s in g) for g in groups + [free]]
+        found: list[Element] = []
+
+        def grow(g: Element, last: int, budget: int) -> None:
+            found.append(g)
+            if len(found) > self.max_free:
+                raise too_many
+            for key, costed in enumerate(lists):
+                for c, syl in costed if key != last else ():
+                    if c > budget:
+                        break
+                    grow(g + (syl,), key, budget - c)
+        grow((), -1, r)
+        return sorted(("free", g) for g in found)
+
+    def _certified_row(self, u: GammaVertex, v: GammaVertex) -> Optional[_Memo]:
+        """d(., v) for a free v if dist(u) + d(u, v) <= R, else None."""
+        row = self.distances[v]
+        return row if self.distances[self.base][u] + row[u] <= self.radius else None
+
+    def window_distance(self, u: GammaVertex, v: GammaVertex
+                        ) -> tuple[Optional[int], bool]:
+        """(d(u, v), True), the distance in the infinite graph, for a
+        certified pair, v free; (None, False) otherwise."""
+        row = self._certified_row(u, v)
+        return (None, False) if row is None else (row[u], True)
+
+    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
+                        ) -> Optional[list[GammaVertex]]:
+        """A random geodesic u -> v, v free, or None when dist(u) + d(u, v) > R
+        (no draw is taken from rng then)."""
+        row = self._certified_row(u, v)
+        return None if row is None else sample_geodesic(self._neighbors, row, u, rng)
+
+    def _dag(self, u: GammaVertex, v: GammaVertex) -> tuple:
+        """(adj, dv, u) of the geodesic DAG of a certified pair, v free."""
+        row = self._certified_row(u, v)
+        if row is None:
+            raise WindowError("distance not certified; enlarge the ball")
+        return self._neighbors, row, u
+
+    def geodesics_between(self, u: GammaVertex, v: GammaVertex,
+                          cap: int = GEODESIC_CAP_DEFAULT
+                          ) -> list[list[GammaVertex]]:
+        """All geodesics u -> v, v free, each step in tuple order."""
+        return list(map(list, enumerate_geodesics(*self._dag(u, v), cap)))
+
+    def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
+        """The geodesic count u -> v, v free, by dynamic programming on the
+        same DAG: the independent cross-check for geodesics_between."""
+        return count_geodesics(*self._dag(u, v))
+
+    # -- path analysis ----------------------------------------------------------
 
     def check_path(self, path: list[GammaVertex]) -> None:
         if not path:
@@ -245,24 +342,22 @@ class _GammaRegion:
         return out
 
 
-class GammaWindow(_GammaRegion):
-    """The radius-R ball around the base free vertex; immutable once built.
-
-    Vertex i is verts[i] (index maps back), adj[i] lists its neighbour ids in
-    increasing order and dist_from_base[i] is its distance from the base.
+class GammaWindow(GammaBall):
+    """The ball, listed whole and immutable once built: vertex i is verts[i],
+    adj[i] lists its neighbour ids in increasing order and dist_from_base[i]
+    is its distance from the base.  Its queries are the ball's.
     """
 
     def __init__(self, config: GammaConfig, radius: int,
                  max_vertices: int = WINDOW_GUARD_DEFAULT):
-        super().__init__(config, radius)
+        super().__init__(config, radius, max_free=max_vertices)
         spec, n, r = config.spec, config.n_thick, radius
         too_many = WindowError(f"window exceeds {max_vertices} vertices at R={radius}")
-        ball = GammaBall(config, radius, max_free=max_vertices)
         try:
-            verts = ball.free_vertices()
+            verts = self.free_vertices()
         except WindowError:
             raise too_many from None
-        dist = [sum(map(ball._costs.__getitem__, v[1])) for v in verts]
+        dist = [sum(map(self._costs.__getitem__, v[1])) for v in verts]
         free_id = {v[1]: i for i, v in enumerate(verts)}
         inner = [i for i, d in enumerate(dist) if d < r]
         rows: list = [[] for _ in verts]
@@ -321,49 +416,6 @@ class GammaWindow(_GammaRegion):
                         rows[k].append(i)
         self.verts, self.dist_from_base = verts, dist
         self.adj = tuple(map(tuple, rows))
-
-    @cached_property
-    def index(self) -> dict[GammaVertex, int]:
-        """The id of each vertex, built on first use."""
-        return {v: i for i, v in enumerate(self.verts)}
-
-    def free_vertices(self) -> list[GammaVertex]:
-        return [v for v in self.verts if v[0] == "free"]
-
-    def _id(self, v: GammaVertex) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise WindowError(f"vertex not in window: {v}") from None
-
-    def _certified_row(self, u: GammaVertex, v: GammaVertex
-                       ) -> tuple[int, Optional[list[int]]]:
-        """(id of u, distance row from v) for a certified pair, where the
-        row comes from one BFS bounded at depth R - dist(u) and stopped once u
-        is labelled; (id of u, None) when that BFS does not reach u."""
-        iu, iv = self._id(u), self._id(v)
-        row = bfs_row(self.adj, iv, depth=self.radius - self.dist_from_base[iu],
-                      stop=iu)
-        return iu, (row if row[iu] >= 0 else None)
-
-    def window_distance(self, u: GammaVertex, v: GammaVertex
-                        ) -> tuple[Optional[int], bool]:
-        """(distance, True) when the pair is certified, where the distance is
-        provably the one in the infinite graph; (None, False) otherwise."""
-        iu, row = self._certified_row(u, v)
-        return (None, False) if row is None else (row[iu], True)
-
-    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
-                        ) -> Optional[list[GammaVertex]]:
-        """A random geodesic u -> v drawn from the certifying BFS, or None
-        when the pair is not certified (no draw is taken from rng then)."""
-        iu, row = self._certified_row(u, v)
-        if row is None:
-            return None
-        return [self.verts[i] for i in sample_geodesic(self.adj, row, iu, rng)]
-
-    def _contains(self, path: list[GammaVertex]) -> bool:
-        return all(v in self.index for v in path)
 
     # -- export ---------------------------------------------------------------
 
@@ -438,107 +490,6 @@ class GammaWindow(_GammaRegion):
         for a, b in self.edges():
             yield f"  {a} -- {b};\n"
         yield "}\n"
-
-
-class GammaBall(_GammaRegion):
-    """The radius-R ball around the base, read lazily off the closed form."""
-
-    def __init__(self, config: GammaConfig, radius: int,
-                 max_free: int = WINDOW_GUARD_DEFAULT):
-        super().__init__(config, radius)
-        self.max_free = max_free
-        self._costs = _Memo(self._syllable_cost)
-        self.distances = _Memo(self._closed_form)  # d(w, v) is distances[v][w]
-
-    def _syllable_cost(self, syl: tuple) -> int:
-        if syl[0] == "f":
-            return 2 * len(syl[1])
-        k = self.config.spec.factors[syl[1]].word_length(syl[2])
-        return min(2 * k, 2 - (-k // self.config.n_thick))
-
-    def _closed_form(self, v: GammaVertex) -> _Memo:
-        """d(w, v) by vertex w, for a free v, each filled in on its first read."""
-        if v[0] != "free":
-            raise WindowError(f"a ball measures distances to free vertices, not {v}")
-        spec, cost = self.config.spec, self._costs.__getitem__
-        b_inv, n = spec.invert(v[1]), self.config.n_thick
-
-        def exit_of(copy: tuple) -> tuple:  # (t, 1 + cost(q)), per copy
-            j, rep = copy
-            q = spec.coset_rep(spec.multiply(rep, b_inv), j)
-            return spec.project(spec.multiply(q, v[1]), j), 1 + sum(map(cost, q))
-
-        def fill(w: GammaVertex) -> int:
-            if w[0] == "free":
-                return sum(map(cost, spec.multiply(w[1], b_inv)))
-            if w[0] == "med":
-                return 1 + min(map(row.__getitem__, self._neighbors[w]))
-            t, c = exits[w[1], w[2]]
-            return c - (-spec.factors[w[1]].graph_distance(w[3], t) // n)
-        exits, row = _Memo(exit_of), _Memo(fill)
-        return row
-
-    def _contains(self, path: list[GammaVertex]) -> bool:
-        return max(map(self.distances[self.base].__getitem__, path)) <= self.radius
-
-    def free_vertices(self) -> list[GammaVertex]:
-        """The free vertices within R in tuple order, by a DFS over syllables."""
-        r, spec, cost = self.radius, self.config.spec, self._costs
-        cap = max(r // 2, self.config.n_thick * (r - 2))  # longer ones cost > R
-        too_many = WindowError(f"ball exceeds {self.max_free} free vertices at R={r}")
-        if any(f.ball_size(cap) > self.max_free for f in spec.factors):
-            raise too_many  # each element within cap is a free vertex
-        groups = [[("p", j, h) for h in factor.nontrivial_elements(cap)]
-                  for j, factor in enumerate(spec.factors)]
-        letters = [x for i in range(1, spec.free_rank + 1) for x in (i, -i)]
-        words, free = [(x,) for x in letters], []
-        while words and 2 * len(words[0]) <= r and len(free) <= self.max_free:
-            free += [("f", w) for w in words]  # each one free vertex
-            words = [w + (x,) for w in words for x in letters if w[-1] != -x]
-        lists = [sorted((cost[s], s) for s in g) for g in groups + [free]]
-        found: list[Element] = []
-
-        def grow(g: Element, last: int, budget: int) -> None:
-            found.append(g)
-            if len(found) > self.max_free:
-                raise too_many
-            for key, costed in enumerate(lists):
-                for c, syl in costed if key != last else ():
-                    if c > budget:
-                        break
-                    grow(g + (syl,), key, budget - c)
-        grow((), -1, r)
-        return sorted(("free", g) for g in found)
-
-    def _certified_row(self, u: GammaVertex, v: GammaVertex) -> Optional[_Memo]:
-        """d(., v) for a free v if dist(u) + d(u, v) <= R, else None."""
-        row = self.distances[v]
-        return row if self.distances[self.base][u] + row[u] <= self.radius else None
-
-    def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
-                        ) -> Optional[list[GammaVertex]]:
-        """A random geodesic u -> v, v free, drawn as GammaWindow draws it,
-        or None when dist(u) + d(u, v) > R (no draw is taken from rng then)."""
-        row = self._certified_row(u, v)
-        return None if row is None else sample_geodesic(self._neighbors, row, u, rng)
-
-    def _dag(self, u: GammaVertex, v: GammaVertex) -> tuple:
-        """(adj, dv, u) of the geodesic DAG of a certified pair, v free."""
-        row = self._certified_row(u, v)
-        if row is None:
-            raise WindowError("distance not certified; enlarge the ball")
-        return self._neighbors, row, u
-
-    def geodesics_between(self, u: GammaVertex, v: GammaVertex,
-                          cap: int = GEODESIC_CAP_DEFAULT
-                          ) -> list[list[GammaVertex]]:
-        """All geodesics u -> v, v free, each step in tuple order."""
-        return list(map(list, enumerate_geodesics(*self._dag(u, v), cap)))
-
-    def count_geodesics(self, u: GammaVertex, v: GammaVertex) -> int:
-        """The geodesic count u -> v, v free, by dynamic programming on the
-        same DAG: the independent cross-check for geodesics_between."""
-        return count_geodesics(*self._dag(u, v))
 
 
 class _Memo(dict):

@@ -34,28 +34,20 @@ def strict_int(value, what: str, error: type = GraphError) -> int:
     return value
 
 
-def bfs_row(adj: Sequence[Sequence[int]], source: int,
-            depth: Optional[int] = None, stop: Optional[int] = None) -> list[int]:
+def bfs_row(adj: Sequence[Sequence[int]], source: int) -> list[int]:
     """Hop distances from source over adjacency lists on 0..n-1, -1 where
-    unreached.
-
-    With depth, vertices farther than depth stay at -1.  With stop, the search
-    ends once stop is labelled; every vertex nearer to source than stop is
-    labelled by then, so the row is complete below d(source, stop).
-    """
+    unreached."""
     row = [-1] * len(adj)
     row[source] = 0
     frontier = [source]
     level = 0
-    while frontier and source != stop and (depth is None or level < depth):
+    while frontier:
         level += 1
         nxt = []
         for z in frontier:
             for w in adj[z]:
                 if row[w] < 0:
                     row[w] = level
-                    if w == stop:
-                        return row
                     nxt.append(w)
         frontier = nxt
     return row

@@ -366,11 +366,13 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     """The graph on integral extremal functions with adjacency at sup-distance
     exactly 1, together with the embedding x -> d(x,.).
 
-    Postconditions are asserted at runtime rather than assumed: the result is
-    Helly (by `is_helly`, so in polynomial time), the embedding is isometric,
-    and when the input is already Helly the embedding is an isomorphism.
+    Postconditions are asserted at runtime rather than assumed: the farthest
+    hull vertex lies max over f of min(f) from the image (the hull's sup
+    metric: Lang, J. Topol. Anal. 2013), the result is Helly (by `is_helly`,
+    so in polynomial time), the embedding is isometric, and when the input is
+    already Helly the embedding is an isomorphism.
     """
-    from .graphs import is_isometric_subgraph
+    from .graphs import bfs_row, is_isometric_subgraph
 
     if not g.is_connected():
         raise GraphError("graph not connected")
@@ -392,6 +394,12 @@ def hellyfication(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     out = Graph(len(fs), edges)
     embedding = [index[row] for row in g.dist()]
 
+    # one BFS from every embedded vertex at once: from an extra vertex n next
+    # to each of them, so every hull vertex is one hop farther from n
+    hops, xi = bfs_row([*out.adj, embedding], out.n), max(map(min, fs))
+    if min(hops) < 0 or max(hops) - 1 != xi:
+        raise AssertionError("hellyfication postcondition failed: the hull is "
+                             f"not max over f of min(f) = {xi} deep from the image")
     # the output is searched only if decide_helly rejects it
     if not is_helly(out, max_vertices=out.n)[0]:
         raise AssertionError("hellyfication postcondition failed: output not Helly")

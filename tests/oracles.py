@@ -5,16 +5,17 @@ stable-interval constant and the clique-Helly test in `hellykit.helly`; and
 the directed definitions behind the metric-generic Hausdorff, slim and
 quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
 kind of each edge of the glued graph, which `gamma build` does not report;
-and the glued graph's window found by a BFS on the neighbour rule, the
-reference of the window that `gamma build` reads off the closed form; and ξ
-read off the Helly hull, a metric route to the coarse Helly constant that
-shares no search code with it."""
+and the glued graph's window found by a BFS on the neighbour rule, with the
+certified distances and geodesics a bounded BFS finds in it, the reference of
+the window that `gamma build` reads off the closed form and of the ball's
+queries; and ξ read off the Helly hull, a metric route to the coarse Helly
+constant that shares no search code with it."""
 
 from collections import deque
 from operator import sub
 
-from hellykit.gamma import GammaWindow, _GammaRegion
-from hellykit.graphs import enumerate_geodesics
+from hellykit.gamma import GammaBall, GammaWindow
+from hellykit.graphs import enumerate_geodesics, sample_geodesic
 from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
                             hellyfication)
 
@@ -29,8 +30,8 @@ EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
 
 def parent_window(config, radius):
     """The window as a queue BFS on tuple vertices finds it, then one sort:
-    a GammaWindow whose verts, index, adj and dist_from_base come from
-    config.neighbors alone, with the window's certified queries on them."""
+    a BfsWindow whose verts, index, adj and dist_from_base come from
+    config.neighbors alone."""
     base = config.base_vertex()
     dist, adj = {base: 0}, {base: set()}
     queue = deque([base])
@@ -45,13 +46,68 @@ def parent_window(config, radius):
                 queue.append(w)
             adj[v].add(w)
             adj[w].add(v)
-    w = object.__new__(GammaWindow)
-    _GammaRegion.__init__(w, config, radius)
+    w = object.__new__(BfsWindow)
+    GammaBall.__init__(w, config, radius)
     w.verts = sorted(dist)
     w.index = {v: i for i, v in enumerate(w.verts)}
     w.adj = tuple(tuple(sorted(w.index[u] for u in adj[v])) for v in w.verts)
     w.dist_from_base = [dist[v] for v in w.verts]
     return w
+
+
+def bounded_bfs_row(adj, source, depth, stop):
+    """Hop distances from source, -1 where unreached, by a BFS that labels
+    nothing farther than depth and ends once stop is labelled; every vertex
+    nearer to source than stop is labelled by then, so the row is complete
+    below d(source, stop)."""
+    row = [-1] * len(adj)
+    row[source] = 0
+    frontier, level = [source], 0
+    while frontier and source != stop and level < depth:
+        level += 1
+        nxt = []
+        for z in frontier:
+            for w in adj[z]:
+                if row[w] < 0:
+                    row[w] = level
+                    if w == stop:
+                        return row
+                    nxt.append(w)
+        frontier = nxt
+    return row
+
+
+class BfsWindow(GammaWindow):
+    """A window that answers its queries by search on its own lists, for a
+    target of any kind: the reference the ball's closed form is checked
+    against.  The certificate needs no distance beyond R - dist(u): one BFS
+    from v, bounded at that depth and stopped once u is labelled, reaches u
+    exactly when dist(u) + d_window(u, v) <= R.  Its levels are complete
+    below d_window(u, v), which is all a walk from u down to v reads, so that
+    one BFS both certifies a pair and samples a geodesic between it."""
+
+    def free_vertices(self):
+        return [v for v in self.verts if v[0] == "free"]
+
+    def _contains(self, path):
+        return all(v in self.index for v in path)
+
+    def _certifying_bfs(self, u, v):
+        """(id of u, the bounded BFS row from v), the row None when it does
+        not reach u."""
+        iu, iv = self.index[u], self.index[v]
+        row = bounded_bfs_row(self.adj, iv, self.radius - self.dist_from_base[iu], iu)
+        return iu, (row if row[iu] >= 0 else None)
+
+    def window_distance(self, u, v):
+        iu, row = self._certifying_bfs(u, v)
+        return (None, False) if row is None else (row[iu], True)
+
+    def random_geodesic(self, rng, u, v):
+        iu, row = self._certifying_bfs(u, v)
+        if row is None:
+            return None
+        return [self.verts[i] for i in sample_geodesic(self.adj, row, iu, rng)]
 
 
 # Metrics are given by rows, as in `hellykit.graphs`: row(x) is y -> d(x, y).

@@ -20,7 +20,7 @@ from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
 from hellykit.groups import FreeAbelianFactor, GroupSpec
 from hellykit.reports import ReportError, dumps, render, validate_report
-from oracles import EDGE_KINDS
+from oracles import EDGE_KINDS, parent_window
 
 
 def write(path, text):
@@ -144,6 +144,17 @@ class TestHellyfy:
         g = graph_from_json(report["result"]["graph"])
         assert g.n == 5
         assert sorted(len(a) for a in g.adj) == [3, 3, 3, 3, 4]
+
+    def test_corrupted_hull_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the C8 hull less the functions whose min is 1 leaves those of
+        # min 2 cut off the image: the depth postcondition fails, and a
+        # failed postcondition exits 1
+        fs = helly.extremal_functions(corpus.cycle(8))
+        monkeypatch.setattr(helly, "extremal_functions",
+                            lambda g, max_vertices: [f for f in fs if min(f) != 1])
+        path = write(tmp_path / "c8.json", json.dumps(graph_to_json(corpus.cycle(8))))
+        assert main(["hellyfy", path]) == 1
+        assert "deep from the image" in capsys.readouterr().err
 
     # sha256 of the hellyfy report on C8, C9, C10 (a 122-vertex hull), C12
     # (a 365-vertex hull) and a C10 with two seeded chords (43 extremal
@@ -408,7 +419,7 @@ class TestResultIsLibraryReturn:
 
         from hellykit import relwords
         from hellykit.derived import verify_derivation_theorems
-        from hellykit.gamma import GammaConfig, GammaWindow
+        from hellykit.gamma import GammaConfig
         from hellykit.graphs import QGParams
         from hellykit.helly import analyze
         from hellykit.quasiconvex import OrbitSpec, verify_section5
@@ -421,7 +432,8 @@ class TestResultIsLibraryReturn:
         elif command == "derive":
             argv = ["derive", "--group", group_file(tmp_path, spec), "--N", "1",
                     "--radius", "6", "--samples", "30", "--seed", "5"]
-            want = verify_derivation_theorems(GammaWindow(GammaConfig(spec, 1), 6),
+            # the BFS oracle's window draws independently of the ball
+            want = verify_derivation_theorems(parent_window(GammaConfig(spec, 1), 6),
                                               30, 5)
         elif command == "quasiconvex":
             g = corpus.king_grid(4, 3)
@@ -986,6 +998,45 @@ class TestWriter:
                           "--N", "2", "--radius", "8", "--out", str(out)])
         window = peak_rss(["-c", BUILD_WINDOW, group])
         assert build - window < STREAMED_PEAK_BOUND
+
+
+# `python -c TRACED perfbench_dir trace.json argv...`: install the benchmark's
+# tracing wrappers, as a traced op does, run the CLI and dump the spans
+TRACED = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from hellykit import cli
+tracer = tracing.Tracer(0)
+tracing.install(tracer)
+code = cli.main(sys.argv[3:])
+tracer.dump(sys.argv[2])
+sys.exit(code)
+"""
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestTracing:
+    """perfbench/tracing.py wraps hellykit's layer functions by name; a
+    renamed one fails its install, and a wrapper must not change a byte."""
+
+    @pytest.mark.parametrize("argv, span", [
+        (["gamma", "build", "--N", "1", "--radius", "4"], "gamma.window_build"),
+        (["derive", "--N", "1", "--radius", "6", "--samples", "20"],
+         "derived.verify")], ids=["gamma-build", "derive"])
+    def test_traced_bytes_equal_untraced(self, tmp_path, argv, span):
+        argv = argv + ["--group", group_file(tmp_path, corpus.group_z2_z3())]
+        trace = tmp_path / "trace.json"
+
+        def stdout(*pre):
+            return subprocess.run([sys.executable, *pre, *argv], env=child_env(),
+                                  capture_output=True, timeout=120, check=True).stdout
+
+        plain = stdout("-m", "hellykit.cli")
+        assert plain and stdout("-c", TRACED, str(PERFBENCH), str(trace)) == plain
+        spans = {s[0] for s in json.loads(trace.read_text())["spans"]}
+        assert span in spans
 
 
 class TestHashSalt:

@@ -2,6 +2,7 @@
 sampled theorem checks."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -16,8 +17,9 @@ from test_gamma import group_s3_z2
 
 
 def window_neighbors(w, v):
-    """Neighbours of a tagged vertex, read through the window's int ids."""
-    return [w.verts[j] for j in w.adj[w.index[v]]]
+    """Neighbours of a tagged vertex, read through the window's int ids,
+    which are in tuple order."""
+    return [w.verts[j] for j in w.adj[bisect_left(w.verts, v)]]
 
 
 def window_z23(radius=6):
@@ -288,7 +290,8 @@ class TestTheoremHarness:
         (group_s3_z2, 200), (lambda: GroupSpec([], free_rank=2), 200)],
         ids=["z2_z3", "z2_z2", "zsq_z2", "zsq_z2_50", "s3_z2", "f2"])
     def test_ball_gives_the_window_result(self, group, samples):
-        # the BFS oracle's window, as GammaWindow reads the ball's closed form
+        # the BFS oracle's window, whose certified BFS draws independently
+        # of the closed form that the ball, and GammaWindow, read
         spec = group()
         config = GammaConfig(spec, recommended_n(spec))
         w = parent_window(config, 8)

@@ -5,6 +5,7 @@ import gc
 import json
 import random
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter, deque
 
 import pytest
@@ -27,8 +28,9 @@ def vertex_to_obj(v):
 
 
 def window_neighbors(w, v):
-    """Neighbours of a tagged vertex, read through the window's int ids."""
-    return [w.verts[j] for j in w.adj[w.index[v]]]
+    """Neighbours of a tagged vertex, read through the window's int ids,
+    which are in tuple order."""
+    return [w.verts[j] for j in w.adj[bisect_left(w.verts, v)]]
 
 
 def ref_window_vertices(spec, n_thick, radius):
@@ -70,14 +72,14 @@ def ref_window_vertices(spec, n_thick, radius):
 
 def assert_matches_parent_builder(config, radius):
     """The window read off the closed form is the one the BFS oracle finds,
-    and the row of each vertex below R is config.neighbors read through
-    index."""
+    and the row of each vertex below R is config.neighbors read through the
+    oracle's index."""
     w, oracle = GammaWindow(config, radius), parent_window(config, radius)
-    assert w.verts == oracle.verts and w.index == oracle.index
+    assert w.verts == oracle.verts
     assert w.adj == oracle.adj and w.dist_from_base == oracle.dist_from_base
     for i, v in enumerate(w.verts):
         if w.dist_from_base[i] < radius:
-            assert w.adj[i] == tuple(map(w.index.__getitem__, config.neighbors(v)))
+            assert w.adj[i] == tuple(map(oracle.index.__getitem__, config.neighbors(v)))
 
 
 class TestNBounds:
@@ -227,8 +229,8 @@ class TestWindow:
     def test_internal_connecting_unique(self):
         spec = corpus.group_zsq_z2("king")
         w = GammaWindow(GammaConfig(spec, 2), 4)
-        for v in w.verts:
-            if v[0] == "int" and w.dist_from_base[w.index[v]] < w.radius:
+        for v, d in zip(w.verts, w.dist_from_base):
+            if v[0] == "int" and d < w.radius:
                 free = [u for u in window_neighbors(w, v) if u[0] == "free"]
                 assert len(free) == 1
 
@@ -271,8 +273,8 @@ class TestWindow:
             GammaWindow(config, 4, max_vertices=n - 1)
 
     def test_build_peak_near_what_it_keeps(self):
-        # the window keeps no vertex dict (index is built when read) and one
-        # object per model vertex value.  On this 16,647-vertex window the
+        # the window keeps no vertex dict and one object per model vertex
+        # value.  On this 16,647-vertex window the
         # traced peak is 1.32 times what the window keeps (5.9 of 4.5 MiB)
         config = GammaConfig(corpus.group_zsq_z2("king"), 2)
         GammaWindow(config, 2)  # warm the config's caches outside the trace
@@ -308,19 +310,24 @@ class TestWindow:
 
 
 class TestWindowDistance:
+    """The BFS oracle's certificate, which takes targets of every kind: the
+    reference the ball's closed form is checked against (TestBall)."""
+
     def test_same_vertex(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
+        w = parent_window(GammaConfig(corpus.group_z2_z3(), 1), 3)
         assert w.window_distance(w.base, w.base) == (0, True)
+        ball = GammaBall(w.config, 3)
+        assert ball.window_distance(ball.base, ball.base) == (0, True)
 
     def test_sphere_vertex_certified(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
+        w = parent_window(GammaConfig(corpus.group_z2_z3(), 1), 3)
         far = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
         assert far
         hops, certified = w.window_distance(w.base, far[0])
         assert hops == 3 and certified
 
     def test_antipodal_sphere_pair_uncertified(self):
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 3)
+        w = parent_window(GammaConfig(corpus.group_z2_z3(), 1), 3)
         sphere = [v for i, v in enumerate(w.verts) if w.dist_from_base[i] == 3]
         u, v = sphere[0], sphere[-1]
         # dist(u) = R leaves no room for a positive distance, and an
@@ -330,8 +337,8 @@ class TestWindowDistance:
 
     def test_certified_stable_under_enlargement(self):
         spec = corpus.group_z2_z3()
-        w5 = GammaWindow(GammaConfig(spec, 1), 5)
-        w7 = GammaWindow(GammaConfig(spec, 1), 7)
+        w5 = parent_window(GammaConfig(spec, 1), 5)
+        w7 = parent_window(GammaConfig(spec, 1), 7)
         rng = random.Random(5)
         verts = w5.verts
         pairs = 0
@@ -345,11 +352,10 @@ class TestWindowDistance:
             assert certified2 and hops2 == hops
             pairs += 1
 
-
     def test_bounded_certificate_matches_unbounded_bfs(self):
         # oracle: a full BFS from u over the whole window, certified when
         # dist(u) + d(u, v) <= R, against the bounded, early-stopping BFS
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 5)
+        w = parent_window(GammaConfig(corpus.group_z2_z3(), 1), 5)
         rng = random.Random(11)
         verts = w.verts
         certified_pairs = 0
@@ -385,13 +391,14 @@ class TestSingleSyllableDistances:
     def test_bfs_matches_route_formula(self):
         # for a one-syllable element the best route is the cheaper of the
         # medial route (2 edges per generator letter) and the copy route
-        # (enter + copy geodesic + leave); certified BFS must agree
+        # (enter + copy geodesic + leave); the oracle's certified BFS must
+        # agree
         from math import ceil
 
         for spec in (corpus.group_z2_z3(), corpus.group_zsq_z2("king"),
                      corpus.group_zsq_z2("square")):
             n = recommended_n(spec)
-            w = GammaWindow(GammaConfig(spec, n), 7)
+            w = parent_window(GammaConfig(spec, n), 7)
             checked = 0
             for v in w.free_vertices():
                 g = v[1]
@@ -491,9 +498,9 @@ class TestGeodesicEnumeration:
         assert all(len(p) == 3 for p in paths)
 
     def test_counts_match_dp(self):
-        # targets of every kind, which the ball does not take, on the
-        # window's ids with a BFS row from the target
-        w = GammaWindow(GammaConfig(corpus.group_z2_z3(), 1), 5)
+        # targets of every kind, which the ball does not take, on the BFS
+        # oracle's ids with a BFS row from the target
+        w = parent_window(GammaConfig(corpus.group_z2_z3(), 1), 5)
         rng = random.Random(7)
         kinds = set()
         done = 0
@@ -520,12 +527,17 @@ class TestGeodesicEnumeration:
                 query(u, v)
 
     def test_target_must_be_free(self):
+        # the closed form measures to free vertices only, and a window's
+        # queries are the ball's: both refuse a medial or internal target
         config = GammaConfig(corpus.group_z2_z3(), 1)
-        ball = GammaBall(config, 3)
-        for v in config.neighbors(ball.base):  # internal and medial vertices
-            for query in (ball.geodesics_between, ball.count_geodesics):
-                with pytest.raises(WindowError, match="free vertices"):
-                    query(ball.base, v)
+        for ball in (GammaBall(config, 3), GammaWindow(config, 3)):
+            queries = (ball.geodesics_between, ball.count_geodesics,
+                       ball.window_distance,
+                       lambda u, v: ball.random_geodesic(random.Random(1), u, v))
+            for v in config.neighbors(ball.base):  # internal and medial vertices
+                for query in queries:
+                    with pytest.raises(WindowError, match="free vertices"):
+                        query(ball.base, v)
 
     @pytest.mark.parametrize("group, n_thick, radius, pairs, geodesics, most",
                              DAG_WINDOWS.values(), ids=DAG_WINDOWS.keys())
@@ -552,14 +564,23 @@ class TestGeodesicEnumeration:
         assert (len(counts), sum(counts), max(counts)) == (pairs, geodesics, most)
 
 
+# generating sets of S3 by index into S3_PERMS: the three transpositions, a
+# 3-cycle pair and a transposition, two transpositions, every element
+S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+S3_GENERATING_SETS = ([3, 4, 5], [1, 2, 3], [3, 4], [1, 2, 3, 4, 5])
+
+
+def s3(generators):
+    index = {p: i for i, p in enumerate(S3_PERMS)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in S3_PERMS]
+             for p in S3_PERMS]
+    return FiniteFactor(table, generators)
+
+
 def group_s3_z2():
     """S3 * Z/2, S3 generated by its three transpositions: a nonabelian
     parabolic, where left and right multiplication inside a copy differ."""
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms]
-             for p in perms]
-    return GroupSpec([FiniteFactor(table, [3, 4, 5]), CyclicFactor(2)])
+    return GroupSpec([s3(S3_GENERATING_SETS[0]), CyclicFactor(2)])
 
 
 # (group, N, R) of the windows the ball is checked against: every group the
@@ -719,6 +740,60 @@ class TestBall:
             GammaBall(GammaConfig(corpus.group_z2_z3(), 1), -1)
 
 
+def random_free_product(rng):
+    """A free product of up to three factors, each Z/2 to Z/7, S3 with one of
+    S3_GENERATING_SETS, Z, or Z^2 square or king, with free rank 0-2."""
+    factors = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            factors.append(CyclicFactor(rng.randint(2, 7)))
+        elif kind == 1:
+            factors.append(s3(rng.choice(S3_GENERATING_SETS)))
+        elif kind == 2:
+            factors.append(FreeAbelianFactor(1))
+        else:
+            factors.append(FreeAbelianFactor(2, rng.choice(["square", "king"])))
+    return GroupSpec(factors, rng.randint(0 if factors else 1, 2))
+
+
+# seeds 0-299 draw the random groups, ten to a test, and the most vertices
+# a window of one may hold: R is drawn from 3-6 and lowered until the window
+# fits.  About 26,000 certified (vertex, free target) pairs in all
+RANDOM_BATCHES, RANDOM_BATCH = 30, 10
+RANDOM_WINDOW_CAP = 6000
+
+
+class TestRandomFreeProducts:
+    @pytest.mark.parametrize("batch", range(RANDOM_BATCHES))
+    def test_window_and_ball_match_the_oracle(self, batch):
+        # the window's lists, the ball's free vertices, and the ball's
+        # distances to the base and six more free targets on every
+        # certified pair, against the BFS oracle
+        for seed in range(batch * RANDOM_BATCH, (batch + 1) * RANDOM_BATCH):
+            rng = random.Random(seed)
+            spec = random_free_product(rng)
+            config, radius = GammaConfig(spec, rng.randint(1, 3)), rng.randint(3, 6)
+            while True:
+                try:
+                    w = GammaWindow(config, radius, max_vertices=RANDOM_WINDOW_CAP)
+                    break
+                except WindowError:
+                    radius -= 1
+            oracle, ball = parent_window(config, radius), GammaBall(config, radius)
+            where = (seed, spec.to_json(), config.n_thick, radius)
+            assert w.verts == oracle.verts, where
+            assert w.adj == oracle.adj, where
+            assert w.dist_from_base == oracle.dist_from_base, where
+            free = oracle.free_vertices()
+            assert ball.free_vertices() == free, where
+            for t in [ball.base] + rng.sample(free, min(6, len(free))):
+                row, d = bfs_row(oracle.adj, oracle.index[t]), ball.distances[t]
+                for v, dv, dt in zip(oracle.verts, oracle.dist_from_base, row):
+                    if dv + dt <= radius:
+                        assert d[v] == dt, (where, v, t)
+
+
 class TestIdOrder:
     """The orders the window's ids rely on: neighbors() lists each vertex's
     neighbours in increasing tuple order, so a row below R, read off the
@@ -738,7 +813,7 @@ class TestIdOrder:
                 assert all(a < b for a, b in zip(near, near[1:])), v
                 row = w.adj[i]
                 assert all(a < b for a, b in zip(row, row[1:])), (radius, v)
-                assert w.index[v] == i
+                assert i == 0 or w.verts[i - 1] < v
 
 
 class TestExport:
@@ -792,6 +867,6 @@ class TestExport:
             for v in window_neighbors(w, u):
                 assert index[v] in g.adj[index[u]]
         # projected distances agree with certified window distances
-        hops, certified = w.window_distance(w.base, verts[-1])
-        if certified:
-            assert g.d(index[w.base], len(verts) - 1) == hops
+        far = w.free_vertices()[-1]
+        hops, certified = w.window_distance(w.base, far)
+        assert certified and g.d(index[w.base], index[far]) == hops

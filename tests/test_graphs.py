@@ -14,7 +14,8 @@ from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
                              is_isometric_subgraph, power_graph, slim_constant,
                              thin_constant)
 from hellykit.groups import random_element
-from oracles import directed_hausdorff, interval, satisfies_quasigeodesic
+from oracles import (bounded_bfs_row, directed_hausdorff, interval,
+                     satisfies_quasigeodesic)
 
 
 def brute_distance(g, u, v):
@@ -315,7 +316,8 @@ class TestGeodesicEnumeration:
         # a row that leaves u unreached, from a disconnected graph or a BFS
         # bounded below d(u, v)
         split, path = Graph(4, [(0, 1), (2, 3)]).adj, corpus.path(4).adj
-        for adj, dv in ((split, bfs_row(split, 3)), (path, bfs_row(path, 3, depth=2))):
+        for adj, dv in ((split, bfs_row(split, 3)),
+                        (path, bounded_bfs_row(path, 3, depth=2, stop=0))):
             assert enumerate_geodesics(adj, dv, 0) == []
             assert count_geodesics(adj, dv, 0) == 0
 

@@ -605,6 +605,17 @@ class TestHellyfication:
         out, _ = hellyfication(corpus.complete(4))
         assert out == corpus.complete(4)
 
+    @pytest.mark.parametrize("n, cut", [(8, 1), (12, 1), (12, 2)])
+    def test_corrupted_hull_trips_the_depth_postcondition(self, n, cut, monkeypatch):
+        # the C8 and C12 hulls (ξ 2 and 3) less every function whose min is
+        # cut, a middle layer: the deeper functions are cut off the image,
+        # and the depth postcondition, which runs first, fails
+        fs = helly.extremal_functions(corpus.cycle(n), max_vertices=n)
+        kept = [f for f in fs if min(f) != cut]
+        monkeypatch.setattr(helly, "extremal_functions", lambda g, max_vertices: kept)
+        with pytest.raises(AssertionError, match="deep from the image"):
+            hellyfication(corpus.cycle(n), max_vertices=n)
+
     def test_postconditions_on_random_graphs(self):
         # postconditions are asserted inside hellyfication itself
         for g in small_random_graphs(15, 4, 7, seed=11):

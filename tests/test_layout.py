@@ -20,10 +20,9 @@ KEPT = {
     "groups._FiniteFactorBase.elements": "test_groups scans near over every element",
     "gamma.GammaBall.geodesics_between": "aim-3 oracle: enumeration against DP count",
     "gamma.GammaBall.count_geodesics": "aim-3 oracle: DP count against enumeration",
-    "gamma._GammaRegion.penetration_profile": "test_derived checks derive against it",
+    "gamma.GammaBall.penetration_profile": "test_derived checks derive against it",
     # library API
-    "gamma.GammaWindow.window_distance":
-        "perfbench/tracing.py wraps it; acceptance criterion 6 reads its certificate",
+    "gamma.GammaBall.window_distance": "tracing.py wraps it through GammaWindow",
     "reports.render": "perfbench/tracing.py wraps it",
     # inputs of the tests and the benchmark
     "corpus.standard_corpus": "the graphs of acceptance criterion 4",
