@@ -55,6 +55,7 @@ def _report(command: str, config: dict, result: dict, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    _at_least(args, {"--max-vertices": 1})
     result = analyze(load_graph(args.graph), max_vertices=args.max_vertices)
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
     _report("analyze", config, result, args.out)
@@ -62,6 +63,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_hellyfy(args) -> int:
+    _at_least(args, {"--max-vertices": 1})
     g = load_graph(args.graph)
     out_graph, embedding = hellyfication(g, max_vertices=args.max_vertices)
     record = graph_to_json(out_graph, meta={"source": args.graph})
@@ -74,7 +76,7 @@ def _cmd_hellyfy(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    _at_least(args, {"--guard": 1})
+    _at_least(args, {"--guard": 1, "--parabolic-cap": 1})
     spec = GroupSpec.load(args.spec)
     dist = spec.enumerate_ball(args.radius, metric=args.metric,
                                parabolic_cap=args.parabolic_cap,

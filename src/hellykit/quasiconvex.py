@@ -4,7 +4,8 @@ two subgraph lemmas: the thickened orbit is coarsely Helly with constant
 
 Quasiconvexity over all (lam,c) is not decidable on a finite instance; the
 enumerator sweeps the parameters it is given and reports the swept grid, and a
-bound computed under a binding cap is flagged as a lower bound.
+bound computed under a binding cap is flagged as a lower bound.  A lemma-grid
+sweep stops once its bound meets the orbit's covering radius, the largest k.
 """
 
 from __future__ import annotations
@@ -50,28 +51,34 @@ class OrbitSpec:
 @dataclass(frozen=True)
 class QCResult:
     k: int                 # neighbourhood constant over the enumerated family
-    enumerated: int        # quasigeodesics with endpoints in the orbit seen
-    explored: int          # DFS prefixes visited
+    enumerated: int        # quasigeodesics with endpoints in the orbit seen,
+    explored: int          # and DFS prefixes visited, both up to any early stop
     capped: bool           # True: k is only a lower bound
 
 
 def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
-                     cap: int = ENUM_CAP_DEFAULT) -> QCResult:
+                     cap: int = ENUM_CAP_DEFAULT, *, exhaustive: bool = True
+                     ) -> QCResult:
     """Least k with every enumerated (lam,c)-quasigeodesic with endpoints in
     the orbit inside the orbit's k-neighbourhood.
 
     Depth-first search over walks, pruning any prefix that already violates
     the quasigeodesic inequality (prefixes of quasigeodesics are
     quasigeodesics, so this is lossless).  If the exploration cap binds, the
-    result is a lower bound and says so.
+    result is a lower bound and says so.  Unless `exhaustive`, the search
+    stops once k reaches the orbit's covering radius, max over v of
+    d(v, orbit), which no walk exceeds: k and capped are then exact wherever
+    the exhaustive search is uncapped, and the counts end at the stop.
     """
     _check_orbit(ambient, orbit)
     wset = sorted(set(orbit))
     d = ambient.dist()
     to_orbit = [min(d[v][w] for w in wset) for v in range(ambient.n)]
+    stop = None if exhaustive else max(to_orbit)
     # an int k exceeds lam*d + c exactly when it exceeds floor(lam*d + c),
-    # so the walk test compares ints only
-    lim = [[floor(q.lam * duv + q.c) for duv in row] for row in d]
+    # so the walk test compares ints only; one product per distance
+    by_d = [floor(q.lam * duv + q.c) for duv in range(max(map(max, d)) + 1)]
+    lim = [list(map(by_d.__getitem__, row)) for row in d]
 
     best = 0
     enumerated = 0
@@ -88,6 +95,8 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
         if tail in orbit_set:
             enumerated += 1
             best = max(best, high)
+            if best == stop:
+                return False
         steps = range(len(walk), 0, -1)  # n - i for each walk[i]
         for w in ambient.adj[tail]:
             # d is symmetric, so lim[w][walk[i]] bounds the walk from walk[i]
@@ -125,7 +134,9 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
                     requested: Optional[QGParams] = None) -> dict:
     """The `quasiconvex` report result.  Check both subgraph lemmas on one
     instance, and sweep the requested (lam,c) on top of the lemma grid.  Each
-    distinct pair is swept once.
+    distinct pair is swept once; a grid pair other than the requested one
+    stops at the orbit's covering radius, as the report carries its k and
+    cap flag but not its `enumerated`.
 
     Hypotheses are verified computationally; a conclusion is only asserted
     when its hypotheses verified, otherwise it is reported as skipped.  A
@@ -140,7 +151,8 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
             raise GraphError(
                 f"ambient coarse constant {xi} exceeds the claimed {xi_ambient}")
         xi = xi_ambient
-    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap))
+    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap,
+                                             exhaustive=q == requested))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
     qc1 = sweep(QGParams(1, 2 * xi))

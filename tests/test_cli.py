@@ -512,6 +512,9 @@ class TestErrorBoundary:
         ("ball_guard_zero", "ValueError"),
         ("quasiconvex_cap_zero", "ValueError"),
         ("quasiconvex_cap_negative", "ValueError"),
+        ("analyze_max_vertices_zero", "ValueError"),
+        ("hellyfy_max_vertices_negative", "ValueError"),
+        ("ball_parabolic_cap_negative", "ValueError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -548,7 +551,10 @@ class TestErrorBoundary:
                  "gamma_guard_negative": ("--guard", "-3"),
                  "ball_guard_zero": ("--guard", "0"),
                  "quasiconvex_cap_zero": ("--cap", "0"),
-                 "quasiconvex_cap_negative": ("--cap", "-3")}
+                 "quasiconvex_cap_negative": ("--cap", "-3"),
+                 "analyze_max_vertices_zero": ("--max-vertices", "0"),
+                 "hellyfy_max_vertices_negative": ("--max-vertices", "-3"),
+                 "ball_parabolic_cap_negative": ("--parabolic-cap", "-1")}
         orbits = {"orbit_too_large": "[0, 4]", "orbit_negative": "[0, -1]",
                   "orbit_nested": "[[1]]", "orbit_float": "[1.5, 2]",
                   "orbit_bool": "[true, 2]"}
@@ -572,7 +578,7 @@ class TestErrorBoundary:
         elif case == "ball_negative_radius":
             argv = ["group", "ball", "--spec",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "-1"]
-        elif case.startswith("ball_guard"):
+        elif case.startswith(("ball_guard", "ball_parabolic")):
             argv = ["group", "ball", "--spec",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "2",
                     *sizes[case]]
@@ -587,6 +593,8 @@ class TestErrorBoundary:
         elif case.startswith("derive_"):
             argv = ["derive", "--group", group_file(tmp_path, corpus.group_z2_z3()),
                     "--N", "1", "--radius", "2", *sizes[case]]
+        elif case.startswith(("analyze_", "hellyfy_")):
+            argv = [case.partition("_")[0], c4_edge_list(tmp_path), *sizes[case]]
         elif case.startswith("quasiconvex_"):
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
@@ -1046,15 +1054,24 @@ class TestHashSalt:
     MEASURED = ("bcp", "nu", "mu", "delta", "zeta")
 
     @pytest.mark.parametrize("argv", [
-        ["gamma", "build", "--N", "1", "--radius", "6"],
-        ["derive", "--N", "1", "--samples", "50"],
-        *(["measure", "--what", what, "--samples", "50", "--seed", "7"]
-          for what in MEASURED)],
-        ids=["gamma-build", "derive", *(f"measure-{what}" for what in MEASURED)])
+        ["gamma", "build", "--group", "{group}", "--N", "1", "--radius", "6"],
+        ["derive", "--group", "{group}", "--N", "1", "--samples", "50"],
+        *(["measure", "--group", "{group}", "--what", what, "--samples", "50",
+           "--seed", "7"] for what in MEASURED),
+        ["analyze", "{king}"],
+        ["hellyfy", "{king}"],
+        ["quasiconvex", "--ambient", "{king}", "--orbit", "{diagonal}",
+         "--k", "1"]],
+        ids=["gamma-build", "derive", *(f"measure-{what}" for what in MEASURED),
+             "analyze", "hellyfy", "quasiconvex"])
     def test_report_bytes_do_not_depend_on_the_salt(self, tmp_path, argv):
-        group = group_file(tmp_path, corpus.group_z2_z3())
+        files = {"group": group_file(tmp_path, corpus.group_z2_z3()),
+                 "king": write(tmp_path / "king4x3.json",
+                               json.dumps(graph_to_json(corpus.king_grid(4, 3)))),
+                 "diagonal": write(tmp_path / "diagonal.json", "[0, 5, 10]")}
+        argv = [arg.format(**files) for arg in argv]
         reports = [subprocess.run(
-            [sys.executable, "-m", "hellykit.cli", *argv, "--group", group],
+            [sys.executable, "-m", "hellykit.cli", *argv],
             env=dict(child_env(), PYTHONHASHSEED=salt), capture_output=True,
             timeout=120, check=True).stdout for salt in ("1", "2")]
         assert reports[0] and reports[0] == reports[1]

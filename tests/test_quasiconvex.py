@@ -1,5 +1,6 @@
 """Orbit subgraphs in power graphs and the two subgraph lemmas."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,43 @@ def quasigeodesic_reference(g, orbit, lam, c):
     for w in sorted(set(orbit)):
         walk_from([w])
     return stats["k"], stats["enumerated"], stats["explored"]
+
+
+def covering_radius(g, orbit):
+    d = g.dist()
+    return max(min(d[v][w] for w in orbit) for v in range(g.n))
+
+
+def king_lines(w, h):
+    """Rows, columns and full-length diagonals of a w x h king grid."""
+    def vid(x, y):
+        return y * w + x
+    lines = [[vid(x, y) for x in range(w)] for y in range(h)]
+    lines += [[vid(x, y) for y in range(h)] for x in range(w)]
+    m = min(w, h)
+    for x0 in range(w - m + 1):
+        lines.append([vid(x0 + i, i) for i in range(m)])
+        lines.append([vid(x0 + i, h - 1 - i) for i in range(m)])
+    return lines
+
+
+def seeded_sweep_case(seed):
+    """A cycle, king grid or random connected graph on 2-10 vertices, a
+    random orbit, (lam, c) and cap."""
+    rng = random.Random(seed)
+    kind = rng.choice(("cycle", "king", "random"))
+    if kind == "king":
+        g = corpus.king_grid(*rng.choice([(w, h) for w in range(1, 11)
+                                          for h in range(1, 11)
+                                          if 2 <= w * h <= 10]))
+    else:
+        n = rng.randint(2, 10)
+        g = corpus.cycle(n) if kind == "cycle" else corpus.random_connected(
+            n, rng.randint(0, n), rng.randrange(2 ** 30))
+    orbit = rng.sample(range(g.n), rng.randint(1, g.n))
+    q = QGParams(rng.choice((1, Fraction(3, 2), 2, 5)),
+                 rng.choice((0, Fraction(1, 2), 1, 2)))
+    return g, orbit, q, rng.choice((30, 1000, 20000))
 
 
 class TestQuasiconvexityK:
@@ -87,6 +125,25 @@ class TestQuasiconvexityK:
         assert not got.capped
         assert (got.k, got.enumerated, got.explored) == quasigeodesic_reference(
             g, row, lam, c)
+
+    def test_stopping_sweep_matches_the_exhaustive_one(self):
+        # the stopping sweep visits a prefix of the exhaustive sweep's walks
+        # and ends only at the covering radius, which no walk exceeds
+        stopped = capped = 0
+        for seed in range(400):
+            g, orbit, q, cap = seeded_sweep_case(seed)
+            full = quasiconvexity_k(g, orbit, q, cap)
+            fast = quasiconvexity_k(g, orbit, q, cap, exhaustive=False)
+            assert fast.explored <= full.explored, seed
+            if full.capped:
+                capped += 1
+                assert fast.k >= full.k, seed
+                if not fast.capped:
+                    assert fast.k == covering_radius(g, orbit), seed
+            else:
+                stopped += fast.explored < full.explored
+                assert (fast.k, fast.capped) == (full.k, full.capped), seed
+        assert stopped >= 100 and capped >= 40
 
     @pytest.mark.parametrize("orbit", [[0, 9], [0, -1]])
     def test_orbit_outside_ambient_rejected(self, orbit):
@@ -164,11 +221,12 @@ class TestVerifySection5:
     def test_requested_pair_swept_once(self, monkeypatch):
         import hellykit.quasiconvex as qc_mod
 
-        swept = []
+        swept, exhaustive = [], []
         real = qc_mod.quasiconvexity_k
 
         def counting(g, orbit, q, **kw):
             swept.append(q)
+            exhaustive.append(kw["exhaustive"])
             return real(g, orbit, q, **kw)
 
         monkeypatch.setattr(qc_mod, "quasiconvexity_k", counting)
@@ -185,6 +243,39 @@ class TestVerifySection5:
         assert swept[2:] == [QGParams(1, 0), QGParams(5, 0),
                              QGParams(Fraction(3, 2), 1)]
         assert rep["swept_grid"][-1] == "(3/2,1)"
+        # a requested grid pair is swept once, exhaustively, and serves both
+        # its lemma and the reported count; the other grid pair stops early
+        rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1), requested=QGParams(5, 0))
+        assert swept[5:] == [QGParams(1, 0), QGParams(5, 0)]
+        assert exhaustive == [True, False, False, False, True, False, True]
+        want = real(g, (3, 4, 5), QGParams(5, 0))
+        assert rep["requested_qc"]["enumerated"] == want.enumerated
+        assert rep["isometric_hypothesis"]["qc_constant"] == want.k
+
+    def test_grid_sweep_stops_at_the_covering_radius(self, monkeypatch):
+        # the (5,0) lemma sweep over every king line of the 3x3 and 4x3
+        # grids: 164,780 prefixes exhaustively, a few hundred when it stops
+        import hellykit.quasiconvex as qc_mod
+
+        real, results = qc_mod.quasiconvexity_k, []
+
+        def recording(g, orbit, q, **kw):
+            results.append((q, real(g, orbit, q, **kw)))
+            return results[-1][1]
+
+        monkeypatch.setattr(qc_mod, "quasiconvexity_k", recording)
+        explored = 0
+        for w, h in ((3, 3), (4, 3)):
+            g = corpus.king_grid(w, h)
+            for line in king_lines(w, h):
+                del results[:]
+                rep = verify_section5(OrbitSpec(g, tuple(line), 1),
+                                      requested=QGParams(1, 0))
+                (qc5,) = [r for q, r in results if q == QGParams(5, 0)]
+                assert qc5.k == covering_radius(g, line) and not qc5.capped
+                assert rep["isometric_hypothesis"]["qc_constant"] == qc5.k
+                explored += qc5.explored
+        assert explored <= 1_000
 
     def test_size_bound_raises_above_max_vertices(self):
         # an 83-vertex window of Z/2*Z/3, which is not Helly
