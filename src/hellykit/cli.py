@@ -20,10 +20,10 @@ from .derived import verify_derivation_theorems
 from .gamma import (WINDOW_GUARD_DEFAULT, GammaBall, GammaConfig, GammaWindow,
                     certified_clauses, recommended_n)
 from .graph_io import graph_to_json, load_graph, to_dot
-from .graphs import QGParams, strict_int
+from .graphs import strict_int
 from .groups import BALL_GUARD_DEFAULT, GroupSpec
 from .helly import EXTREMAL_VERTEX_BOUND, analyze, hellyfication
-from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, verify_section5
+from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, QGParams, verify_section5
 from .relwords import measure_bcp, measure_delta, measure_triangles, measure_zeta
 from .reports import build_report, iterencode, validate_report
 
@@ -205,6 +205,8 @@ def _cmd_quasiconvex(args) -> int:
                              instance=args.ambient, requested=requested)
     cfg = {"ambient": args.ambient, "orbit": sorted(set(orbit)), "k": args.k,
            "lambda": str(requested.lam), "c": str(requested.c), "cap": args.cap}
+    if args.xi is not None:  # the claim replaces the computed xi in the result
+        cfg["xi"] = args.xi
     _report("quasiconvex", cfg, result, args.out)
     return VIOLATION_EXIT if result["violations"] else 0
 

@@ -331,16 +331,6 @@ class GammaBall:
                 out.append((a, b, b - a, need))
         return out
 
-    def penetration_profile(self, path: list[GammaVertex]
-                            ) -> list[tuple[tuple, GammaVertex, GammaVertex]]:
-        """Copies visited, in order, with entry and exit vertices."""
-        self.check_path(path)
-        out = []
-        for a, b in self._internal_runs(path):
-            copy_id = (path[a][1], path[a][2])
-            out.append((copy_id, path[a], path[b]))
-        return out
-
 
 class GammaWindow(GammaBall):
     """The ball, listed whole and immutable once built: vertex i is verts[i],

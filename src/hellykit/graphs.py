@@ -8,8 +8,6 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 GEODESIC_CAP_DEFAULT = 100_000
@@ -101,17 +99,6 @@ class Graph:
             self._dist = tuple(rows)
         return self._dist
 
-    def d(self, u: int, v: int) -> int:
-        return self.dist()[u][v]
-
-    def rows(self):
-        """The hop metric in the row form the metric-generic constants below
-        take: rows()(x) is the distance function y -> d(x, y)."""
-        return [row.__getitem__ for row in self.dist()].__getitem__
-
-    def diameter(self) -> int:
-        return max(max(row) for row in self.dist())
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -120,22 +107,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
-
-
-@dataclass(frozen=True)
-class QGParams:
-    """Quasigeodesic parameters: stretch lam >= 1, additive c >= 0."""
-
-    lam: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
-        if self.c < 0:
-            raise ValueError("c must be >= 0")
 
 
 def power_graph(g: Graph, k: int) -> Graph:
@@ -193,10 +164,10 @@ def is_isometric_subgraph(sub: Graph, embedding: Sequence[int], sup: Graph
 
 
 # Metric-generic constants.  A metric is given by rows: row(x) returns the
-# distance function y -> d(x, y).  For a graph that is Graph.rows(); for a group,
-# GroupSpec.x_row or GroupSpec.rel_row, which invert x once per row instead of
-# once per pair.  Each metric is symmetric, so one block of rows from a to b
-# gives the distances both ways.
+# distance function y -> d(x, y).  For a group it is GroupSpec.x_row or
+# GroupSpec.rel_row, which invert x once per row instead of once per pair.
+# Each metric is symmetric, so one block of rows from a to b gives the
+# distances both ways.
 
 def _nearest(row, a: Sequence, b: Sequence) -> tuple[list[int], list[int]]:
     """For nonempty a and b: each x in a's distance to b, and each y in b's

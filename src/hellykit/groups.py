@@ -61,9 +61,6 @@ class _FiniteFactorBase:
         if min(self._wl) < 0:
             raise GroupError("generators do not generate the factor")
 
-    def elements(self):
-        return list(range(self.order))
-
     def word_length(self, h) -> int:
         return self._wl[h]
 
@@ -314,27 +311,6 @@ class GroupSpec:
                 out.append(("f", tuple(-x for x in reversed(syl[1]))))
         return tuple(out)
 
-    def validate(self, a: Element) -> None:
-        prev = None
-        for syl in a:
-            if syl[0] == "p":
-                j, h = syl[1], syl[2]
-                if not 0 <= j < len(self.factors) or h == self.factors[j].identity:
-                    raise GroupError(f"bad parabolic syllable {syl}")
-                if prev is not None and prev[0] == "p" and prev[1] == j:
-                    raise GroupError("adjacent syllables in the same factor")
-            elif syl[0] == "f":
-                w = syl[1]
-                if not w or any(x == 0 or abs(x) > self.free_rank for x in w):
-                    raise GroupError(f"bad free syllable {syl}")
-                if any(w[i] == -w[i + 1] for i in range(len(w) - 1)):
-                    raise GroupError("unreduced free syllable")
-                if prev is not None and prev[0] == "f":
-                    raise GroupError("adjacent free syllables")
-            else:
-                raise GroupError(f"unknown syllable tag {syl[0]!r}")
-            prev = syl
-
     def project(self, a: Element, j: int):
         """Canonical retraction onto factor j: kill everything else."""
         factor = self.factors[j]
@@ -374,9 +350,6 @@ class GroupSpec:
             else:
                 total += len(syl[1])
         return total
-
-    def d_rel(self, g: Element, h: Element) -> int:
-        return self.rel_length(self.multiply(h, self.invert(g)))
 
     def d_x(self, g: Element, h: Element) -> int:
         return self.x_length(self.multiply(h, self.invert(g)))

@@ -17,8 +17,8 @@ from math import ceil, floor
 from operator import gt
 from typing import Optional, Sequence
 
-from .graphs import (Graph, GraphError, QGParams, full_subgraph,
-                     is_isometric_subgraph, power_graph)
+from .graphs import (Graph, GraphError, full_subgraph, is_isometric_subgraph,
+                     power_graph)
 from .helly import coarse_helly_constant, is_pseudo_modular
 
 ENUM_CAP_DEFAULT = 200_000
@@ -34,6 +34,22 @@ def _check_orbit(ambient: Graph, orbit: Sequence[int]) -> None:
         if not 0 <= v < ambient.n:
             raise GraphError(f"orbit vertex {v} is not a vertex of the ambient "
                              f"graph (0..{ambient.n - 1})")
+
+
+@dataclass(frozen=True)
+class QGParams:
+    """Quasigeodesic parameters: stretch lam >= 1, additive c >= 0."""
+
+    lam: Fraction
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "c", Fraction(self.c))
+        if self.lam < 1:
+            raise ValueError("lam must be >= 1")
+        if self.c < 0:
+            raise ValueError("c must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ and the glued graph's window found by a BFS on the neighbour rule, with the
 certified distances and geodesics a bounded BFS finds in it, the reference of
 the window that `gamma build` reads off the closed form and of the ball's
 queries; and ξ read off the Helly hull, a metric route to the coarse Helly
-constant that shares no search code with it."""
+constant that shares no search code with it; and the plain definitions that
+tests read and no program path runs: hop distances, rows and diameter of a
+graph, the relative distance and normal-form check of a group, the elements
+of a finite factor and the copies a Γ path visits."""
 
 from collections import deque
 from operator import sub
 
 from hellykit.gamma import GammaBall, GammaWindow
 from hellykit.graphs import enumerate_geodesics, sample_geodesic
+from hellykit.groups import GroupError
 from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
                             hellyfication)
 
@@ -26,6 +30,63 @@ ORACLE_VERTEX_BOUND = 8
 EDGE_KINDS = {("free", "med"): "free", ("med", "free"): "free",
               ("free", "int"): "connecting", ("int", "free"): "connecting",
               ("int", "int"): "internal"}
+
+
+def hop_distance(g, u, v):
+    """d(u, v) in the hop metric of g."""
+    return g.dist()[u][v]
+
+
+def hop_rows(g):
+    """The hop metric of g in the row form the metric-generic constants of
+    `hellykit.graphs` take: hop_rows(g)(x) is the function y -> d(x, y)."""
+    return [row.__getitem__ for row in g.dist()].__getitem__
+
+
+def diameter(g):
+    return max(max(row) for row in g.dist())
+
+
+def d_rel(spec, g, h):
+    """The relative word distance of g and h: the relative length of h g^-1."""
+    return spec.rel_length(spec.multiply(h, spec.invert(g)))
+
+
+def validate_normal_form(spec, a):
+    """Raise GroupError unless a is in the normal form of spec: nontrivial
+    syllables of existing factors, reduced free words over the free rank, and
+    no two adjacent syllables that could merge."""
+    prev = None
+    for syl in a:
+        if syl[0] == "p":
+            j, h = syl[1], syl[2]
+            if not 0 <= j < len(spec.factors) or h == spec.factors[j].identity:
+                raise GroupError(f"bad parabolic syllable {syl}")
+            if prev is not None and prev[0] == "p" and prev[1] == j:
+                raise GroupError("adjacent syllables in the same factor")
+        elif syl[0] == "f":
+            w = syl[1]
+            if not w or any(x == 0 or abs(x) > spec.free_rank for x in w):
+                raise GroupError(f"bad free syllable {syl}")
+            if any(w[i] == -w[i + 1] for i in range(len(w) - 1)):
+                raise GroupError("unreduced free syllable")
+            if prev is not None and prev[0] == "f":
+                raise GroupError("adjacent free syllables")
+        else:
+            raise GroupError(f"unknown syllable tag {syl[0]!r}")
+        prev = syl
+
+
+def factor_elements(factor):
+    """The elements 0..order-1 of a finite factor."""
+    return list(range(factor.order))
+
+
+def penetration_profile(ball, path):
+    """The copies a Γ path visits, in order, with entry and exit vertices."""
+    ball.check_path(path)
+    return [((path[a][1], path[a][2]), path[a], path[b])
+            for a, b in ball._internal_runs(path)]
 
 
 def parent_window(config, radius):
@@ -261,7 +322,7 @@ def interval(g, u, v):
 def stable_interval_hausdorff(g):
     """beta as the max over a, u adjacent to a, and b of the directed
     Hausdorff distance from interval(a,b) to interval(u,b), starting at 1."""
-    row = g.rows()
+    row = hop_rows(g)
     best = 1
     for a in range(g.n):
         for u in g.adj[a]:

@@ -18,12 +18,13 @@ from hellykit import corpus
 from hellykit.cli import main
 from hellykit.derived import verify_derivation_theorems
 from hellykit.gamma import GammaBall, GammaConfig, GammaWindow, recommended_n
-from hellykit.graphs import Graph, QGParams, power_graph
+from hellykit.graphs import Graph, power_graph
 from hellykit.groups import random_element
 from hellykit.helly import (coarse_helly_constant, decide_helly,
                             extremal_functions, hellyfication, is_helly,
                             is_pseudo_modular, stable_interval_constant)
-from hellykit.quasiconvex import OrbitSpec, quasiconvexity_k, verify_section5
+from hellykit.quasiconvex import (OrbitSpec, QGParams, quasiconvexity_k,
+                                 verify_section5)
 from hellykit.relwords import (analyze_word, geodesic_word, measure_bcp,
                                measure_triangles)
 from oracles import EDGE_KINDS, _witness, helly_oracle_bruteforce, parent_window

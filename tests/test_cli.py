@@ -420,9 +420,8 @@ class TestResultIsLibraryReturn:
         from hellykit import relwords
         from hellykit.derived import verify_derivation_theorems
         from hellykit.gamma import GammaConfig
-        from hellykit.graphs import QGParams
         from hellykit.helly import analyze
-        from hellykit.quasiconvex import OrbitSpec, verify_section5
+        from hellykit.quasiconvex import OrbitSpec, QGParams, verify_section5
 
         spec = corpus.group_z2_z3()
         if command == "analyze":
@@ -501,6 +500,7 @@ class TestErrorBoundary:
         ("measure_c_negative", "ValueError"),
         ("quasiconvex_lambda_zero_denominator", "ValueError"),
         ("quasiconvex_c_zero_denominator", "ValueError"),
+        ("quasiconvex_xi_below_computed", "GraphError"),
         ("measure_samples_negative", "ValueError"),
         ("measure_radius_negative", "ValueError"),
         ("measure_k_negative", "ValueError"),
@@ -539,6 +539,8 @@ class TestErrorBoundary:
                      "measure_c_negative": ("--c", "-1"),
                      "quasiconvex_lambda_zero_denominator": ("--lambda", "1/0"),
                      "quasiconvex_c_zero_denominator": ("--c", "1/0")}
+        # C4's coarse Helly constant is 1
+        claims = {"quasiconvex_xi_below_computed": ("--xi", "0")}
         # sizes below their floor; the stderr line names the flag
         sizes = {"measure_samples_negative": ("--samples", "-3"),
                  "measure_radius_negative": ("--radius", "-1"),
@@ -598,7 +600,7 @@ class TestErrorBoundary:
         elif case.startswith("quasiconvex_"):
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),
-                    "--k", "1", *fractions.get(case, sizes.get(case))]
+                    "--k", "1", *{**fractions, **sizes, **claims}[case]]
         elif case in graphs:
             argv = ["analyze", write(tmp_path / "g.txt", graphs[case])]
         elif case in groups:
@@ -788,6 +790,23 @@ class TestQuasiconvexCommand:
         assert captured.out == ""
         assert "64" in captured.err and "83" in captured.err
         assert "override" not in captured.err
+
+    @pytest.mark.parametrize("claim", [None, 5])
+    def test_config_records_a_claimed_xi(self, tmp_path, capsys, claim):
+        # a claimed xi replaces C6's computed 1 in the result and its bound
+        # 3 + ceil(xi / k), so config records the claim; without one it has
+        # no xi key
+        gpath = write(tmp_path / "c6.json", json.dumps(graph_to_json(corpus.cycle(6))))
+        opath = write(tmp_path / "orbit.json", "[0, 3]")
+        flag = [] if claim is None else ["--xi", str(claim)]
+        assert main(["quasiconvex", "--ambient", gpath, "--orbit", opath,
+                     "--k", "1", *flag]) == 0
+        report = json.loads(capsys.readouterr().out)
+        xi = 1 if claim is None else claim
+        assert report["result"]["xi_ambient"] == xi
+        assert report["result"]["coarse_conclusion"]["bound"] == 3 + xi
+        assert report["config"].get("xi") == claim
+        assert ("xi" in report["config"]) == (claim is not None)
 
     def test_king_row(self, tmp_path, capsys):
         g = corpus.king_grid(3, 3)

@@ -12,7 +12,7 @@ from hellykit.derived import (derive, two_local_violations, verify_derivation_th
 from hellykit.gamma import GammaBall, GammaConfig, GammaWindow, recommended_n
 from hellykit.groups import GroupSpec
 from hellykit.relwords import analyze_word, value as word_value
-from oracles import parent_window
+from oracles import parent_window, penetration_profile
 from test_gamma import group_s3_z2
 
 
@@ -190,7 +190,7 @@ class TestDerive:
             path = w.random_geodesic(rng, w.base, v)
             res = derive(w, path)
             h_letters = [l for l in res.word.letters if l[0] == "h"]
-            assert len(h_letters) == len(w.penetration_profile(path))
+            assert len(h_letters) == len(penetration_profile(w, path))
             total_penetrations += len(h_letters)
         assert total_penetrations > 0  # copy shortcuts really get exercised
 

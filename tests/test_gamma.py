@@ -15,7 +15,7 @@ from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
                             certified_clauses, recommended_n)
 from hellykit.graphs import bfs_row, count_geodesics, enumerate_geodesics
 from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
-from oracles import EDGE_KINDS, parent_window
+from oracles import EDGE_KINDS, hop_distance, parent_window, penetration_profile
 
 
 def vertex_to_obj(v):
@@ -423,7 +423,7 @@ class TestPathAnalysis:
         med = [v for v in window_neighbors(w, base) if v[0] == "med"][0]
         other = [v for v in window_neighbors(w, med) if v != base][0]
         assert w.parabolic_shortenings([base, med, other]) == []
-        assert w.penetration_profile([base, med, other]) == []
+        assert penetration_profile(w, [base, med, other]) == []
 
     def test_length_two_detour_detected(self):
         # (0,0) -> (1,1) -> (1,0) inside a king copy with N=1: endpoints
@@ -459,7 +459,7 @@ class TestPathAnalysis:
         out = [v for v in window_neighbors(w, inside)
                if v[0] == "free" and v != base]
         path = [base, inside, out[0]] if out else [base, inside, base]
-        profile = w.penetration_profile(path)
+        profile = penetration_profile(w, path)
         assert len(profile) == 1
         assert profile[0][0] == (1, ())
         assert profile[0][1] == inside and profile[0][2] == inside
@@ -869,4 +869,4 @@ class TestExport:
         # projected distances agree with certified window distances
         far = w.free_vertices()[-1]
         hops, certified = w.window_distance(w.base, far)
-        assert certified and g.d(index[w.base], index[far]) == hops
+        assert certified and hop_distance(g, index[w.base], index[far]) == hops

@@ -14,8 +14,8 @@ from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
                              is_isometric_subgraph, power_graph, slim_constant,
                              thin_constant)
 from hellykit.groups import random_element
-from oracles import (bounded_bfs_row, directed_hausdorff, interval,
-                     satisfies_quasigeodesic)
+from oracles import (bounded_bfs_row, directed_hausdorff, hop_distance, hop_rows,
+                     interval, satisfies_quasigeodesic)
 
 
 def brute_distance(g, u, v):
@@ -44,7 +44,7 @@ def random_connected_graphs(count, n_lo=4, n_hi=12, seed=99):
 class TestDistanceMatrix:
     def test_path_graph(self):
         g = corpus.path(3)
-        assert g.d(0, 2) == 2
+        assert hop_distance(g, 0, 2) == 2
 
     def test_complete(self):
         g = corpus.complete(4)
@@ -52,7 +52,7 @@ class TestDistanceMatrix:
         assert all(d[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
     def test_cycle_diameter(self):
-        assert corpus.cycle(6).d(0, 3) == 3
+        assert hop_distance(corpus.cycle(6), 0, 3) == 3
 
     def test_disconnected_raises(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -75,7 +75,7 @@ class TestDistanceMatrix:
     def test_loops_and_multiedges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (1, 1), (1, 2)])
         assert g.edge_count() == 2
-        assert g.d(0, 2) == 2
+        assert hop_distance(g, 0, 2) == 2
 
 
 class TestInterval:
@@ -109,7 +109,7 @@ class TestPowerGraph:
 
     def test_c6_power2_antipodes(self):
         g2 = power_graph(corpus.cycle(6), 2)
-        assert g2.d(0, 3) == 2
+        assert hop_distance(g2, 0, 3) == 2
 
     def test_zero_power_rejected(self):
         with pytest.raises(GraphError):
@@ -208,15 +208,15 @@ class TestClassifyPath:
     """Paths in the hop metric against satisfies_quasigeodesic."""
 
     def test_single_edge(self):
-        assert satisfies_quasigeodesic(corpus.cycle(5).rows(), [0, 1], 1, 0)
+        assert satisfies_quasigeodesic(hop_rows(corpus.cycle(5)), [0, 1], 1, 0)
 
     def test_c6_four_arc(self):
         # endpoints at distance 2; not geodesic but a (2,0)-quasigeodesic
         g = corpus.cycle(6)
         arc = [0, 1, 2, 3, 4]
-        assert g.d(0, 4) == 2 < len(arc) - 1
-        assert satisfies_quasigeodesic(g.rows(), arc, 2, 0)
-        assert not satisfies_quasigeodesic(g.rows(), arc, 1, 1)
+        assert hop_distance(g, 0, 4) == 2 < len(arc) - 1
+        assert satisfies_quasigeodesic(hop_rows(g), arc, 2, 0)
+        assert not satisfies_quasigeodesic(hop_rows(g), arc, 1, 1)
 
     def test_geodesics_are_quasigeodesic_for_all_params(self):
         rng = random.Random(1)
@@ -226,7 +226,7 @@ class TestClassifyPath:
             paths = enumerate_geodesics(g.adj, d[v], u)
             for p in paths[:5]:
                 for lam, c in ((1, 0), (1, 3), (2, 0), (3, 2)):
-                    assert satisfies_quasigeodesic(g.rows(), p, lam, c)
+                    assert satisfies_quasigeodesic(hop_rows(g), p, lam, c)
 
 
 class TestHausdorff:
@@ -234,28 +234,28 @@ class TestHausdorff:
     metric."""
 
     def test_equal_sets(self):
-        assert hausdorff(corpus.cycle(6).rows(), [0, 2], [0, 2]) == 0
+        assert hausdorff(hop_rows(corpus.cycle(6)), [0, 2], [0, 2]) == 0
 
     def test_antipodes(self):
-        assert hausdorff(corpus.cycle(6).rows(), [0], [3]) == 3
+        assert hausdorff(hop_rows(corpus.cycle(6)), [0], [3]) == 3
 
     def test_two_antipodal_arcs(self):
         # the two geodesics between antipodes of C6 stay 1 apart
-        assert hausdorff(corpus.cycle(6).rows(), [0, 1, 2, 3], [0, 5, 4, 3]) == 1
+        assert hausdorff(hop_rows(corpus.cycle(6)), [0, 1, 2, 3], [0, 5, 4, 3]) == 1
 
     def test_four_arc_vs_geodesic(self):
         # frozen from the metric: arc vertex 2 is 2 from {0,5,4}, 5 is 1 from the arc
         g = corpus.cycle(6)
-        assert directed_hausdorff(g.rows(), [0, 1, 2, 3, 4], [0, 5, 4]) == 2
-        assert directed_hausdorff(g.rows(), [0, 5, 4], [0, 1, 2, 3, 4]) == 1
-        assert hausdorff(g.rows(), [0, 5, 4], [0, 1, 2, 3, 4]) == 2
+        assert directed_hausdorff(hop_rows(g), [0, 1, 2, 3, 4], [0, 5, 4]) == 2
+        assert directed_hausdorff(hop_rows(g), [0, 5, 4], [0, 1, 2, 3, 4]) == 1
+        assert hausdorff(hop_rows(g), [0, 5, 4], [0, 1, 2, 3, 4]) == 2
 
     def test_symmetry_and_zero_iff_equal(self):
         rng = random.Random(7)
         for g in random_connected_graphs(10, seed=31):
             a = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             b = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
-            row = g.rows()
+            row = hop_rows(g)
             assert (directed_hausdorff(row, a, b) == 0) == set(a).issubset(b)
             assert (directed_hausdorff(row, b, a) == 0) == set(b).issubset(a)
             assert hausdorff(row, a, b) == hausdorff(row, b, a)
@@ -287,7 +287,7 @@ class TestAgainstDirectedDefinitions:
     def test_hop_metric(self):
         rng = random.Random(17)
         for g in random_connected_graphs(20, seed=41):
-            self.check(g.rows(), range(g.n), rng, 10)
+            self.check(hop_rows(g), range(g.n), rng, 10)
 
     def test_group_metrics(self):
         rng = random.Random(18)
@@ -336,7 +336,7 @@ class TestGeodesicEnumeration:
 
 def thin_slim(g):
     """Max thin and slim constants over every geodesic triangle of g."""
-    d, row = g.dist(), g.rows()
+    d, row = g.dist(), hop_rows(g)
     geos = {(u, v): enumerate_geodesics(g.adj, d[v], u)
             for u in range(g.n) for v in range(g.n)}
     triangles = [(p, q, r) for a, b, c in itertools.product(range(g.n), repeat=3)

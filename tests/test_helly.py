@@ -22,7 +22,7 @@ from hellykit.helly import (SizeBoundExceeded, analyze, clique_helly,
                             extremal_functions, hellyfication, is_helly,
                             is_pseudo_modular, stable_interval_constant)
 from oracles import (ORACLE_VERTEX_BOUND, _witness, _xi,
-                     clique_helly_per_triangle, helly_oracle_bruteforce,
+                     clique_helly_per_triangle, diameter, helly_oracle_bruteforce,
                      hull_depth, stable_interval_hausdorff,
                      stable_interval_oracle)
 
@@ -58,7 +58,7 @@ def coarse_oracle_unreduced(g):
     """Reduction-free inflation oracle: every nonempty center subset and every
     radius vector up to the diameter.  Exponential; tiny graphs only."""
     d = g.dist()
-    n, diam = g.n, g.diameter()
+    n, diam = g.n, diameter(g)
     worst = 0
     for size in range(1, n + 1):
         for centers in itertools.combinations(range(n), size):

@@ -2,7 +2,10 @@
 `src/hellykit` is used by the package (`unused`), or KEPT says why it stays."""
 
 import ast
-import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hellykit
@@ -12,15 +15,8 @@ TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
 
 KEPT = {
     # references that tests check runtime code against
-    "graphs.Graph.d": "one hop distance, the metric most tests assert on",
-    "graphs.Graph.diameter": "bounds the box of the brute-force extremal oracle",
-    "graphs.Graph.rows": "the hop metric as rows, for the Hausdorff and thin/slim tests",
-    "groups.GroupSpec.d_rel": "the pairwise distance rel_row is checked against",
-    "groups.GroupSpec.validate": "checks the normal form of every test_groups product",
-    "groups._FiniteFactorBase.elements": "test_groups scans near over every element",
     "gamma.GammaBall.geodesics_between": "aim-3 oracle: enumeration against DP count",
     "gamma.GammaBall.count_geodesics": "aim-3 oracle: DP count against enumeration",
-    "gamma.GammaBall.penetration_profile": "test_derived checks derive against it",
     # library API
     "gamma.GammaBall.window_distance": "tracing.py wraps it through GammaWindow",
     "reports.render": "perfbench/tracing.py wraps it",
@@ -33,8 +29,8 @@ KEPT = {
 
 
 def unused(trees, kept):
-    """Definitions named only in their own body, __init__.py or other unused
-    ones, less kept.  Top-level names count as a loaded Name or an attribute of
+    """Definitions named only in their own body or other unused ones, less
+    kept.  Top-level names count as a loaded Name or an attribute of
     an imported name (`helly.analyze`), methods as any Attribute."""
     defs, uses = {}, {}
     for mod, tree in trees.items():
@@ -45,8 +41,6 @@ def unused(trees, kept):
                 defs.update((f"{mod}.{node.name}.{item.name}", (mod, item))
                             for item in node.body if isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("__"))
-        if mod == "__init__":
-            continue
         imported = {a.asname or a.name for n in ast.walk(tree)
                     if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
         for node in ast.walk(tree):
@@ -76,12 +70,27 @@ def test_every_definition_is_used_or_kept():
     assert set(KEPT) <= set(unused(TREES, {}))  # no entry outlives its reason
 
 
-def test_init_imports_exist():
-    for node in TREES["__init__"].body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"hellykit.{node.module}")
-            for alias in node.names:
-                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+def loaded_by(statement):
+    """The modules a fresh interpreter loads for `statement`, beyond those it
+    had loaded before it: site hooks differ between machines."""
+    script = ("import json, sys; before = set(sys.modules); " + statement +
+              "; print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(hellykit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out))
+
+
+def test_cold_import_loads_only_what_it_names():
+    # the package root re-exports nothing, and corpus, which the benchmark's
+    # set-up imports, pulls in neither dataclasses nor fractions
+    assert {m for m in loaded_by("import hellykit")
+            if m.startswith("hellykit.")} == set()
+    corpus = loaded_by("from hellykit import corpus")
+    assert {m for m in corpus if m.startswith("hellykit.")} == {
+        "hellykit.corpus", "hellykit.graphs", "hellykit.groups"}
+    assert not corpus & {"dataclasses", "fractions"}
 
 
 def test_no_module_imports_warnings():

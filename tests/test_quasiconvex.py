@@ -7,10 +7,11 @@ import pytest
 
 from hellykit import corpus
 from hellykit.gamma import GammaConfig, GammaWindow
-from hellykit.graphs import GraphError, QGParams
+from hellykit.graphs import GraphError
 from hellykit.helly import SizeBoundExceeded, is_helly
-from hellykit.quasiconvex import (SECTION5_VERTEX_BOUND, OrbitSpec, build_delta,
-                                  quasiconvexity_k, verify_section5)
+from hellykit.quasiconvex import (SECTION5_VERTEX_BOUND, OrbitSpec, QGParams,
+                                  build_delta, quasiconvexity_k, verify_section5)
+from oracles import hop_distance
 
 
 def quasigeodesic_reference(g, orbit, lam, c):
@@ -165,7 +166,7 @@ class TestBuildDelta:
         g = corpus.cycle(8)
         delta, embedding, gk = build_delta(OrbitSpec(g, (0, 4), 2))
         want = sorted(v for v in range(8)
-                      if min(g.d(v, 0), g.d(v, 4)) <= 2)
+                      if min(hop_distance(g, v, 0), hop_distance(g, v, 4)) <= 2)
         assert sorted(embedding) == want
         assert delta.n == len(want)
 
