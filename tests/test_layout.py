@@ -1,5 +1,6 @@
 """The runtime keeps only what it runs: each function, class and method of
-`src/hellykit` is used by the package (`unused`), or KEPT says why it stays."""
+`src/hellykit` is used by the package (`unused`), or KEPT says why it stays;
+and an import loads only the modules it names."""
 
 import ast
 import json
