@@ -55,6 +55,7 @@ from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import ceil
 from typing import Optional
 
@@ -295,20 +296,6 @@ class GammaBall:
             if b not in self._neighbors[a]:
                 raise WindowError(f"not an edge: {a} - {b}")
 
-    def _internal_runs(self, path: list[GammaVertex]) -> list[tuple[int, int]]:
-        runs = []
-        i = 0
-        while i < len(path):
-            if path[i][0] != "int":
-                i += 1
-                continue
-            k = i
-            while k + 1 < len(path) and path[k + 1][0] == "int":
-                k += 1
-            runs.append((i, k))
-            i = k + 1
-        return runs
-
     def copy_distance(self, u: GammaVertex, v: GammaVertex) -> int:
         """Distance inside a thickened copy: ceil of the model distance over N."""
         if u[0] != "int" or v[0] != "int" or u[1] != v[1] or u[2] != v[2]:
@@ -322,13 +309,14 @@ class GammaBall:
         as (start, end, length, copy_distance).  Checking maximal runs
         suffices: subpaths of copy-geodesics are copy-geodesics."""
         self.check_path(path)
-        out = []
-        for a, b in self._internal_runs(path):
-            if a == b:
-                continue
-            need = self.copy_distance(path[a], path[b])
-            if b - a > need:
-                out.append((a, b, b - a, need))
+        out, a = [], 0
+        for internal, run in groupby(path, lambda v: v[0] == "int"):
+            b = a + len(list(run)) - 1
+            if internal and b > a:
+                need = self.copy_distance(path[a], path[b])
+                if b - a > need:
+                    out.append((a, b, b - a, need))
+            a = b + 1
         return out
 
 

@@ -261,12 +261,15 @@ def is_helly(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
 
 def _witness_search(g: Graph) -> BallFamily:
     """The first extremal function in sorted order that is not a distance row,
-    as the ball family centred on every vertex.  The search assigns vertices
-    0..n-1 in turn, so its leaves come sorted and it stops at the first one
-    that is not a row.  Called only on a graph that decide_helly rejected; the
-    two deciders are independent, so finding none is a bug: AssertionError."""
-    rows = set(g.dist())
-    f = _extremal_search(g, list(range(g.n)))(0, lambda f: f not in rows)
+    as the ball family centred on every vertex.  An extremal f with a zero at
+    x is d(x,.): the fixed point gives f(v) >= d(x,v) - f(x) = d(x,v), and
+    minimality gives equality.  So the non-distance extremal functions are
+    those with f >= 1, the leaves of the search at floor 1, and no set of
+    rows is needed to tell them apart.  The search assigns vertices 0..n-1
+    in turn, so its leaves come sorted and its first leaf is the witness.
+    Called only on a graph that decide_helly rejected; the two deciders are
+    independent, so finding none is a bug: AssertionError."""
+    f = _extremal_search(g, list(range(g.n)))(1, lambda f: True)
     if f is None:
         raise AssertionError(_DECIDERS_DISAGREE)
     return tuple(enumerate(f))

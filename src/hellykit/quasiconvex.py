@@ -133,16 +133,14 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
 
 def build_delta(spec: OrbitSpec) -> tuple[Graph, list[int], Graph]:
     """The full subgraph of the k-power spanned by the orbit's closed
-    1-neighbourhood, its embedding, and the k-power itself."""
+    1-neighbourhood, its embedding, and the k-power itself.  full_subgraph
+    numbers the sorted span in order, so the embedding is the span."""
     gk = power_graph(spec.ambient, spec.k)
     d = spec.ambient.dist()
     span = sorted(v for v in range(spec.ambient.n)
                   if min(d[v][w] for w in spec.orbit) <= spec.k)
-    delta, index = full_subgraph(gk, span)
-    embedding = [None] * delta.n
-    for old, new in index.items():
-        embedding[new] = old
-    return delta, embedding, gk
+    delta, _ = full_subgraph(gk, span)
+    return delta, span, gk
 
 
 def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .graphs import hausdorff, slim_constant, thin_constant
@@ -75,21 +76,13 @@ def decompose_components(spec: GroupSpec, w: RelWord) -> list[Component]:
 
 def _components(spec: GroupSpec, letters: Sequence[Letter],
                 verts: Sequence[Element]) -> list[Component]:
-    comps = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        letter = letters[i]
-        if letter[0] != "h":
-            i += 1
-            continue
-        j = letter[1]
-        k = i
-        while k + 1 < n and letters[k + 1][0] == "h" and letters[k + 1][1] == j:
-            k += 1
-        comps.append(Component(j, i, k, verts[i], verts[k + 1],
-                               (j, spec.coset_rep(verts[i], j))))
-        i = k + 1
+    comps, i = [], 0
+    for j, run in groupby(letters, lambda x: x[1] if x[0] == "h" else None):
+        k = i + len(list(run))
+        if j is not None:
+            comps.append(Component(j, i, k - 1, verts[i], verts[k],
+                                   (j, spec.coset_rep(verts[i], j))))
+        i = k
     return comps
 
 

@@ -12,16 +12,20 @@ queries; and ξ read off the Helly hull, a metric route to the coarse Helly
 constant that shares no search code with it; and the plain definitions that
 tests read and no program path runs: hop distances, rows and diameter of a
 graph, the relative distance and normal-form check of a group, the elements
-of a finite factor and the copies a Γ path visits."""
+of a finite factor and the copies a Γ path visits; and the derived word by
+three cases, with the segments it read and the ends it extended, the
+reference of the cut rule in `hellykit.derived`."""
 
 from collections import deque
 from operator import sub
 
-from hellykit.gamma import GammaBall, GammaWindow
+from hellykit.derived import z_path
+from hellykit.gamma import GammaBall, GammaWindow, WindowError
 from hellykit.graphs import enumerate_geodesics, sample_geodesic
 from hellykit.groups import GroupError
 from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
                             hellyfication)
+from hellykit.relwords import RelWord, value as word_value
 
 ORACLE_VERTEX_BOUND = 8
 
@@ -83,10 +87,91 @@ def factor_elements(factor):
 
 
 def penetration_profile(ball, path):
-    """The copies a Γ path visits, in order, with entry and exit vertices."""
+    """The copies a Γ path visits, in order, with entry and exit vertices: a
+    visit starts at an internal vertex after a vertex of another kind, or at
+    the start, and ends at one before such a vertex, or at the end."""
     ball.check_path(path)
+    kinds = ["", *(v[0] for v in path), ""]
+    starts = [i for i in range(len(path)) if kinds[i + 1] == "int" != kinds[i]]
+    ends = [i for i in range(len(path)) if kinds[i + 1] == "int" != kinds[i + 2]]
     return [((path[a][1], path[a][2]), path[a], path[b])
-            for a, b in ball._internal_runs(path)]
+            for a, b in zip(starts, ends)]
+
+
+def _checked_segment_letter(spec, seg):
+    """The letter of one segment whose endpoints are its only free vertices,
+    with every shape a segment could have checked (WindowError otherwise)."""
+    a, b = seg[0], seg[-1]
+    if a[0] != "free" or b[0] != "free":
+        raise WindowError("segment endpoints must be free")
+    if a == b:
+        return None
+    interior = seg[1:-1]
+    kinds = {v[0] for v in interior}
+    if "free" in kinds:
+        raise WindowError("segment has an interior free vertex")
+    if kinds == {"med"}:
+        if len(seg) != 3:
+            raise WindowError("medial segment must have exactly two edges")
+        g, x = seg[1][1]
+        if g == a[1]:
+            return x
+        if spec.multiply(spec.letter_image(x), g) == a[1]:
+            return spec.letter_invert(x)
+        raise WindowError("medial vertex does not sit on its segment")
+    if kinds == {"int"}:
+        j = interior[0][1]
+        if any(v[1] != j or v[2] != interior[0][2] for v in interior):
+            raise WindowError("internal segment mixes copies")
+        q = spec.multiply(b[1], spec.invert(a[1]))
+        if len(q) == 1 and q[0][0] == "p" and q[0][1] == j:
+            return ("h", j, q[0][2])
+        raise WindowError("internal segment endpoints not in one coset")
+    raise WindowError(f"segment interior mixes vertex kinds: {kinds}")
+
+
+def derive_segments(ball, path):
+    """The derived word of a Γ path by three cases, with its record:
+    (word, segments, extended_first, extended_last), each segment a
+    (vertices, letter or None) pair.  With no free vertex, the path between
+    the escape paths of its two ends is one segment.  Otherwise a prefix of
+    more than three edges before the first free vertex is extended by the
+    escape path of its start and a shorter one is dropped, the same at the
+    end, and the path between consecutive free vertices gives one segment
+    each."""
+    config = ball.config
+    ball.check_path(path)
+    free_positions = [i for i, v in enumerate(path) if v[0] == "free"]
+    segments = []
+    extended_first = extended_last = False
+    if not free_positions:
+        zm = z_path(config, path[0])
+        zp = z_path(config, path[-1])
+        segments.append(list(reversed(zm)) + path[1:] + zp[1:])
+    else:
+        first, last = free_positions[0], free_positions[-1]
+        if first > 3:
+            zm = z_path(config, path[0])
+            segments.append(list(reversed(zm)) + path[1:first + 1])
+            extended_first = True
+        else:
+            segments.append([path[first]])
+        for a, b in zip(free_positions, free_positions[1:]):
+            segments.append(path[a:b + 1])
+        if len(path) - 1 - last > 3:
+            zp = z_path(config, path[-1])
+            segments.append(path[last:] + zp[1:])
+            extended_last = True
+        else:
+            segments.append([path[last]])
+    spec = config.spec
+    recorded = tuple((tuple(seg), _checked_segment_letter(spec, seg))
+                     for seg in segments)
+    start, end = segments[0][0], segments[-1][-1]
+    word = RelWord(start[1], tuple(x for _, x in recorded if x is not None))
+    if word_value(spec, word) != spec.multiply(end[1], spec.invert(start[1])):
+        raise AssertionError("derived word does not represent the endpoint quotient")
+    return word, recorded, extended_first, extended_last
 
 
 def parent_window(config, radius):

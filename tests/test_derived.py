@@ -1,18 +1,20 @@
-"""Derived words: escape paths, segment letters, endpoint identities, and the
-sampled theorem checks."""
+"""Derived words: escape paths, the cut rule against the three-case oracle,
+segment letters, endpoint identities, and the sampled theorem checks."""
 
 import random
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 from hellykit import corpus
 from hellykit.derived import (derive, two_local_violations, verify_derivation_theorems,
                               z_path)
-from hellykit.gamma import GammaBall, GammaConfig, GammaWindow, recommended_n
-from hellykit.groups import GroupSpec
+from hellykit.gamma import (GammaBall, GammaConfig, GammaWindow, WindowError,
+                            recommended_n)
+from hellykit.groups import CyclicFactor, FiniteFactor, FreeAbelianFactor, GroupSpec
 from hellykit.relwords import analyze_word, value as word_value
-from oracles import parent_window, penetration_profile
+from oracles import derive_segments, parent_window, penetration_profile
 from test_gamma import group_s3_z2
 
 
@@ -92,9 +94,9 @@ class TestDerive:
         spec = w.config.spec
         med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         far = [v for v in window_neighbors(w, med) if v != w.base][0]
-        res = derive(w, [w.base, med, far])
-        assert len(res.word.letters) == 1
-        letter = res.word.letters[0]
+        word = derive(w, [w.base, med, far])
+        assert len(word.letters) == 1
+        letter = word.letters[0]
         assert letter[0] in ("xg", "xf")
         assert spec.multiply(spec.letter_image(letter), w.base[1]) == far[1]
 
@@ -102,10 +104,10 @@ class TestDerive:
         w = window_zz2(4)
         spec = w.config.spec
         path = [("int", 0, (), (2, 0)), ("int", 0, (), (0, 0))]
-        res = derive(w, path)
-        assert len(res.word.letters) == 1
-        assert res.word.letters[0] == ("h", 0, (-2, 0))
-        assert res.word.base == spec.parabolic(0, (2, 0))
+        word = derive(w, path)
+        assert len(word.letters) == 1
+        assert word.letters[0] == ("h", 0, (-2, 0))
+        assert word.base == spec.parabolic(0, (2, 0))
 
     def test_copy_excursion_gives_translation_letter(self):
         # enter a copy, walk two internal steps, leave: one parabolic letter
@@ -116,31 +118,33 @@ class TestDerive:
         path = [("free", spec.identity)]
         path += [("int", 0, (), u) for u in steps]
         path.append(("free", spec.parabolic(0, (2, 0))))
-        res = derive(w, path)
-        assert res.word.letters == (("h", 0, (2, 0)),)
+        word = derive(w, path)
+        assert word.letters == (("h", 0, (2, 0)),)
         total = (sum(b[0] - a[0] for a, b in zip(steps, steps[1:])),
                  sum(b[1] - a[1] for a, b in zip(steps, steps[1:])))
-        assert res.word.letters[0][2] == total
+        assert word.letters[0][2] == total
 
     def test_short_prefix_dropped(self):
         # path starting 1 edge before its first free vertex: prefix dropped
         w = window_z23(4)
         med = [v for v in window_neighbors(w, w.base) if v[0] == "med"][0]
         far = [v for v in window_neighbors(w, med) if v != w.base][0]
-        res = derive(w, [med, far])
-        assert res.word.letters == ()
-        assert not res.extended_first and not res.extended_last
-        assert res.word.base == far[1]
+        word, _, extended_first, extended_last = derive_segments(w, [med, far])
+        assert derive(w, [med, far]) == word
+        assert word.letters == ()
+        assert not extended_first and not extended_last
+        assert word.base == far[1]
 
     def test_long_prefix_extended(self):
         w = window_zz2(6)
         spec = w.config.spec
         inner = [(6, 0), (4, 0), (2, 0), (0, 0)]
         path = [("int", 0, (), u) for u in inner] + [("free", spec.identity)]
-        res = derive(w, path)
-        assert res.extended_first
-        assert res.word.letters == (("h", 0, (-6, 0)),)
-        assert res.word.base == spec.parabolic(0, (6, 0))
+        word, _, extended_first, _ = derive_segments(w, path)
+        assert derive(w, path) == word
+        assert extended_first
+        assert word.letters == (("h", 0, (-6, 0)),)
+        assert word.base == spec.parabolic(0, (6, 0))
 
     def test_long_suffix_extended(self):
         # the reverse of the long-prefix path: four internal vertices after
@@ -149,16 +153,57 @@ class TestDerive:
         spec = w.config.spec
         inner = [(0, 0), (2, 0), (4, 0), (6, 0)]
         path = [("free", spec.identity)] + [("int", 0, (), u) for u in inner]
-        res = derive(w, path)
-        assert res.extended_last and not res.extended_first
-        assert res.word.letters == (("h", 0, (6, 0)),)
-        assert res.word.base == spec.identity
-        assert res.segments[-1][0][-1] == z_path(w.config, path[-1])[-1]
+        word, segments, extended_first, extended_last = derive_segments(w, path)
+        assert derive(w, path) == word
+        assert extended_last and not extended_first
+        assert word.letters == (("h", 0, (6, 0)),)
+        assert word.base == spec.identity
+        assert segments[-1][0][-1] == z_path(w.config, path[-1])[-1]
 
     def test_trivial_path(self):
         w = window_z23(3)
-        res = derive(w, [w.base])
-        assert res.word.letters == ()
+        assert derive(w, [w.base]).letters == ()
+
+    def test_non_edge_raises(self):
+        w = window_z23(4)
+        far = [v for v in w.free_vertices() if v != w.base][0]
+        with pytest.raises(WindowError, match="not an edge"):
+            derive(w, [w.base, far])
+
+    def test_cut_rule_matches_three_cases_on_random_walks(self):
+        # walks, not geodesics, from free, medial and internal starts; a walk
+        # in a copy stays there with probability `stay` at each step, so the
+        # walks have dangling ends of every length and some no free vertex
+        specs = [corpus.group_z2_z3(), corpus.group_z2_z2(),
+                 corpus.group_zsq_z2("king"), corpus.group_zsq_z2("square")]
+        rng = random.Random(5)
+        prefixes, suffixes, seen = Counter(), Counter(), Counter()
+        for spec in specs:
+            w = GammaWindow(GammaConfig(spec, recommended_n(spec)), 5)
+            by_kind = {kind: [i for i, v in enumerate(w.verts) if v[0] == kind]
+                       for kind in ("free", "med", "int")}
+            for n in range(300):
+                ids = [rng.choice(by_kind[("free", "med", "int")[n % 3]])]
+                stay = rng.choice((0.0, 0.8, 1.0))
+                for _ in range(rng.randrange(13)):
+                    inner = [j for j in w.adj[ids[-1]] if w.verts[j][0] == "int"]
+                    if w.verts[ids[-1]][0] == "int" and inner and rng.random() < stay:
+                        ids.append(rng.choice(inner))
+                    else:
+                        ids.append(rng.choice(w.adj[ids[-1]]))
+                walk = [w.verts[j] for j in ids]
+                assert derive(w, walk) == derive_segments(w, walk)[0]
+                kinds = [v[0] for v in walk]
+                seen[kinds[0], kinds[-1]] += 1
+                if "free" in kinds:
+                    prefixes[kinds.index("free")] += 1
+                    suffixes[kinds[::-1].index("free")] += 1
+                else:
+                    seen["no free"] += 1
+        assert set(range(7)) <= set(prefixes) and set(range(7)) <= set(suffixes)
+        assert seen["no free"] > 0
+        assert all(seen[a, b] for a in ("free", "med", "int")
+                   for b in ("free", "med", "int"))
 
     def test_endpoint_identity_on_samples(self):
         w = window_z23(7)
@@ -171,11 +216,11 @@ class TestDerive:
             if not certified or hops == 0:
                 continue
             path = w.random_geodesic(rng, w.base, v)
-            res = derive(w, path)
-            got = word_value(spec, res.word)
+            word = derive(w, path)
+            got = word_value(spec, word)
             assert got == spec.multiply(v[1], spec.invert(w.base[1]))
             # free endpoints: derived endpoints are the path endpoints
-            assert res.word.base == w.base[1]
+            assert word.base == w.base[1]
 
     def test_h_letters_match_penetrations(self):
         w = window_zz2(6)
@@ -188,8 +233,7 @@ class TestDerive:
             if not certified or hops == 0:
                 continue
             path = w.random_geodesic(rng, w.base, v)
-            res = derive(w, path)
-            h_letters = [l for l in res.word.letters if l[0] == "h"]
+            h_letters = [l for l in derive(w, path).letters if l[0] == "h"]
             assert len(h_letters) == len(penetration_profile(w, path))
             total_penetrations += len(h_letters)
         assert total_penetrations > 0  # copy shortcuts really get exercised
@@ -234,7 +278,7 @@ class TestTheoremHarness:
             path = w.random_geodesic(rng, w.base, v)
             if w.parabolic_shortenings(path):
                 continue
-            bad += two_local_violations(w, derive(w, path).word)
+            bad += two_local_violations(w, derive(w, path))
         assert bad > 0
 
     def test_nonabelian_factor_zero_violations(self):
@@ -245,7 +289,6 @@ class TestTheoremHarness:
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms]
                  for p in perms]
-        from hellykit.groups import CyclicFactor, FiniteFactor, GroupSpec
         spec = GroupSpec([FiniteFactor(table, [1, 2, 3]), CyclicFactor(2)])
         assert recommended_n(spec) == 2
         w = GammaWindow(GammaConfig(spec, 2), 8)
@@ -256,7 +299,6 @@ class TestTheoremHarness:
         assert rep1["violations"] > 0  # the bound is sharp here as well
 
     def test_free_letters_through_pipeline(self):
-        from hellykit.groups import CyclicFactor, GroupSpec
         spec = GroupSpec([CyclicFactor(2)], free_rank=1)
         w = GammaWindow(GammaConfig(spec, recommended_n(spec)), 8)
         rep = verify_derivation_theorems(w, 120, seed=8)
@@ -265,7 +307,6 @@ class TestTheoremHarness:
     def test_no_factors_degenerates_to_subdivision(self):
         # with no parabolic factors the construction is just the subdivided
         # Cayley graph of the free group: no internal vertices at all
-        from hellykit.groups import GroupSpec
         spec = GroupSpec([], free_rank=2)
         w = GammaWindow(GammaConfig(spec, 1), 6)
         counts = w.kind_counts()
@@ -273,6 +314,32 @@ class TestTheoremHarness:
         assert counts["free"] >= 1 and counts["med"] >= 4
         rep = verify_derivation_theorems(w, 80, seed=8)
         assert rep["violations"] == 0
+
+    def test_sampled_geodesics_have_no_parabolic_shortening(self):
+        # a copy run longer than its copy distance could be replaced inside
+        # the copy, so no geodesic of Γ has one: the harness's filter never
+        # excludes a draw
+        groups = [corpus.group_z2_z3, corpus.group_z2_z2,
+                  lambda: corpus.group_zsq_z2("king"),
+                  lambda: corpus.group_zsq_z2("square"),
+                  lambda: GroupSpec([CyclicFactor(2), FreeAbelianFactor(1)], 1)]
+        checked = long_runs = 0
+        for group in groups:
+            for n in (1, 2, 3):
+                for radius in (4, 6, 8):
+                    ball = GammaBall(GammaConfig(group(), n), radius)
+                    rng = random.Random(10 * n + radius)
+                    free = ball.free_vertices()
+                    for _ in range(120):
+                        u = ball.base if rng.random() < 0.5 else rng.choice(free)
+                        path = ball.random_geodesic(rng, u, rng.choice(free))
+                        if path is None:
+                            continue
+                        assert ball.parabolic_shortenings(path) == []
+                        kinds = "".join(v[0][0] for v in path)
+                        long_runs += "iii" in kinds
+                        checked += 1
+        assert checked > 3000 and long_runs > 0
 
     def test_seed_reproducible(self):
         spec = corpus.group_z2_z3()
@@ -335,12 +402,13 @@ class TestTheoremHarness:
         for h in ((2, 0), (0, 2), (2, 2), (2, -2), (-2, 1)):
             closed = self._mixed_closed_path(w, h)
             assert w.parabolic_shortenings(closed) == []
-            res = derive(w, closed)
-            assert len(res.word.letters) <= 3
-            analysis = analyze_word(spec, res.word)
+            word, segments, _, _ = derive_segments(w, closed)
+            assert derive(w, closed) == word
+            assert len(word.letters) <= 3
+            analysis = analyze_word(spec, word)
             assert len(analysis.components) == 1
             assert analysis.isolated_components == (0,)
-            source = [seg for seg, letter in res.segments
+            source = [seg for seg, letter in segments
                       if letter is not None and letter[0] == "h"]
             assert len(source) == 1
             assert len(source[0]) - 1 <= 3
@@ -350,8 +418,9 @@ class TestTheoremHarness:
         w1 = GammaWindow(GammaConfig(spec, 1), 4)
         closed = self._mixed_closed_path(w1, (2, 0))
         assert w1.parabolic_shortenings(closed) == []
-        res = derive(w1, closed)
-        assert len(res.word.letters) <= 3
-        source = [seg for seg, letter in res.segments
+        word, segments, _, _ = derive_segments(w1, closed)
+        assert derive(w1, closed) == word
+        assert len(word.letters) <= 3
+        source = [seg for seg, letter in segments
                   if letter is not None and letter[0] == "h"]
         assert len(source[0]) - 1 > 3
