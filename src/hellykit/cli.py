@@ -146,8 +146,8 @@ def _at_least(args, floors: dict[str, int]) -> None:
 def _cmd_derive(args) -> int:
     _at_least(args, {"--samples": 0, "--guard": 1})
     spec = GroupSpec.load(args.group)
-    region = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
-    result = verify_derivation_theorems(region, args.samples, args.seed)
+    ball = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
+    result = verify_derivation_theorems(ball, args.samples, args.seed)
     cfg = {"group": spec.to_json(), "N": args.n_thick, "radius": args.radius,
            "samples": args.samples, "seed": args.seed}
     _report("derive", cfg, result, args.out)
@@ -287,7 +287,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="also write the window projected to a plain graph")
         p.add_argument("--out")
 
-    if p := add("derive", "derived-word checks over certified geodesics",
+    if p := add("derive", "derived-word checks over sampled geodesics",
                 _cmd_derive):
         p.add_argument("--group", required=True)
         p.add_argument("--N", dest="n_thick", type=int, required=True)

@@ -12,6 +12,10 @@ every piece, so it is dropped.
 Z_v is fixed once per vertex, deterministically: the edge to the first
 neighbour of a medial or internal vertex, which is free; nothing checked
 downstream depends on that choice.
+
+The harness samples geodesics of Γ between free vertices of a ball.  Γ's
+distances are exact in the infinite graph, so every pair is answered, and a
+geodesic may leave the ball.
 """
 
 from __future__ import annotations
@@ -89,10 +93,12 @@ def two_local_violations(ball: GammaBall, word: RelWord) -> int:
 
 def verify_derivation_theorems(ball: GammaBall, samples: int,
                                seed: int) -> dict:
-    """The `derive` report result.  Sample certified geodesics of the ball,
-    derive them, and check everything the construction guarantees
-    unconditionally:
+    """The `derive` report result.  Sample geodesics of Γ between free
+    vertices of the ball, derive them, and check everything the construction
+    guarantees unconditionally:
 
+    * no geodesic has a parabolic shortening: a copy run longer than its
+      copy distance could be cut short inside the copy (asserted),
     * zero length-2 derived subwords fail relative geodesy (hard property),
     * the derived word represents the endpoint quotient (asserted in derive),
     * |derived| >= relative distance of the endpoints.
@@ -101,10 +107,10 @@ def verify_derivation_theorems(ball: GammaBall, samples: int,
     vertex backtracks are reported as seeded estimates, never asserted: the
     certified stretch constants are not constructive.
 
-    A draw with a parabolic shortening is excluded and counted in
-    `excluded_by_shortenings`, which reads 0: a copy run longer than its
-    copy distance could be replaced by a shorter path inside the copy, so a
-    geodesic of Γ has no such run.
+    The ball answers every pair, so the only draw skipped is u = v, and the
+    loop needs no rejection budget.  `uncertified_rejected` and
+    `excluded_by_shortenings` stay in the result at 0, as the benchmark
+    harness reads them.
     """
     rng = random.Random(seed)
     spec = ball.config.spec
@@ -114,7 +120,7 @@ def verify_derivation_theorems(ball: GammaBall, samples: int,
         raise WindowError("ball too small to sample geodesics")
 
     n_thick = ball.config.n_thick
-    violations = excluded = uncertified = backtracks = 0
+    violations = backtracks = 0
     lam_hat = Fraction(1)
     c_hat = 0
     accepted = 0
@@ -127,12 +133,8 @@ def verify_derivation_theorems(ball: GammaBall, samples: int,
             if u == v:
                 continue
         path = ball.random_geodesic(rng, u, v)
-        if path is None:
-            uncertified += 1
-            continue
         if ball.parabolic_shortenings(path):
-            excluded += 1
-            continue
+            raise AssertionError("sampled geodesic has a parabolic shortening")
         word = derive(ball, path)
         violations += two_local_violations(ball, word)
         quotient = spec.multiply(v[1], spec.invert(u[1]))
@@ -147,8 +149,7 @@ def verify_derivation_theorems(ball: GammaBall, samples: int,
             backtracks += 1
         accepted += 1
     return {"samples": accepted, "violations": violations,
-            "excluded_by_shortenings": excluded,
-            "uncertified_rejected": uncertified,
+            "excluded_by_shortenings": 0, "uncertified_rejected": 0,
             "vertex_backtracks_observed": backtracks,
             "lambda_hat": str(lam_hat), "c_hat": c_hat, "seed": seed,
             "radius": ball.radius, "estimate": True,

@@ -17,12 +17,8 @@ of one copy at model distance <= N); an edge's kind follows from the kinds of
 its ends, so a report lists the edges alone.  Every free vertex has degree
 |X| + m and every medial vertex degree 2; no two free vertices are adjacent.
 
-Windows are truncated balls around the identity free vertex.  A vertex's
-neighbor set is materialized exactly when its distance from the base is < R,
-which is what makes the distance certificate below sound: if
-dist(u) + d(u, v) <= R, every potentially shorter path would stay strictly
-inside the materialized region, so d(u, v) is the distance in the infinite
-graph too.
+Windows are truncated balls around the identity free vertex: a vertex's
+neighbour set is materialized exactly when its distance from the base is < R.
 
 A window (GammaWindow) is a ball that lists itself whole off the closed form
 for d(., base) below, with no search: the free vertices of cost <= R, in order;
@@ -42,11 +38,11 @@ sums them: d(free a, b) = cost(a b^-1), a medial vertex is 1 + its nearer end,
 and an internal (j, rep, u) is ceil(d_j(u, t)/N) + 1 + cost(q), where the copy
 is left at q b, q = coset_rep(rep b^-1, j), model vertex t = project(q b, j):
 leaving elsewhere adds a factor-j syllable of norm c, costing >= ceil(c/N), to
-save <= ceil(c/N) inside.  A pair with dist(u) + d(u, v) <= R is certified: its
-geodesics expand only vertices strictly inside the ball, whose neighbours all
-lie there, in order.  The ball samples, enumerates and counts them on one
-geodesic DAG, its neighbour memo and the row d(., v) taken as graphs'
-(adj, dv).
+save <= ceil(c/N) inside.  The closed form is exact in the infinite graph, so
+the ball answers every pair whose target is free, wherever its geodesics run:
+R picks the endpoints and nothing else.  The ball samples, enumerates and
+counts them on one geodesic DAG, its neighbour memo and the row d(., v) taken
+as graphs' (adj, dv).
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from math import ceil
-from typing import Optional
 
 from .graphs import (GEODESIC_CAP_DEFAULT, count_geodesics, enumerate_geodesics,
                      sample_geodesic)
@@ -216,9 +211,6 @@ class GammaBall:
         exits, row = _Memo(exit_of), _Memo(fill)
         return row
 
-    def _contains(self, path: list[GammaVertex]) -> bool:
-        return max(map(self.distances[self.base].__getitem__, path)) <= self.radius
-
     def free_vertices(self) -> list[GammaVertex]:
         """The free vertices within R in tuple order, by a DFS over syllables."""
         r, spec, cost = self.radius, self.config.spec, self._costs
@@ -248,31 +240,18 @@ class GammaBall:
         grow((), -1, r)
         return sorted(("free", g) for g in found)
 
-    def _certified_row(self, u: GammaVertex, v: GammaVertex) -> Optional[_Memo]:
-        """d(., v) for a free v if dist(u) + d(u, v) <= R, else None."""
-        row = self.distances[v]
-        return row if self.distances[self.base][u] + row[u] <= self.radius else None
-
-    def window_distance(self, u: GammaVertex, v: GammaVertex
-                        ) -> tuple[Optional[int], bool]:
-        """(d(u, v), True), the distance in the infinite graph, for a
-        certified pair, v free; (None, False) otherwise."""
-        row = self._certified_row(u, v)
-        return (None, False) if row is None else (row[u], True)
+    def window_distance(self, u: GammaVertex, v: GammaVertex) -> tuple[int, bool]:
+        """(d(u, v), True), the distance in the infinite graph, v free."""
+        return self.distances[v][u], True
 
     def random_geodesic(self, rng, u: GammaVertex, v: GammaVertex
-                        ) -> Optional[list[GammaVertex]]:
-        """A random geodesic u -> v, v free, or None when dist(u) + d(u, v) > R
-        (no draw is taken from rng then)."""
-        row = self._certified_row(u, v)
-        return None if row is None else sample_geodesic(self._neighbors, row, u, rng)
+                        ) -> list[GammaVertex]:
+        """A random geodesic u -> v, v free."""
+        return sample_geodesic(self._neighbors, self.distances[v], u, rng)
 
     def _dag(self, u: GammaVertex, v: GammaVertex) -> tuple:
-        """(adj, dv, u) of the geodesic DAG of a certified pair, v free."""
-        row = self._certified_row(u, v)
-        if row is None:
-            raise WindowError("distance not certified; enlarge the ball")
-        return self._neighbors, row, u
+        """(adj, dv, u) of the geodesic DAG of a pair, v free."""
+        return self._neighbors, self.distances[v], u
 
     def geodesics_between(self, u: GammaVertex, v: GammaVertex,
                           cap: int = GEODESIC_CAP_DEFAULT
@@ -288,10 +267,10 @@ class GammaBall:
     # -- path analysis ----------------------------------------------------------
 
     def check_path(self, path: list[GammaVertex]) -> None:
+        """A path of Γ: nonempty, each step an edge.  It may leave the ball,
+        as a geodesic between two of its points may."""
         if not path:
             raise WindowError("empty path")
-        if not self._contains(path):
-            raise WindowError("path leaves the window")
         for a, b in zip(path, path[1:]):
             if b not in self._neighbors[a]:
                 raise WindowError(f"not an edge: {a} - {b}")

@@ -4,8 +4,8 @@ two subgraph lemmas: the thickened orbit is coarsely Helly with constant
 
 Quasiconvexity over all (lam,c) is not decidable on a finite instance; the
 enumerator sweeps the parameters it is given and reports the swept grid, and a
-bound computed under a binding cap is flagged as a lower bound.  A lemma-grid
-sweep stops once its bound meets the orbit's covering radius, the largest k.
+bound computed under a binding cap is flagged as a lower bound.  Every sweep
+stops once its bound meets the orbit's covering radius, the largest k.
 """
 
 from __future__ import annotations
@@ -73,24 +73,23 @@ class QCResult:
 
 
 def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
-                     cap: int = ENUM_CAP_DEFAULT, *, exhaustive: bool = True
-                     ) -> QCResult:
+                     cap: int = ENUM_CAP_DEFAULT) -> QCResult:
     """Least k with every enumerated (lam,c)-quasigeodesic with endpoints in
     the orbit inside the orbit's k-neighbourhood.
 
     Depth-first search over walks, pruning any prefix that already violates
     the quasigeodesic inequality (prefixes of quasigeodesics are
     quasigeodesics, so this is lossless).  If the exploration cap binds, the
-    result is a lower bound and says so.  Unless `exhaustive`, the search
-    stops once k reaches the orbit's covering radius, max over v of
-    d(v, orbit), which no walk exceeds: k and capped are then exact wherever
-    the exhaustive search is uncapped, and the counts end at the stop.
+    result is a lower bound and says so.  The search stops once k reaches
+    the orbit's covering radius, max over v of d(v, orbit), which no walk
+    exceeds: k and capped are those of the exhaustive search wherever that
+    is uncapped, and the counts end at the stop.
     """
     _check_orbit(ambient, orbit)
     wset = sorted(set(orbit))
     d = ambient.dist()
     to_orbit = [min(d[v][w] for w in wset) for v in range(ambient.n)]
-    stop = None if exhaustive else max(to_orbit)
+    stop = max(to_orbit)
     # an int k exceeds lam*d + c exactly when it exceeds floor(lam*d + c),
     # so the walk test compares ints only; one product per distance
     by_d = [floor(q.lam * duv + q.c) for duv in range(max(map(max, d)) + 1)]
@@ -148,9 +147,9 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
                     requested: Optional[QGParams] = None) -> dict:
     """The `quasiconvex` report result.  Check both subgraph lemmas on one
     instance, and sweep the requested (lam,c) on top of the lemma grid.  Each
-    distinct pair is swept once; a grid pair other than the requested one
-    stops at the orbit's covering radius, as the report carries its k and
-    cap flag but not its `enumerated`.
+    distinct pair is swept once and stops at the orbit's covering radius;
+    the requested pair's `enumerated` counts the quasigeodesics seen before
+    that stop.
 
     Hypotheses are verified computationally; a conclusion is only asserted
     when its hypotheses verified, otherwise it is reported as skipped.  A
@@ -165,8 +164,7 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
             raise GraphError(
                 f"ambient coarse constant {xi} exceeds the claimed {xi_ambient}")
         xi = xi_ambient
-    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap,
-                                             exhaustive=q == requested))
+    sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
     qc1 = sweep(QGParams(1, 2 * xi))

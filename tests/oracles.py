@@ -6,9 +6,9 @@ the directed definitions behind the metric-generic Hausdorff, slim and
 quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
 kind of each edge of the glued graph, which `gamma build` does not report;
 and the glued graph's window found by a BFS on the neighbour rule, with the
-certified distances and geodesics a bounded BFS finds in it, the reference of
-the window that `gamma build` reads off the closed form and of the ball's
-queries; and ξ read off the Helly hull, a metric route to the coarse Helly
+distances and geodesics a BFS finds in the window of twice its radius plus
+one, the reference of the window that `gamma build` reads off the closed form
+and of the ball's queries; and ξ read off the Helly hull, a metric route to the coarse Helly
 constant that shares no search code with it; and the plain definitions that
 tests read and no program path runs: hop distances, rows and diameter of a
 graph, the relative distance and normal-form check of a group, the elements
@@ -17,17 +17,21 @@ three cases, with the segments it read and the ends it extended, the
 reference of the cut rule in `hellykit.derived`."""
 
 from collections import deque
+from functools import cached_property
 from operator import sub
 
 from hellykit.derived import z_path
 from hellykit.gamma import GammaBall, GammaWindow, WindowError
-from hellykit.graphs import enumerate_geodesics, sample_geodesic
+from hellykit.graphs import bfs_row, enumerate_geodesics, sample_geodesic
 from hellykit.groups import GroupError
 from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
                             hellyfication)
 from hellykit.relwords import RelWord, value as word_value
 
 ORACLE_VERTEX_BOUND = 8
+# the most vertices a BFS window of the oracle lists: its windows of radius
+# 2R + 1 grow fast, and the tests keep them to about 60,000
+ORACLE_WINDOW_BOUND = 100_000
 
 # the kind of an edge of the glued graph by the kinds of its two endpoints,
 # in either order; no other pair of kinds is ever adjacent
@@ -174,10 +178,11 @@ def derive_segments(ball, path):
     return word, recorded, extended_first, extended_last
 
 
-def parent_window(config, radius):
-    """The window as a queue BFS on tuple vertices finds it, then one sort:
-    a BfsWindow whose verts, index, adj and dist_from_base come from
-    config.neighbors alone."""
+def _bfs_lists(config, radius, max_vertices=ORACLE_WINDOW_BOUND):
+    """(verts, index, adj, dist) of the radius ball around the base as a
+    queue BFS on tuple vertices finds it from config.neighbors alone, then
+    one sort: ids in tuple order, adj[i] the neighbour ids of verts[i] in
+    increasing order."""
     base = config.base_vertex()
     dist, adj = {base: 0}, {base: set()}
     queue = deque([base])
@@ -187,73 +192,63 @@ def parent_window(config, radius):
             continue
         for w in config.neighbors(v):
             if w not in dist:
+                if len(dist) == max_vertices:
+                    raise WindowError(f"oracle window exceeds {max_vertices} "
+                                      f"vertices at R={radius}")
                 dist[w] = dist[v] + 1
                 adj[w] = set()
                 queue.append(w)
             adj[v].add(w)
             adj[w].add(v)
+    verts = sorted(dist)
+    index = {v: i for i, v in enumerate(verts)}
+    return (verts, index, tuple(tuple(sorted(index[u] for u in adj[v])) for v in verts),
+            [dist[v] for v in verts])
+
+
+def parent_window(config, radius):
+    """The window as a queue BFS on tuple vertices finds it, then one sort:
+    a BfsWindow whose verts, index, adj and dist_from_base come from
+    config.neighbors alone."""
     w = object.__new__(BfsWindow)
     GammaBall.__init__(w, config, radius)
-    w.verts = sorted(dist)
-    w.index = {v: i for i, v in enumerate(w.verts)}
-    w.adj = tuple(tuple(sorted(w.index[u] for u in adj[v])) for v in w.verts)
-    w.dist_from_base = [dist[v] for v in w.verts]
+    w.verts, w.index, w.adj, w.dist_from_base = _bfs_lists(config, radius)
+    w._rows = {}
     return w
 
 
-def bounded_bfs_row(adj, source, depth, stop):
-    """Hop distances from source, -1 where unreached, by a BFS that labels
-    nothing farther than depth and ends once stop is labelled; every vertex
-    nearer to source than stop is labelled by then, so the row is complete
-    below d(source, stop)."""
-    row = [-1] * len(adj)
-    row[source] = 0
-    frontier, level = [source], 0
-    while frontier and source != stop and level < depth:
-        level += 1
-        nxt = []
-        for z in frontier:
-            for w in adj[z]:
-                if row[w] < 0:
-                    row[w] = level
-                    if w == stop:
-                        return row
-                    nxt.append(w)
-        frontier = nxt
-    return row
-
-
 class BfsWindow(GammaWindow):
-    """A window that answers its queries by search on its own lists, for a
-    target of any kind: the reference the ball's closed form is checked
-    against.  The certificate needs no distance beyond R - dist(u): one BFS
-    from v, bounded at that depth and stopped once u is labelled, reaches u
-    exactly when dist(u) + d_window(u, v) <= R.  Its levels are complete
-    below d_window(u, v), which is all a walk from u down to v reads, so that
-    one BFS both certifies a pair and samples a geodesic between it."""
+    """A window that answers its queries by search, for a target of any kind:
+    the reference the ball's closed form is checked against.  It draws
+    endpoints from its own free vertices, within R, and answers every pair
+    by a full BFS from the target on the window of radius 2R + 1, found the
+    same way.  That window holds every geodesic between points of the
+    R-ball, with each vertex's whole neighbourhood: a vertex of a geodesic
+    from u to v lies within min(dist(u), dist(v)) + d(u, v)/2 <= 2R of the
+    base, and every vertex below 2R + 1 has all its neighbours listed."""
 
     def free_vertices(self):
         return [v for v in self.verts if v[0] == "free"]
 
-    def _contains(self, path):
-        return all(v in self.index for v in path)
+    @cached_property
+    def outer(self):
+        """(verts, index, adj, dist) of the window of radius 2R + 1."""
+        return _bfs_lists(self.config, 2 * self.radius + 1)
 
-    def _certifying_bfs(self, u, v):
-        """(id of u, the bounded BFS row from v), the row None when it does
-        not reach u."""
-        iu, iv = self.index[u], self.index[v]
-        row = bounded_bfs_row(self.adj, iv, self.radius - self.dist_from_base[iu], iu)
-        return iu, (row if row[iu] >= 0 else None)
+    def bfs_distances(self, v):
+        """The hop distances from v over the outer window, by its ids."""
+        if v not in self._rows:
+            _, index, adj, _ = self.outer
+            self._rows[v] = bytes(bfs_row(adj, index[v]))
+        return self._rows[v]
 
     def window_distance(self, u, v):
-        iu, row = self._certifying_bfs(u, v)
-        return (None, False) if row is None else (row[iu], True)
+        return self.bfs_distances(v)[self.outer[1][u]], True
 
     def random_geodesic(self, rng, u, v):
-        iu, row = self._certifying_bfs(u, v)
-        if row is None:
-            return None
-        return [self.verts[i] for i in sample_geodesic(self.adj, row, iu, rng)]
+        verts, index, adj, _ = self.outer
+        return [verts[i] for i in sample_geodesic(adj, self.bfs_distances(v),
+                                                  index[u], rng)]
 
 
 # Metrics are given by rows, as in `hellykit.graphs`: row(x) is y -> d(x, y).

@@ -340,16 +340,16 @@ class TestDerive:
 
 
     # sha256 of the derive report at the least certifying N, R=8, seed 2024
-    # and the default 200 samples; any change to window BFS, certification or
+    # and the default 200 samples; any change to the closed form or to the
     # sampling order that moves a seeded draw changes these bytes
     @pytest.mark.parametrize("group, digest", [
         (corpus.group_z2_z3,
-         "7f52971386a8983dc630f6149beec03a6d790e91d599291a2fbf37a529b4e055"),
+         "f7684b6f0e6c3dc5ac4807a782b9f6c055a1a4b7f28824b4245f975f8acf085a"),
         (corpus.group_z2_z2,
-         "1a07dfe4f4caeabe83768323a644a6023d45936d34d96cdfb351844274cfbcae"),
+         "622706ca2a7953d68ba9e0a7cf18c99100aa7d458d92d2055b0404649fb77fa4"),
         (corpus.group_zsq_z2,
-         "74d0192891c146bb6d5ce424eb9977e773d40decb1597e5ac25006974c047194"),
-    ])
+         "3165a44fa89f18cc0ffe398aacd7798789b066c9017020ba31e290301c36d3cf"),
+    ], ids=["group_z2_z3", "group_z2_z2", "group_zsq_z2"])
     def test_pinned_report_digest(self, tmp_path, group, digest):
         spec = group()
         out = tmp_path / "d.json"
@@ -370,6 +370,21 @@ class TestDerive:
         assert main(["derive", "--group", group_file(tmp_path, spec), "--N", "2",
                      "--radius", "8", "--samples", "50", "--out", str(out)]) == 0
         assert json.loads(out.read_bytes())["result"]["violations"] == 0
+
+    def test_parabolic_shortening_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a sampled geodesic with a parabolic shortening is a theorem
+        # failure, not a draw to skip: exit 1, one stderr line, no report
+        from hellykit.gamma import GammaBall
+
+        monkeypatch.setattr(GammaBall, "parabolic_shortenings",
+                            lambda self, path: [(0, 2, 2, 1)])
+        out = tmp_path / "d.json"
+        assert main(["derive", "--group", group_file(tmp_path, corpus.group_z2_z3()),
+                     "--N", "1", "--samples", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("hellykit derive: AssertionError: sampled geodesic "
+                                "has a parabolic shortening\n")
 
     def test_guard_bounds_the_free_vertices(self, tmp_path, capsys):
         path = group_file(tmp_path, corpus.group_zsq_z2("king"))
@@ -820,24 +835,35 @@ class TestQuasiconvexCommand:
         assert "requested_qc" in report["result"]
 
     # sha256 of the quasiconvex report at k=1 with the middle row as orbit;
-    # the last case sweeps a non-integer (lambda, c) on top of the lemma grid
-    @pytest.mark.parametrize("name, graph, orbit, extra, digest", [
+    # the last case sweeps a non-integer (lambda, c) on top of the lemma grid.
+    # The requested sweep stops at the covering radius, after 2
+    # quasigeodesics; old_report is the digest from when it ran
+    # exhaustively: restoring that sweep's count, `exhaustive`, must give it
+    # back, so nothing else in the report moved
+    @pytest.mark.parametrize("name, graph, orbit, extra, digest, exhaustive, old_report", [
         ("king3x3", lambda: corpus.king_grid(3, 3), [3, 4, 5], [],
+         "078bf3fe70528f0c5cc3312339fe66e269bc0567eb695546f7cded40ac42e96d", 13,
          "ea53692cfa04b9761b723a8429e34575486cefbc1f5357065f03db85553ed66c"),
         ("king4x3", lambda: corpus.king_grid(4, 3), [4, 5, 6, 7], [],
+         "37b1539b2f7b7a4e1ed93553c52b9cdf991050ac36756ada310b39ad5af7528d", 36,
          "132ee817c5e1d4b2830a5fb3168ad917c174d452fab510df797f82375ab0827b"),
         ("king4x3", lambda: corpus.king_grid(4, 3), [4, 5, 6, 7],
          ["--lambda", "3/2", "--c", "1/2"],
+         "41e02228786993aa0887ddc9314dba254113eb4030718c7e454ef9533620e643", 216,
          "66610578c60739ebae26b6cef2fcb454bbb3e4e2fd5ceff338f83fa342b6e2cb"),
     ], ids=["king3x3", "king4x3", "king4x3-lam3/2-c1/2"])
     def test_pinned_report_digest(self, tmp_path, monkeypatch, name, graph,
-                                  orbit, extra, digest):
+                                  orbit, extra, digest, exhaustive, old_report):
         monkeypatch.chdir(tmp_path)
         write(tmp_path / f"{name}.json", json.dumps(graph_to_json(graph())))
         write(tmp_path / "orbit.json", json.dumps(orbit))
         assert main(["quasiconvex", "--ambient", f"{name}.json", "--orbit",
                      "orbit.json", "--k", "1", "--out", "q.json"] + extra) == 0
         assert hashlib.sha256((tmp_path / "q.json").read_bytes()).hexdigest() == digest
+        restored = json.loads((tmp_path / "q.json").read_bytes())
+        assert restored["result"]["requested_qc"]["enumerated"] == 2
+        restored["result"]["requested_qc"]["enumerated"] = exhaustive
+        assert hashlib.sha256(dumps(restored).encode()).hexdigest() == old_report
 
 
 class TestCorpus:

@@ -14,8 +14,8 @@ from hellykit.graphs import (Graph, GeodesicCapExceeded, GraphError,
                              is_isometric_subgraph, power_graph, slim_constant,
                              thin_constant)
 from hellykit.groups import random_element
-from oracles import (bounded_bfs_row, directed_hausdorff, hop_distance, hop_rows,
-                     interval, satisfies_quasigeodesic)
+from oracles import (directed_hausdorff, hop_distance, hop_rows, interval,
+                     satisfies_quasigeodesic)
 
 
 def brute_distance(g, u, v):
@@ -314,10 +314,9 @@ class TestGeodesicEnumeration:
 
     def test_unreachable_pair_has_none(self):
         # a row that leaves u unreached, from a disconnected graph or a BFS
-        # bounded below d(u, v)
+        # from 3 stopped at depth 2, below d(0, 3)
         split, path = Graph(4, [(0, 1), (2, 3)]).adj, corpus.path(4).adj
-        for adj, dv in ((split, bfs_row(split, 3)),
-                        (path, bounded_bfs_row(path, 3, depth=2, stop=0))):
+        for adj, dv in ((split, bfs_row(split, 3)), (path, [-1, 2, 1, 0])):
             assert enumerate_geodesics(adj, dv, 0) == []
             assert count_geodesics(adj, dv, 0) == 0
 

@@ -14,27 +14,42 @@ from hellykit.quasiconvex import (SECTION5_VERTEX_BOUND, OrbitSpec, QGParams,
 from oracles import hop_distance
 
 
-def quasigeodesic_reference(g, orbit, lam, c):
-    """(k, enumerated, explored) by the defining inequality in exact
+class _Stop(Exception):
+    pass
+
+
+def quasigeodesic_reference(g, orbit, lam, c, cap=None, stop=True):
+    """(k, enumerated, explored, capped) by the defining inequality in exact
     Fraction arithmetic: every walk prefix, in adjacency order, whose steps
-    all satisfy len(walk[i:j]) <= lam * d(walk[i], walk[j]) + c."""
+    all satisfy len(walk[i:j]) <= lam * d(walk[i], walk[j]) + c.  With
+    `stop`, the walk ends once k reaches the orbit's covering radius; a walk
+    past `cap` prefixes ends the search with capped set.  Without either,
+    it is the exhaustive sweep."""
     d = g.dist()
     lam, c = Fraction(lam), Fraction(c)
     to_orbit = [min(d[v][w] for w in orbit) for v in range(g.n)]
-    stats = {"k": 0, "enumerated": 0, "explored": 0}
+    stats = {"k": 0, "enumerated": 0, "explored": 0, "capped": False}
 
     def walk_from(walk):
+        if stats["explored"] == cap:
+            stats["capped"] = True
+            raise _Stop
         stats["explored"] += 1
         if walk[-1] in orbit:
             stats["enumerated"] += 1
             stats["k"] = max(stats["k"], max(to_orbit[v] for v in walk))
+            if stop and stats["k"] == max(to_orbit):
+                raise _Stop
         for w in g.adj[walk[-1]]:
             if all(len(walk) - i <= lam * d[v][w] + c for i, v in enumerate(walk)):
                 walk_from(walk + [w])
 
-    for w in sorted(set(orbit)):
-        walk_from([w])
-    return stats["k"], stats["enumerated"], stats["explored"]
+    try:
+        for w in sorted(set(orbit)):
+            walk_from([w])
+    except _Stop:
+        pass
+    return stats["k"], stats["enumerated"], stats["explored"], stats["capped"]
 
 
 def covering_radius(g, orbit):
@@ -105,10 +120,12 @@ class TestQuasiconvexityK:
         assert got.k == 2
 
     def test_cap_semantics(self):
-        # a binding cap stops the search and flags k as a lower bound
+        # a binding cap stops the search and flags k as a lower bound; the
+        # sweep meets the covering radius after 11 prefixes, so a cap of 5
+        # binds
         g, q = corpus.king_grid(4, 4), QGParams(2, 2)
-        got = quasiconvexity_k(g, [0, 15], q, cap=50)
-        assert got.capped and got.explored == 50
+        got = quasiconvexity_k(g, [0, 15], q, cap=5)
+        assert got.capped and got.explored == 5
         full = quasiconvexity_k(g, [0, 15], q)
         assert not full.capped and got.k <= full.k
         # a cap of exactly the prefixes explored does not bind
@@ -124,26 +141,28 @@ class TestQuasiconvexityK:
         row = [4 + x for x in range(4)]
         got = quasiconvexity_k(g, row, QGParams(Fraction(lam), Fraction(c)))
         assert not got.capped
-        assert (got.k, got.enumerated, got.explored) == quasigeodesic_reference(
+        assert (got.k, got.enumerated, got.explored, False) == quasigeodesic_reference(
             g, row, lam, c)
 
     def test_stopping_sweep_matches_the_exhaustive_one(self):
-        # the stopping sweep visits a prefix of the exhaustive sweep's walks
-        # and ends only at the covering radius, which no walk exceeds
+        # the stopping sweep visits a prefix of the exhaustive sweep's walks,
+        # the reference's without the stop, and ends only at the covering
+        # radius, which no walk exceeds
         stopped = capped = 0
         for seed in range(400):
             g, orbit, q, cap = seeded_sweep_case(seed)
-            full = quasiconvexity_k(g, orbit, q, cap)
-            fast = quasiconvexity_k(g, orbit, q, cap, exhaustive=False)
-            assert fast.explored <= full.explored, seed
-            if full.capped:
+            k, _, explored, full_capped = quasigeodesic_reference(
+                g, orbit, q.lam, q.c, cap=cap, stop=False)
+            fast = quasiconvexity_k(g, orbit, q, cap)
+            assert fast.explored <= explored, seed
+            if full_capped:
                 capped += 1
-                assert fast.k >= full.k, seed
+                assert fast.k >= k, seed
                 if not fast.capped:
                     assert fast.k == covering_radius(g, orbit), seed
             else:
-                stopped += fast.explored < full.explored
-                assert (fast.k, fast.capped) == (full.k, full.capped), seed
+                stopped += fast.explored < explored
+                assert (fast.k, fast.capped) == (k, False), seed
         assert stopped >= 100 and capped >= 40
 
     @pytest.mark.parametrize("orbit", [[0, 9], [0, -1]])
@@ -222,12 +241,11 @@ class TestVerifySection5:
     def test_requested_pair_swept_once(self, monkeypatch):
         import hellykit.quasiconvex as qc_mod
 
-        swept, exhaustive = [], []
+        swept = []
         real = qc_mod.quasiconvexity_k
 
         def counting(g, orbit, q, **kw):
             swept.append(q)
-            exhaustive.append(kw["exhaustive"])
             return real(g, orbit, q, **kw)
 
         monkeypatch.setattr(qc_mod, "quasiconvexity_k", counting)
@@ -244,11 +262,10 @@ class TestVerifySection5:
         assert swept[2:] == [QGParams(1, 0), QGParams(5, 0),
                              QGParams(Fraction(3, 2), 1)]
         assert rep["swept_grid"][-1] == "(3/2,1)"
-        # a requested grid pair is swept once, exhaustively, and serves both
-        # its lemma and the reported count; the other grid pair stops early
+        # a requested grid pair is swept once and serves both its lemma and
+        # the reported count
         rep = verify_section5(OrbitSpec(g, (3, 4, 5), 1), requested=QGParams(5, 0))
         assert swept[5:] == [QGParams(1, 0), QGParams(5, 0)]
-        assert exhaustive == [True, False, False, False, True, False, True]
         want = real(g, (3, 4, 5), QGParams(5, 0))
         assert rep["requested_qc"]["enumerated"] == want.enumerated
         assert rep["isometric_hypothesis"]["qc_constant"] == want.k
