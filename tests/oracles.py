@@ -7,14 +7,15 @@ quasigeodesic checks of `hellykit.graphs` and `hellykit.relwords`; and the
 kind of each edge of the glued graph, which `gamma build` does not report;
 and the glued graph's window found by a BFS on the neighbour rule, with the
 distances and geodesics a BFS finds in the window of twice its radius plus
-one, the reference of the window that `gamma build` reads off the closed form
-and of the ball's queries; and ξ read off the Helly hull, a metric route to the coarse Helly
-constant that shares no search code with it; and the plain definitions that
-tests read and no program path runs: hop distances, rows and diameter of a
-graph, the relative distance and normal-form check of a group, the elements
-of a finite factor and the copies a Γ path visits; and the derived word by
-three cases, with the segments it read and the ends it extended, the
-reference of the cut rule in `hellykit.derived`."""
+one, the reference of the window that `gamma build` reads off the closed
+form and of the ball's queries; and ξ read off the Helly hull, a metric
+route to the coarse Helly constant that shares no search code with it; and
+the plain definitions that tests read and no program path runs: hop
+distances, rows and diameter of a graph, the relative distance and
+normal-form check of a group, the elements of a finite factor and the copies
+a Γ path visits; and the derived word by three cases, with the segments it
+read and the ends it extended, the reference of the cut rule in
+`hellykit.derived`."""
 
 from collections import deque
 from functools import cached_property
@@ -224,8 +225,8 @@ class BfsWindow(GammaWindow):
     by a full BFS from the target on the window of radius 2R + 1, found the
     same way.  That window holds every geodesic between points of the
     R-ball, with each vertex's whole neighbourhood: a vertex of a geodesic
-    from u to v lies within min(dist(u), dist(v)) + d(u, v)/2 <= 2R of the
-    base, and every vertex below 2R + 1 has all its neighbours listed."""
+    from u to v lies within R + d(u, v)/2 <= 2R of the base, and every
+    vertex below 2R + 1 has all its neighbours listed."""
 
     def free_vertices(self):
         return [v for v in self.verts if v[0] == "free"]
@@ -236,7 +237,8 @@ class BfsWindow(GammaWindow):
         return _bfs_lists(self.config, 2 * self.radius + 1)
 
     def bfs_distances(self, v):
-        """The hop distances from v over the outer window, by its ids."""
+        """The hop distances from v over the outer window, by its ids, as
+        bytes: one row per target is kept, and no distance reaches 256."""
         if v not in self._rows:
             _, index, adj, _ = self.outer
             self._rows[v] = bytes(bfs_row(adj, index[v]))
