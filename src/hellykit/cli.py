@@ -98,17 +98,17 @@ def _window_sanity(window: GammaWindow) -> list[str]:
     problems = []
     spec = window.config.spec
     expected_free = len(spec.x_letters()) + len(spec.factors)
-    verts = window.verts
+    verts, starts, nbrs = window.verts, window.adj.starts, window.adj.nbrs
     for i, v in enumerate(verts):
         if window.dist_from_base[i] == window.radius:
             continue
-        degree = len(window.adj[i])
+        degree = starts[i + 1] - starts[i]
         if v[0] == "free" and degree != expected_free:
             problems.append(f"free vertex degree {degree} != {expected_free}")
         if v[0] == "med" and degree != 2:
             problems.append(f"medial vertex degree {degree} != 2")
         if v[0] == "free":
-            if any(verts[j][0] == "free" for j in window.adj[i]):
+            if any(verts[j][0] == "free" for j in nbrs[starts[i]:starts[i + 1]]):
                 problems.append("two adjacent free vertices")
     return problems
 

@@ -25,12 +25,12 @@ for d(., base) below, with no search: the free vertices of cost <= R, in order;
 then by factor j and by free rep of cost <= R - 1 without a leading factor-j
 syllable, copy (j, rep), the model ball of radius N(R - 1 - cost(rep)) around
 project(rep, j); then the medial vertices, each made once from an end of cost
-<= R - 1 and sorted once.  So ids come out in tuple order, and walks that pick
-among neighbours in adjacency order choose alike on ids and tuples.  A row
-below R is the neighbour rule's own pieces read as ids, by a copy's offsets and
-a medial's slot; a row at R, its neighbours at R - 1, fills in one pass in id
-order: no row is sorted.  to_json writes each vertex from a template and each
-edge row with one join.  Its queries are the ball's.
+<= R - 1 and sorted once.  So ids come out in tuple order, in three blocks
+(free, internal, medial), and walks that pick among neighbours in adjacency
+order choose alike on ids and tuples.  The rows, in two int arrays, are made in
+id order, an internal row at R from its copy's rows at R - 1 naming it, and the
+free rows last, by one counting sort of the rows naming them: none is sorted.
+to_json writes each vertex from a template and each edge row with one join.
 
 A ball (GammaBall) reads d(w, free b) off a closed form.  A syllable costs
 min(2|h|_j, 2 + ceil(|h|_j/N)) in factor j, 2|w| if a free word w, and cost(q)
@@ -47,11 +47,13 @@ as graphs' (adj, dv).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, chain, count, groupby, repeat
 from math import ceil
 
 from .graphs import (GEODESIC_CAP_DEFAULT, count_geodesics, enumerate_geodesics,
@@ -133,10 +135,10 @@ class GammaConfig:
         return ("int", j, self.spec.coset_rep(g, j), self.spec.project(g, j))
 
     def _exit(self, j: int, rep: Element, u) -> Element:
-        """The free vertex h * rep joined to (j, rep, u), h taking project(rep, j) to u."""
+        """The free vertex h * rep joined to (j, rep, u), h taking project(rep, j) to
+        u: rep, from _entry, has no leading factor-j syllable to multiply."""
         spec, factor = self.spec, self.spec.factors[j]
-        h = factor.mul(u, factor.inv(spec.project(rep, j)))
-        return spec.multiply(spec.parabolic(j, h), rep)
+        return spec.parabolic(j, factor.mul(u, factor.inv(spec.project(rep, j)))) + rep
 
     def base_vertex(self) -> GammaVertex:
         return ("free", self.spec.identity)
@@ -302,7 +304,8 @@ class GammaBall:
 class GammaWindow(GammaBall):
     """The ball, listed whole and immutable once built: vertex i is verts[i],
     adj[i] lists its neighbour ids in increasing order and dist_from_base[i]
-    is its distance from the base.  Its queries are the ball's.
+    is its distance from the base; adj is a read-only view of two int arrays.
+    Its queries are the ball's.
     """
 
     def __init__(self, config: GammaConfig, radius: int,
@@ -316,11 +319,13 @@ class GammaWindow(GammaBall):
             raise too_many from None
         dist = [sum(map(self._costs.__getitem__, v[1])) for v in verts]
         free_id = {v[1]: i for i, v in enumerate(verts)}
-        inner = [i for i, d in enumerate(dist) if d < r]
-        rows: list = [[] for _ in verts]
+        inner, nfree = [i for i, d in enumerate(dist) if d < r], len(verts)
+        # nbrs lists the internal and medial rows in id order, and deg their
+        # lengths; names[e] is a free id named by row ks[e], in the order of ks
+        deg, nbrs, names, ks = (array("i") for _ in range(4))
         # the copies, by factor and then rep: copy (j, rep) holds the model
         # ball of radius N(R - 1 - cost(rep)) around t = project(rep, j)
-        copy_ids, same, near = {}, {}, config._near  # same interns model vertices
+        same, near = {}, config._near  # same interns model vertices
         for j, factor in enumerate(spec.factors):
             for i in inner:
                 rep = verts[i][1]
@@ -329,62 +334,90 @@ class GammaWindow(GammaBall):
                 reach = n * (r - 1 - dist[i])
                 if len(verts) + factor.ball_size(reach) > max_vertices:
                     raise too_many
-                t = spec.project(rep, j)
+                t, first = spec.project(rep, j), len(verts)
+                if not reach:  # the copy is t alone, at R, joined to rep
+                    verts.append(("int", j, rep, same.setdefault(t, t)))
+                    dist.append(r)
+                    deg.append(1)
+                    nbrs.append(i)
+                    names.append(i)
+                    ks.append(first)
+                    continue
                 us = [same.setdefault(u, u) for u in factor.ball(t, reach)]
-                ids = copy_ids[j, rep] = dict(zip(us, range(len(verts), len(verts) + len(us))))
+                ids = dict(zip(us, range(first, first + len(us))))
                 verts += [("int", j, rep, u) for u in us]
                 dist += [dist[i] + 1 - (-factor.graph_distance(t, u) // n) for u in us]
-                rows += [(free_id[config._exit(j, rep, u)], *map(ids.__getitem__, near[j, u]))
-                         if d < r else [] for u, d in zip(us, dist[-len(us):])]
+                # a row below R is its exit, as _exit finds it, and its copy
+                # neighbours; a row at R, the rows at R - 1 naming it, in id order
+                top = {u: [] for u, d in zip(us, dist[first:]) if d == r}
+                rows, t_inv = [], factor.inv(t)
+                for k, u, d in zip(count(first), us, dist[first:]):
+                    if d == r:
+                        rows.append(top[u])
+                        continue
+                    x = free_id[spec.parabolic(j, factor.mul(u, t_inv)) + rep]
+                    names.append(x)
+                    ks.append(k)
+                    rows.append([x, *map(ids.__getitem__, near[j, u])])
+                    for u2 in filter(top.__contains__, near[j, u]) if d == r - 1 else ():
+                        top[u2].append(k)
+                deg.extend(map(len, rows))
+                nbrs.fromlist(list(chain.from_iterable(rows)))
         # each medial made at its first end below R; done marks the other end
         moves = list(config._x_moves)
         back = [moves.index(config._x_moves[x][1]) for x in moves]
-        done, meds, ends = bytearray(len(moves) * len(free_id)), [], []
+        done, meds, ends = bytearray(len(moves) * nfree), [], array("i")
         for a in inner:
             g = verts[a][1]
-            for j in range(len(spec.factors)):
-                _, _, rep, u = config._entry(g, j)
-                rows[a].append(copy_ids[j, rep][u])
             for i, x in enumerate(moves):
                 if done[a * len(moves) + i]:
                     continue
                 pair, h = config._across(g, x)
-                b = free_id.get(h)
-                if b is not None:
+                b = free_id.get(h, -1)
+                if b >= 0:
                     done[b * len(moves) + back[i]] = 1
                 if len(verts) + len(meds) >= max_vertices:
                     raise too_many
                 meds.append(pair)
-                ends += (a, b)
-        del copy_ids, free_id, done
-        for c in sorted(range(len(meds)), key=meds.__getitem__):
-            a, b, k = ends[2 * c], ends[2 * c + 1], len(verts)
-            verts.append(("med", meds[c]))
-            dist.append(1 + min(dist[a], r if b is None else dist[b]))
-            rows.append((min(a, b), max(a, b)) if dist[k] < r else [])
-            rows[a].append(k)
-            if b is not None and dist[b] < r:
-                rows[b].append(k)
-        # a row at R lists the neighbours at R - 1, met here in id order
-        for i, row in enumerate(rows):
-            if dist[i] == r - 1:
-                for k in row:
-                    if dist[k] == r:
-                        rows[k].append(i)
+                ends.extend((a, b))
+        del free_id, done
+        first, size = len(verts), len(nbrs)
+        order = sorted(range(len(meds)), key=meds.__getitem__)
+        verts += [("med", meds[c]) for c in order]
+        for c in order:  # a is below R; b is listed if it is, or if the medial is
+            a, b = ends[2 * c], ends[2 * c + 1]
+            dist.append(d := 1 + min(dist[a], r if b < 0 else dist[b]))
+            row = ((a, b) if a < b else (b, a)) if b >= 0 and min(d, dist[b]) < r else (a,)
+            nbrs.extend(row)
+            deg.append(len(row))
+        del meds, ends, order
+        names.extend(nbrs[size:])  # a medial row names free ids alone
+        ks.extend(chain.from_iterable(map(repeat, range(first, len(verts)),
+                                          deg[first - nfree:])))
+        # each free row lists the rows naming it, in id order, ahead of them all
+        named = Counter(names)
+        starts = array("i", accumulate(chain(map(named.__getitem__, range(nfree)), deg),
+                                       initial=0))
+        head, at = array("i", bytes(4 * starts[nfree])), starts[:nfree].tolist()
+        for a, k in zip(names, ks):
+            head[at[a]] = k
+            at[a] += 1
+        nbrs[:0] = head
         self.verts, self.dist_from_base = verts, dist
-        self.adj = tuple(map(tuple, rows))
+        self.adj = Adjacency(starts, nbrs)
 
     # -- export ---------------------------------------------------------------
 
     def kind_counts(self) -> dict[str, int]:
-        counts = {"free": 0, "med": 0, "int": 0}
-        for v in self.verts:
-            counts[v[0]] += 1
-        return counts
+        internal, medial = bisect(self.verts, ("int",)), bisect(self.verts, ("med",))
+        return {"free": internal, "med": len(self.verts) - medial, "int": medial - internal}
 
-    def _later(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(a, the neighbour ids above a) for each vertex id a, in order."""
-        return ((a, ws[bisect(ws, a):]) for a, ws in enumerate(self.adj))
+    def _later(self) -> Iterator[tuple[int, array]]:
+        """(a, the neighbour ids above a) for each vertex id a in order, up to
+        the medial block: a medial's neighbours are free, so below it."""
+        starts, nbrs, counts = self.adj.starts, self.adj.nbrs, self.kind_counts()
+        for a in range(counts["free"] + counts["int"]):
+            yield a, nbrs[bisect(nbrs, a, starts[a], starts[a + 1]):starts[a + 1]]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge (a, b), a < b, once and in order, read lazily from adj."""
@@ -447,6 +480,24 @@ class GammaWindow(GammaBall):
         for a, b in self.edges():
             yield f"  {a} -- {b};\n"
         yield "}\n"
+
+
+class Adjacency(Sequence):
+    """Rows kept in two int arrays, read-only: row i is nbrs[starts[i]:starts[i + 1]]
+    read as a tuple, so the view equals the tuple of its rows."""
+
+    def __init__(self, starts: array, nbrs: array):
+        self.starts, self.nbrs = starts, nbrs
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(len(self))[i]
+        return tuple(self.nbrs[self.starts[i]:self.starts[i + 1]])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 class _Memo(dict):

@@ -20,9 +20,11 @@ A dict yields one piece per key; a list of more than 64 items unless they are
 all int, all float or all str, one piece per item; a Rows, one piece per
 ROWS_CHUNK items; any other value is one piece, each container joined in one
 step.  So the CLI writes a report to its file piece by piece and never holds
-its whole text (7.6 MiB for a large `gamma build` window).  A Rows is the array
-of the texts its items function yields, called anew per encoding, so a window
-hands over its vertices and edges without building them.  No other iterable
+its whole text (7.6 MiB for a large `gamma build` window).  A piece is held
+with its items and its written copy, so a Rows piece is kept small: 93 KB of
+text at most for that window's vertices.  A Rows is the array of the texts its
+items function yields, called anew per encoding, so a window hands over its
+vertices and edges without building them.  No other iterable
 is an array: a generator, a set or a range raises TypeError.  A tuple is
 encoded once per (object, indentation) and reused.  (A window's rows look
 their element texts up by value themselves, in GammaWindow.to_json, as equal
@@ -43,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA = "hellykit-report/1"
 TOOL_VERSION = "0.1.0"
-ROWS_CHUNK = 1024  # items of a Rows array per piece
+ROWS_CHUNK = 256  # items of a Rows array per piece
 
 
 class Rows:

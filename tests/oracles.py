@@ -214,8 +214,14 @@ def parent_window(config, radius):
     w = object.__new__(BfsWindow)
     GammaBall.__init__(w, config, radius)
     w.verts, w.index, w.adj, w.dist_from_base = _bfs_lists(config, radius)
-    w._rows = {}
     return w
+
+
+# the windows of radius 2R + 1, each with its BFS rows by target, shared by
+# every BfsWindow of the same group, N and R.  Two at most are held: before
+# it builds one, the cache drops all but the largest, as tests come back to
+# the same large windows and small ones are cheap to build again
+_OUTER: dict = {}
 
 
 class BfsWindow(GammaWindow):
@@ -232,17 +238,30 @@ class BfsWindow(GammaWindow):
         return [v for v in self.verts if v[0] == "free"]
 
     @cached_property
+    def _key(self):
+        return repr(self.config.spec.to_json()), self.config.n_thick, self.radius
+
+    def _shared(self):
+        """(outer, rows): the 2R + 1 window and its BFS rows by target."""
+        hit = _OUTER.get(self._key)
+        if hit is None:
+            for key in sorted(_OUTER, key=lambda k: len(_OUTER[k][0][0]))[:-1]:
+                del _OUTER[key]
+            hit = _OUTER[self._key] = _bfs_lists(self.config, 2 * self.radius + 1), {}
+        return hit
+
+    @property
     def outer(self):
         """(verts, index, adj, dist) of the window of radius 2R + 1."""
-        return _bfs_lists(self.config, 2 * self.radius + 1)
+        return self._shared()[0]
 
     def bfs_distances(self, v):
         """The hop distances from v over the outer window, by its ids, as
         bytes: one row per target is kept, and no distance reaches 256."""
-        if v not in self._rows:
-            _, index, adj, _ = self.outer
-            self._rows[v] = bytes(bfs_row(adj, index[v]))
-        return self._rows[v]
+        (_, index, adj, _), rows = self._shared()
+        if v not in rows:
+            rows[v] = bytes(bfs_row(adj, index[v]))
+        return rows[v]
 
     def window_distance(self, u, v):
         return self.bfs_distances(v)[self.outer[1][u]], True

@@ -157,6 +157,10 @@ class TestNeighborRule:
             assert v0 in config.neighbors(v)
 
 
+# the most the N=2, R=8 king window may keep, as tracemalloc counts it
+WINDOW_KEPT_BOUND = 3.25 * 2 ** 20
+
+
 class TestWindow:
     def test_radius_zero_and_one(self):
         spec = corpus.group_z2_z3()
@@ -275,7 +279,7 @@ class TestWindow:
     def test_build_peak_near_what_it_keeps(self):
         # the window keeps no vertex dict and one object per model vertex
         # value.  On this 16,647-vertex window the
-        # traced peak is 1.32 times what the window keeps (5.9 of 4.5 MiB)
+        # traced peak is 1.22 times what the window keeps (3.5 of 2.9 MiB)
         config = GammaConfig(corpus.group_zsq_z2("king"), 2)
         GammaWindow(config, 2)  # warm the config's caches outside the trace
         gc.collect()
@@ -287,6 +291,44 @@ class TestWindow:
             tracemalloc.stop()
         assert len(w.verts) == 16_647
         assert peak < 1.5 * kept
+
+    def test_window_keeps_its_adjacency_in_int_arrays(self):
+        # the same window, traced: 2.9 MiB kept, its adjacency two int
+        # arrays; as a tuple of int tuples, it kept 4.5 MiB
+        config = GammaConfig(corpus.group_zsq_z2("king"), 2)
+        GammaWindow(config, 2)  # warm the config's caches outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            w = GammaWindow(config, 8)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(w.verts) == 16_647
+        assert kept <= WINDOW_KEPT_BOUND
+
+    def test_adjacency_reads_as_tuples(self):
+        config = GammaConfig(corpus.group_zsq_z2("king"), 2)
+        w, rows = GammaWindow(config, 4), parent_window(config, 4).adj
+        adj = w.adj
+        assert len(adj) == len(rows) == len(w.verts)
+        assert [adj[i] for i in range(len(adj))] == list(rows) == list(adj)
+        assert type(adj[0]) is tuple and adj[-1] == rows[-1]
+        assert adj == rows and rows == adj and not adj != rows
+        with pytest.raises(IndexError):
+            adj[len(adj)]
+        with pytest.raises(TypeError):
+            adj[0] = ()
+        # one neighbour more, one fewer or another one, or one row fewer
+        i = len(rows) // 2
+        for row in (rows[i] + (0,), rows[i][1:], (rows[i][0] + 1,) + rows[i][1:]):
+            assert adj != rows[:i] + (row,) + rows[i + 1:]
+        assert adj != rows[:-1] and adj != list(rows)[:-1]
+        # the ids come in three blocks: free, internal, medial
+        counts = Counter(v[0] for v in w.verts)
+        assert w.kind_counts() == {"free": counts["free"], "med": counts["med"],
+                                   "int": counts["int"]}
+        assert [v[0] for v in w.verts] == sorted(v[0] for v in w.verts)
 
     @pytest.mark.parametrize("radius", range(7))
     @pytest.mark.parametrize("n_thick", [1, 2, 3])
