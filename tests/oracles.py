@@ -232,7 +232,8 @@ class BfsWindow(GammaWindow):
     same way.  That window holds every geodesic between points of the
     R-ball, with each vertex's whole neighbourhood: a vertex of a geodesic
     from u to v lies within R + d(u, v)/2 <= 2R of the base, and every
-    vertex below 2R + 1 has all its neighbours listed."""
+    vertex below 2R + 1 has all its neighbours listed.  Its adj is a tuple
+    of tuples, not a window's arrays, so it does not export."""
 
     def free_vertices(self):
         return [v for v in self.verts if v[0] == "free"]
