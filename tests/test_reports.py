@@ -129,8 +129,10 @@ def test_rows_stream_per_chunk():
     assert list(iterencode(count(0))) == ["[]", "\n"]
 
 
+# the chunk-relative sizes, and four fixed ones that land on and across
+# several chunk boundaries (1024 is a whole number of chunks)
 @pytest.mark.parametrize("n", [0, 1, ROWS_CHUNK - 1, ROWS_CHUNK, ROWS_CHUNK + 1,
-                               2 * ROWS_CHUNK + 1])
+                               2 * ROWS_CHUNK + 1, 1023, 1024, 1025, 2049])
 def test_rows_across_the_chunk_boundary(n):
     pieces = list(iterencode({"a": count(n)}))
     assert "".join(pieces) == reference({"a": list(range(n))})
