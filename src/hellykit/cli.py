@@ -3,17 +3,24 @@
 Exit codes: 0 for clean runs and estimate-only reports, 1 when a checked
 theorem-grade property is violated (that is a bug, not a measurement), 2 for
 usage errors: bad arguments, unreadable or malformed input, disconnected
-graphs and tripped guards, each reported as one line on stderr.  Reports are
-deterministic given configuration and seed; stdout carries only the report.
+graphs and tripped guards, each reported as one line on stderr,
+`hellykit <cmd>: <Class>: <message>`, where a refused command line is a
+UsageError.  `parse` reads the command line as argparse did: `--flag value`,
+`--flag=value` or a unique prefix of a long flag, options and positionals in
+any order, a repeated flag's last value (--param keeps them all), negative
+numbers as values, only positionals after `--`, and -h/--help anywhere.
+Reports are deterministic given configuration and seed; stdout carries only
+the report.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from .derived import verify_derivation_theorems
@@ -55,7 +62,6 @@ def _report(command: str, config: dict, result: dict, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    _at_least(args, {"--max-vertices": 1})
     result = analyze(load_graph(args.graph), max_vertices=args.max_vertices)
     config = {"graph": args.graph, "max_vertices": args.max_vertices}
     _report("analyze", config, result, args.out)
@@ -63,7 +69,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_hellyfy(args) -> int:
-    _at_least(args, {"--max-vertices": 1})
     g = load_graph(args.graph)
     out_graph, embedding = hellyfication(g, max_vertices=args.max_vertices)
     record = graph_to_json(out_graph, meta={"source": args.graph})
@@ -76,7 +81,6 @@ def _cmd_hellyfy(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    _at_least(args, {"--guard": 1, "--parabolic-cap": 1})
     spec = GroupSpec.load(args.spec)
     dist = spec.enumerate_ball(args.radius, metric=args.metric,
                                parabolic_cap=args.parabolic_cap,
@@ -114,7 +118,6 @@ def _window_sanity(window: GammaWindow) -> list[str]:
 
 
 def _cmd_gamma(args) -> int:
-    _at_least(args, {"--guard": 1})
     spec = GroupSpec.load(args.group)
     window = GammaWindow(GammaConfig(spec, args.n_thick), args.radius,
                          max_vertices=args.guard)
@@ -135,16 +138,7 @@ def _cmd_gamma(args) -> int:
     return VIOLATION_EXIT if problems else 0
 
 
-def _at_least(args, floors: dict[str, int]) -> None:
-    """A usage error naming the first flag whose value is below its floor."""
-    for flag, floor in floors.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < floor:
-            raise ValueError(f"{flag} must be >= {floor}, got {value}")
-
-
 def _cmd_derive(args) -> int:
-    _at_least(args, {"--samples": 0, "--guard": 1})
     spec = GroupSpec.load(args.group)
     ball = GammaBall(GammaConfig(spec, args.n_thick), args.radius, max_free=args.guard)
     result = verify_derivation_theorems(ball, args.samples, args.seed)
@@ -155,8 +149,6 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    _at_least(args, {"--samples": 0, "--radius": 0, "--k": 0,
-                     "--parabolic-cap": 1})
     spec = GroupSpec.load(args.group)
     qg = QGParams(_fraction(args.lam, "--lambda"), _fraction(args.c, "--c"))
     lam, c = qg.lam, qg.c
@@ -168,7 +160,7 @@ def _cmd_measure(args) -> int:
         result = measure_triangles(spec, lam, c, **common)
     elif args.what == "delta":
         result = measure_delta(spec, **common)
-    else:  # zeta; argparse allows no other choice
+    else:  # zeta; the table allows no other choice
         result = measure_zeta(spec, lam, c, **common)
     cfg = {"group": spec.to_json(), "what": args.what, "samples": args.samples,
            "seed": args.seed, "radius": args.radius,
@@ -196,7 +188,6 @@ def _read_orbit(path: str) -> list[int]:
 
 
 def _cmd_quasiconvex(args) -> int:
-    _at_least(args, {"--cap": 1})
     ambient = load_graph(args.ambient)
     orbit = _read_orbit(args.orbit)
     spec = OrbitSpec(ambient, tuple(sorted(set(orbit))), args.k)
@@ -230,133 +221,189 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-SUBCOMMANDS = ("analyze", "hellyfy", "group", "gamma", "derive", "measure",
-               "quasiconvex", "corpus", "dot")
+REQUIRED = ...  # the default of an argument that must be given
+# Each subcommand's handler, help line, least flag values and arguments.  An
+# argument is name: (type, default[, help]): the type is int, str, a tuple of
+# str choices, bool for a switch or list for a flag whose values are kept.  A
+# name without dashes is a positional; a flag's dest is its name without
+# dashes, - read as _, unless DESTS names it.
+SUBCOMMANDS = {
+    "analyze": (_cmd_analyze, "Helly-type report for a graph file",
+                {"--max-vertices": 1}, {"graph": (str, REQUIRED), "--max-vertices": (
+                    int, EXTREMAL_VERTEX_BOUND, "bound on the extremal-function "
+                    "search, which runs only on a non-Helly graph")}),
+    "hellyfy": (_cmd_hellyfy, "minimal Helly graph containing the input",
+                {"--max-vertices": 1}, {"graph": (str, REQUIRED), "--max-vertices": (
+                    int, EXTREMAL_VERTEX_BOUND, "bound on the extremal-function "
+                    "enumeration of the input")}),
+    "group": (_cmd_group, "group-model queries", {"--guard": 1, "--parabolic-cap": 1}, {
+        "action": (("ball",), REQUIRED), "--spec": (str, REQUIRED),
+        "--radius": (int, REQUIRED), "--metric": (("rel", "abs"), "rel"),
+        "--parabolic-cap": (int, 2), "--guard": (int, BALL_GUARD_DEFAULT),
+        "--list-elements": (bool, False)}),
+    "gamma": (_cmd_gamma, "build a finite window of the glued graph", {"--guard": 1}, {
+        "action": (("build",), REQUIRED), "--group": (str, REQUIRED),
+        "--N": (int, REQUIRED), "--radius": (int, REQUIRED),
+        "--guard": (int, WINDOW_GUARD_DEFAULT), "--dot": (str, None), "--graph-out": (
+            str, None, "also write the window projected to a plain graph")}),
+    "derive": (_cmd_derive, "derived-word checks over sampled geodesics",
+               {"--samples": 0, "--guard": 1}, {
+        "--group": (str, REQUIRED), "--N": (int, REQUIRED), "--radius": (int, 8),
+        "--samples": (int, 200), "--seed": (int, 0), "--guard": (
+            int, WINDOW_GUARD_DEFAULT, "most free vertices the radius ball may hold")}),
+    "measure": (_cmd_measure, "empirical relative-hyperbolicity constants",
+                {"--samples": 0, "--radius": 0, "--k": 0, "--parabolic-cap": 1}, {
+        "--what": (("bcp", "nu", "mu", "delta", "zeta"), REQUIRED),
+        "--group": (str, REQUIRED), "--radius": (int, 6), "--samples": (int, 200),
+        "--seed": (int, 0), "--lambda": (str, "2"), "--c": (str, "1"),
+        "--k": (int, 1), "--parabolic-cap": (int, 2)}),
+    "quasiconvex": (_cmd_quasiconvex, "orbit-subgraph lemma checks", {"--cap": 1}, {
+        "--ambient": (str, REQUIRED), "--orbit": (str, REQUIRED),
+        "--k": (int, REQUIRED), "--lambda": (str, "1"), "--c": (str, "0"),
+        "--xi": (int, None), "--cap": (int, ENUM_CAP_DEFAULT)}),
+    "corpus": (_cmd_corpus, "generate corpus graph/group files", {}, {"kind": ((
+        "cycle", "path", "tree-random", "king-grid", "complete", "group-freeproduct"),
+        REQUIRED), "--param": (list, None, "key=value, e.g. n=6 or "
+                                           "factors=cyclic:2,cyclic:3")}),
+    "dot": (_cmd_export_dot, "DOT export of a graph file", {}, {"graph": (str, REQUIRED)}),
+}
+COMMON = {"--out": (str, None, "the file to write")}  # every subcommand takes it
+DESTS = {"--N": "n_thick", "--lambda": "lam"}
+HELP = ("-h", "--help")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.  Its usage line
-    still lists every subcommand, so the parser of one gives the same help
-    text and usage errors for it as the full parser."""
-    parser = argparse.ArgumentParser(prog="hellykit")
-    every = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+class UsageError(ValueError):
+    """A command line that `parse` refuses."""
 
-    def add(name, help_line, func):
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            p.set_defaults(func=func)
-            return p
+
+def _option(token: str, flags) -> list | None:
+    """How argparse reads `token` against `flags`: None for a positional, else
+    the (flag, explicit value or None) pairs it may be, [] for an unknown flag."""
+    if token[:1] != "-" or token in ("-", "--"):
         return None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if token in flags or eq and head in flags:
+        return [(head, value)]
+    hits = ([(f, value) for f in flags if f.startswith(head)] if token[1] == "-"
+            else [(token[:2], token[2:])] if token[:2] in flags else [])
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         f"{', '.join(f for f, _ in hits)}")
+    if not hits and (re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token):
+        return None  # a negative number, or text with a space
+    return hits
 
-    if p := add("analyze", "Helly-type report for a graph file", _cmd_analyze):
-        p.add_argument("graph")
-        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
-                       help="bound on the extremal-function search, which "
-                            "runs only on a non-Helly graph (for its witness and "
-                            "xi); a Helly graph of any size is reported")
-        p.add_argument("--out")
 
-    if p := add("hellyfy", "minimal Helly graph containing the input",
-                _cmd_hellyfy):
-        p.add_argument("graph")
-        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
-                       help="bound on the extremal-function enumeration of "
-                            "the input")
-        p.add_argument("--out")
+def _value(name: str, kind, text: str | None, command: str | None = None):
+    """text read as the value of `name`; -h/--help prints help and exits 0."""
+    if name in HELP and (text is None or name == "-h" and text and
+                         not text.strip("h")):  # -hh is -h -h, as for any short flag
+        print(usage(command))
+        raise SystemExit(0)
+    if kind is bool and text is not None:
+        raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if kind not in (bool, str, list) and text not in kind:
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from "
+                         f"{', '.join(map(repr, kind))})")
+    return kind is bool or text
 
-    if p := add("group", "group-model queries", _cmd_group):
-        p.add_argument("action", choices=["ball"])
-        p.add_argument("--spec", required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--metric", choices=["rel", "abs"], default="rel")
-        p.add_argument("--parabolic-cap", type=int, default=2)
-        p.add_argument("--guard", type=int, default=BALL_GUARD_DEFAULT)
-        p.add_argument("--list-elements", action="store_true")
-        p.add_argument("--out")
 
-    if p := add("gamma", "build a finite window of the glued graph",
-                _cmd_gamma):
-        p.add_argument("action", choices=["build"])
-        p.add_argument("--group", required=True)
-        p.add_argument("--N", dest="n_thick", type=int, required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
-        p.add_argument("--dot")
-        p.add_argument("--graph-out", dest="graph_out",
-                       help="also write the window projected to a plain graph")
-        p.add_argument("--out")
+def parse(argv: list[str]) -> SimpleNamespace:
+    """The command line, in the forms the module docstring lists; help
+    exits 0, and a usage error writes its stderr line and exits 2."""
+    command, extras = None, []
+    try:
+        for at, token in enumerate(argv):  # only -h/--help precede the command
+            if (hits := _option(token, HELP)) is None:
+                break
+            if hits:
+                _value(hits[0][0], bool, hits[0][1])
+            extras.append(token)
+        else:
+            raise UsageError("the following arguments are required: command")
+        command = _value("command", SUBCOMMANDS, argv[at])
+        func, _, _, spec = SUBCOMMANDS[command]
+        spec = {**spec, **COMMON}
+        dests = {name: DESTS.get(name, name.lstrip("-").replace("-", "_"))
+                 for name in spec}
+        values = {dests[name]: arg[1] for name, arg in spec.items()
+                  if arg[1] is not REQUIRED}
+        pending, tokens = [name for name in spec if name[0] != "-"], argv[at + 1:]
+        cut = tokens.index("--") if "--" in tokens else len(tokens)
+        kinds = [_option(t, (*HELP, *spec)) if i < cut else None
+                 for i, t in enumerate(tokens)]
+        i = 0
+        while i < len(tokens):
+            if (hits := kinds[i]) is None and pending and i + (i == cut) < len(tokens):
+                i += i == cut  # a positional takes a -- on either side of it
+                name = pending.pop(0)
+                values[name] = _value(name, spec[name][0], tokens[i])
+                i += i + 1 == cut
+            elif not hits:
+                extras.append(tokens[i])
+            else:
+                flag, text = hits[0]
+                kind = spec[flag][0] if flag in spec else bool  # -h, --help
+                if kind is not bool and text is None:
+                    i += 1
+                    if i in (len(tokens), cut) or kinds[i] is not None:
+                        raise UsageError(f"argument {flag}: expected one argument")
+                    text = tokens[i]
+                text, dest = _value(flag, kind, text, command), dests[flag]
+                values[dest] = [*(values[dest] or []), text] if kind is list else text
+            i += 1
+        if missing := [name for name in spec if dests[name] not in values]:
+            raise UsageError("the following arguments are required: "
+                             + ", ".join(missing))
+        if extras:
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    except UsageError as exc:
+        _fail(command, exc)
+        raise SystemExit(USAGE_EXIT) from None
+    return SimpleNamespace(command=command, func=func, **values)
 
-    if p := add("derive", "derived-word checks over sampled geodesics",
-                _cmd_derive):
-        p.add_argument("--group", required=True)
-        p.add_argument("--N", dest="n_thick", type=int, required=True)
-        p.add_argument("--radius", type=int, default=8)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT,
-                       help="most free vertices the radius ball may hold")
-        p.add_argument("--out")
 
-    if p := add("measure", "empirical relative-hyperbolicity constants",
-                _cmd_measure):
-        p.add_argument("--what", choices=["bcp", "nu", "mu", "delta", "zeta"],
-                       required=True)
-        p.add_argument("--group", required=True)
-        p.add_argument("--radius", type=int, default=6)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lambda", dest="lam", default="2")
-        p.add_argument("--c", default="1")
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--parabolic-cap", type=int, default=2)
-        p.add_argument("--out")
-
-    if p := add("quasiconvex", "orbit-subgraph lemma checks",
-                _cmd_quasiconvex):
-        p.add_argument("--ambient", required=True)
-        p.add_argument("--orbit", required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--lambda", dest="lam", default="1")
-        p.add_argument("--c", default="0")
-        p.add_argument("--xi", type=int, default=None)
-        p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
-        p.add_argument("--out")
-
-    if p := add("corpus", "generate corpus graph/group files", _cmd_corpus):
-        p.add_argument("kind", choices=["cycle", "path", "tree-random",
-                                        "king-grid", "complete",
-                                        "group-freeproduct"])
-        p.add_argument("--param", action="append",
-                       help="key=value, e.g. n=6 or factors=cyclic:2,cyclic:3")
-        p.add_argument("--out")
-
-    if p := add("dot", "DOT export of a graph file", _cmd_export_dot):
-        p.add_argument("graph")
-        p.add_argument("--out")
-
-    return parser
+def usage(command: str | None = None) -> str:
+    """The --help text of `command`, or of hellykit."""
+    if command is None:
+        return "usage: hellykit COMMAND [ARGUMENTS]\n" + "".join(
+            f"\n  {name:<12} {entry[1]}" for name, entry in SUBCOMMANDS.items())
+    _, text, floors, spec = SUBCOMMANDS[command]
+    lines = [f"usage: hellykit {command} [ARGUMENTS]\n\n{text}\n"]
+    for name, (kind, default, *note) in {**spec, **COMMON}.items():
+        what = {int: "int", str: "text", bool: "switch", list: "repeatable"}.get(kind)
+        facts = [what or " or ".join(kind), "required" if default is REQUIRED else
+                 "" if default is None or kind is bool else f"default {default}",
+                 f"at least {floors[name]}" if name in floors else "", *note]
+        lines.append(f"  {name:<16} " + "; ".join(filter(None, facts)))
+    return "\n".join(lines + ["  -h, --help       show this help and exit"])
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # one subparser costs a fraction of all nine, on every call
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else argv)
     try:
+        for flag, floor in SUBCOMMANDS[args.command][2].items():
+            if (value := getattr(args, flag[2:].replace("-", "_"))) < floor:
+                raise ValueError(f"{flag} must be >= {floor}, got {value}")
         return args.func(args)
     except AssertionError as exc:
-        _fail(args, exc)
+        _fail(args.command, exc)
         return VIOLATION_EXIT
     except (ValueError, OSError) as exc:  # input, parse and guard errors
-        _fail(args, exc)
+        _fail(args.command, exc)
         return USAGE_EXIT
 
 
-def _fail(args, exc: BaseException) -> None:
+def _fail(command: str | None, exc: BaseException) -> None:
     message = " ".join(str(exc).split())
-    print(f"hellykit {args.command}: {type(exc).__name__}: {message}",
-          file=sys.stderr)
+    print(f"hellykit{' ' + command if command else ''}: {type(exc).__name__}: "
+          f"{message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

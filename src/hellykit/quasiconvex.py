@@ -100,32 +100,39 @@ def quasiconvexity_k(ambient: Graph, orbit: Sequence[int], q: QGParams,
     explored = 0
     capped = False
 
-    def dfs(walk: list[int], high: int) -> bool:
+    def search(w1: int) -> bool:
+        """The walks from w1, depth first; False once the search stops.  A
+        walk may outgrow the recursion limit, so each stack frame holds what
+        a call did: the tail's neighbours left to try, n - i for each walk[i]
+        and the walk's farthest distance from the orbit."""
         nonlocal best, enumerated, explored, capped
-        if explored == cap:
-            capped = True
-            return False
-        explored += 1
-        tail = walk[-1]
-        if tail in orbit_set:
-            enumerated += 1
-            best = max(best, high)
-            if best == stop:
+        walk, todo = [], [(iter((w1,)), (), 0)]
+        while todo:
+            left, steps, high = todo[-1]
+            for w in left:
+                # d is symmetric, so lim[w][walk[i]] bounds the walk from walk[i]
+                if not any(map(gt, steps, map(lim[w].__getitem__, walk))):
+                    break
+            else:
+                del todo[-1], walk[-1:]
+                continue
+            if explored == cap:
+                capped = True
                 return False
-        steps = range(len(walk), 0, -1)  # n - i for each walk[i]
-        for w in ambient.adj[tail]:
-            # d is symmetric, so lim[w][walk[i]] bounds the walk from walk[i]
-            if not any(map(gt, steps, map(lim[w].__getitem__, walk))):
-                walk.append(w)
-                keep = dfs(walk, max(high, to_orbit[w]))
-                walk.pop()
-                if not keep:
+            explored += 1
+            walk.append(w)
+            high = max(high, to_orbit[w])
+            if w in orbit_set:
+                enumerated += 1
+                best = max(best, high)
+                if best == stop:
                     return False
+            todo.append((iter(ambient.adj[w]), range(len(walk), 0, -1), high))
         return True
 
     orbit_set = set(wset)
     for w1 in wset:
-        if not dfs([w1], to_orbit[w1]):
+        if not search(w1):
             break
     return QCResult(best, enumerated, explored, capped)
 

@@ -15,18 +15,24 @@ distances, rows and diameter of a graph, the relative distance and
 normal-form check of a group, the elements of a finite factor and the copies
 a Γ path visits; and the derived word by three cases, with the segments it
 read and the ends it extended, the reference of the cut rule in
-`hellykit.derived`."""
+`hellykit.derived`; and the argparse parser the CLI had, the reference of
+the flag table that `hellykit.cli.parse` reads."""
 
+import argparse
 from collections import deque
 from functools import cached_property
 from operator import sub
 
+from hellykit.cli import (SUBCOMMANDS, _cmd_analyze, _cmd_corpus, _cmd_derive,
+                          _cmd_export_dot, _cmd_gamma, _cmd_group, _cmd_hellyfy,
+                          _cmd_measure, _cmd_quasiconvex)
 from hellykit.derived import z_path
-from hellykit.gamma import GammaBall, GammaWindow, WindowError
+from hellykit.gamma import WINDOW_GUARD_DEFAULT, GammaBall, GammaWindow, WindowError
 from hellykit.graphs import bfs_row, enumerate_geodesics, sample_geodesic
-from hellykit.groups import GroupError
-from hellykit.helly import (SizeBoundExceeded, _bits, _closed_neighbourhoods,
-                            hellyfication)
+from hellykit.groups import BALL_GUARD_DEFAULT, GroupError
+from hellykit.helly import (EXTREMAL_VERTEX_BOUND, SizeBoundExceeded, _bits,
+                            _closed_neighbourhoods, hellyfication)
+from hellykit.quasiconvex import ENUM_CAP_DEFAULT
 from hellykit.relwords import RelWord, value as word_value
 
 ORACLE_VERTEX_BOUND = 8
@@ -455,3 +461,108 @@ def clique_helly_per_triangle(g):
                     else:
                         return False
     return True
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  Its usage line
+    still lists every subcommand, so the parser of one gives the same help
+    text and usage errors for it as the full parser."""
+    parser = argparse.ArgumentParser(prog="hellykit")
+    every = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+
+    def add(name, help_line, func):
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            p.set_defaults(func=func)
+            return p
+        return None
+
+    if p := add("analyze", "Helly-type report for a graph file", _cmd_analyze):
+        p.add_argument("graph")
+        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                       help="bound on the extremal-function search, which "
+                            "runs only on a non-Helly graph (for its witness and "
+                            "xi); a Helly graph of any size is reported")
+        p.add_argument("--out")
+
+    if p := add("hellyfy", "minimal Helly graph containing the input",
+                _cmd_hellyfy):
+        p.add_argument("graph")
+        p.add_argument("--max-vertices", type=int, default=EXTREMAL_VERTEX_BOUND,
+                       help="bound on the extremal-function enumeration of "
+                            "the input")
+        p.add_argument("--out")
+
+    if p := add("group", "group-model queries", _cmd_group):
+        p.add_argument("action", choices=["ball"])
+        p.add_argument("--spec", required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--metric", choices=["rel", "abs"], default="rel")
+        p.add_argument("--parabolic-cap", type=int, default=2)
+        p.add_argument("--guard", type=int, default=BALL_GUARD_DEFAULT)
+        p.add_argument("--list-elements", action="store_true")
+        p.add_argument("--out")
+
+    if p := add("gamma", "build a finite window of the glued graph",
+                _cmd_gamma):
+        p.add_argument("action", choices=["build"])
+        p.add_argument("--group", required=True)
+        p.add_argument("--N", dest="n_thick", type=int, required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT)
+        p.add_argument("--dot")
+        p.add_argument("--graph-out", dest="graph_out",
+                       help="also write the window projected to a plain graph")
+        p.add_argument("--out")
+
+    if p := add("derive", "derived-word checks over sampled geodesics",
+                _cmd_derive):
+        p.add_argument("--group", required=True)
+        p.add_argument("--N", dest="n_thick", type=int, required=True)
+        p.add_argument("--radius", type=int, default=8)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--guard", type=int, default=WINDOW_GUARD_DEFAULT,
+                       help="most free vertices the radius ball may hold")
+        p.add_argument("--out")
+
+    if p := add("measure", "empirical relative-hyperbolicity constants",
+                _cmd_measure):
+        p.add_argument("--what", choices=["bcp", "nu", "mu", "delta", "zeta"],
+                       required=True)
+        p.add_argument("--group", required=True)
+        p.add_argument("--radius", type=int, default=6)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--lambda", dest="lam", default="2")
+        p.add_argument("--c", default="1")
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--parabolic-cap", type=int, default=2)
+        p.add_argument("--out")
+
+    if p := add("quasiconvex", "orbit-subgraph lemma checks",
+                _cmd_quasiconvex):
+        p.add_argument("--ambient", required=True)
+        p.add_argument("--orbit", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--lambda", dest="lam", default="1")
+        p.add_argument("--c", default="0")
+        p.add_argument("--xi", type=int, default=None)
+        p.add_argument("--cap", type=int, default=ENUM_CAP_DEFAULT)
+        p.add_argument("--out")
+
+    if p := add("corpus", "generate corpus graph/group files", _cmd_corpus):
+        p.add_argument("kind", choices=["cycle", "path", "tree-random",
+                                        "king-grid", "complete",
+                                        "group-freeproduct"])
+        p.add_argument("--param", action="append",
+                       help="key=value, e.g. n=6 or factors=cyclic:2,cyclic:3")
+        p.add_argument("--out")
+
+    if p := add("dot", "DOT export of a graph file", _cmd_export_dot):
+        p.add_argument("graph")
+        p.add_argument("--out")
+
+    return parser
+

@@ -1,16 +1,22 @@
 """CLI surface: subcommands, report schema, determinism, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hellykit
 from hellykit import cli, corpus, helly
@@ -20,7 +26,7 @@ from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
 from hellykit.groups import FreeAbelianFactor, GroupSpec
 from hellykit.reports import ReportError, dumps, render, validate_report
-from oracles import EDGE_KINDS, parent_window
+from oracles import EDGE_KINDS, build_parser, parent_window
 
 
 def write(path, text):
@@ -67,6 +73,63 @@ for _command in cli.SUBCOMMANDS:
     USAGE_CASES[f"{_command}-missing-args"] = [_command]
     USAGE_CASES[f"{_command}-unknown-flag"] = [_command, *REQUIRED_ARGS[_command],
                                                "--no-such-flag"]
+
+
+ORACLE = build_parser()
+
+
+def parsed(parse, argv):
+    """What `parse` makes of argv: ("ok", every dest and its value) or
+    ("exit", the exit code); what it writes is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "ok", vars(parse(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+def oracle_flags(command):
+    """The option strings the oracle gives `command`."""
+    sub = next(action for action in ORACLE._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return set(sub.choices[command]._option_string_actions)
+
+
+def groups(argv):
+    """argv cut into flags with their value and single positionals."""
+    cut, i = [], 0
+    while i < len(argv):
+        step = 2 if argv[i].startswith("--") else 1
+        cut.append(argv[i:i + step])
+        i += step
+    return cut
+
+
+@st.composite
+def command_lines(draw, command, required, flags, values):
+    """`command` with its required arguments, each mostly kept, in any order
+    among up to four items drawn from pools: one of flags or a prefix of it,
+    with a value from values(flag), with it after "=", or with none (half of
+    the items are a flag with its value); an unknown flag, a stray
+    positional, a negative number or help."""
+    names = st.sampled_from(sorted({(f[:k], f) for f in flags
+                                    for k in range(3, len(f) + 1)}))
+    with_value = names.flatmap(lambda nf: st.tuples(
+        st.just(nf[0]), st.sampled_from(values(nf[1]))))
+    item = st.one_of(
+        with_value.map(list), with_value.map(list),
+        with_value.map(lambda pair: ["=".join(pair)]), names.map(lambda nf: [nf[0]]),
+        st.sampled_from(["--no-such-flag", "-x", "stray", "-1", "-h", "--help"]
+                        ).map(lambda token: [token]))
+    kept = [g for g in groups(required) if draw(st.integers(0, 9))]
+    order = draw(st.permutations(kept + draw(st.lists(item, max_size=4))))
+    return [command] + [token for g in order for token in g]
+
+
+# value pools: the sizes of the argv contract, and the text argparse reads
+SMALL = ["-1", "0", "1", "2", "1/0", "x"]
+ORACLE_VALUES = SMALL + [str(10 ** 30), "-x", "-2.5", "", "nu", "rel", "ball"]
 
 
 class TestAnalyze:
@@ -195,29 +258,180 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", USAGE_CASES.values(), ids=USAGE_CASES.keys())
     def test_one_subparser_matches_the_full_parser(self, capsys, argv):
-        # main builds only the named subcommand's parser: its help text, its
-        # usage errors and its exit code are those of the full parser
-        def outcome(parse):
-            with pytest.raises(SystemExit) as info:
-                parse(argv)
-            captured = capsys.readouterr()
-            return info.value.code, captured.out, captured.err
-
-        got = outcome(main)
-        assert got == outcome(cli.build_parser().parse_args)
-        assert got[0] == (0 if "--help" in argv else 2)
+        # main reads the named subcommand's row of the flag table alone: it
+        # makes of argv what the full argparse parser made of it.  Help exits
+        # 0; a usage error exits 2 with one stderr line in the form every
+        # exit 2 uses
+        assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        if "--help" in argv:
+            assert info.value.code == 0 and captured.out.startswith("usage: hellykit")
+        else:
+            assert info.value.code == 2 and captured.out == ""
+            assert re.fullmatch(r"hellykit( [a-z]+)?: UsageError: [^\n]+\n",
+                                captured.err)
 
     def test_readme_examples_parse(self):
-        # every command line the README shows must still parse, so a removed
-        # or renamed flag cannot linger in the docs
+        # every command line the README shows must still parse, to the
+        # values the oracle reads, so a removed or renamed flag cannot linger
+        # in the docs
         readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
         lines = [line.split("#", 1)[0]
                  for line in readme.read_text(encoding="utf-8").splitlines()
                  if line.startswith("hellykit ")]
         assert len(lines) >= 12
-        parser = cli.build_parser()
         for line in lines:
-            parser.parse_args(shlex.split(line)[1:])
+            argv = shlex.split(line)[1:]
+            assert parsed(cli.parse, argv)[0] == "ok"
+            assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
+
+    def test_benchmark_ops_match_the_oracle(self, tmp_path):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        for workload in workloads.WORKLOADS:
+            for ops in workloads.write_inputs(workload, 1, str(tmp_path / workload)):
+                for op in ops:
+                    argv = op + ["--out", "r.json"]
+                    assert parsed(cli.parse, argv)[0] == "ok"
+                    assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        # argparse's readings, each of which the table must keep
+        ["derive", "--group", "g", "--N", "1", "--samp", "3", "--seed=-1"],
+        ["derive", "--group", "g", "--N", "1", "--seed", "-1\n"],
+        ["measure", "--lambda", "-3", "--what=nu", "--group", "g", "--c", "-1.5"],
+        ["measure", "--what", "nu", "--group", "g", "--lambda", "-1/2"],
+        ["measure", "--what", "nu", "--group", "g", "--lambda", "-1 2"],
+        ["group", "--radius", "1", "ball", "--spec", "s", "--guard", "2", "--guard", "3"],
+        ["group", "ball", "--spec", "s", "--radius", "1", "--list", "--list-elements"],
+        ["group", "ball", "--spec", "s", "--radius", "1", "--list-elements=x"],
+        ["gamma", "build", "--group", "g", "--N", "1", "--radius", "1", "--g", "x"],
+        ["gamma", "build", "--group", "g", "--N", "1", "--radius", "1", "build"],
+        ["corpus", "cycle", "--param", "n=1", "--param=x", "--par", "y=2"],
+        ["corpus", "cycle", "--param"],
+        ["analyze", "-", "--max-vertices", "-h"],
+        ["analyze", "g", "--max-vertices", "x", "--help"],
+        ["analyze", "g", "--he", "--max-vertices", "x"],
+        ["analyze", "g", "-hh"], ["analyze", "g", "-hx"], ["analyze", "g", "-h=h"],
+        ["analyze", "g", "--help=x"], ["analyze", "--", "g"], ["analyze", "g", "stray"],
+        ["--no-such", "analyze", "g"], ["--no-such", "analyze", "g", "-h"],
+        ["--he"], ["-h", "frobnicate"], ["-1"], ["analyze", "-1"],
+        ["quasiconvex", "--ambient", "a", "--orbit", "o", "--k", "1", "--c", "2",
+         "--ca", "5", "--xi", "-4"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_edge_readings_match_the_oracle(self, argv):
+        assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
+
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    def test_help_names_every_option_string(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        named = set(re.split(r"[\s,]+", capsys.readouterr().out))
+        assert oracle_flags(command) <= named
+
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_generated_argv_match_the_oracle(self, command, data):
+        # either both accept, with equal values for every dest, or both
+        # print help and exit 0, or both exit 2
+        argv = data.draw(command_lines(command, REQUIRED_ARGS[command],
+                                       oracle_flags(command) - {"-h"},
+                                       lambda flag: ORACLE_VALUES))
+        assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
+
+
+# the required arguments of each subcommand on the tiny inputs of the argv
+# contract, at sizes that keep every run short
+CONTRACT_ARGS = {
+    "analyze": ["g.json"], "hellyfy": ["g.json"], "dot": ["g.json"],
+    "group": ["ball", "--spec", "group.json", "--radius", "1"],
+    "gamma": ["build", "--group", "group.json", "--N", "1", "--radius", "1"],
+    "derive": ["--group", "group.json", "--N", "1", "--radius", "2", "--samples", "2"],
+    "measure": ["--what", "nu", "--group", "group.json", "--radius", "2",
+                "--samples", "2"],
+    "quasiconvex": ["--ambient", "g.json", "--orbit", "orbit.json", "--k", "1"],
+    "corpus": ["cycle", "--param", "n=4"]}
+# the flags whose value may be large without making a run do real work
+LARGE_OK = {"--seed", "--xi", "--max-vertices", "--guard", "--cap", "--N"}
+
+
+def contract_values(flag):
+    """The values the argv contract draws for `flag`: small sizes, a large
+    one where it costs nothing, junk, and paths to the tiny inputs, to a
+    missing file or to an output."""
+    paths = {"--spec": ["group.json", "g.json", "missing.json"],
+             "--group": ["group.json", "orbit.json", "missing.json"],
+             "--ambient": ["g.json", "group.json", "missing.json"],
+             "--orbit": ["orbit.json", "g.json", "missing.json"],
+             "--out": ["o.json", "1/0", ""], "--dot": ["o.dot", "1/0"],
+             "--graph-out": ["o.json", "1/0"],
+             "--param": ["n=4", "n=2", "n=-1", "n=x", "w=2", "h=2", "x",
+                         "factors=cyclic:2,cyclic:3", "factors=cyclic"]}
+    extra = {"--what": ["nu", "bcp", "delta"], "--metric": ["rel", "abs"],
+             "--lambda": ["3/2"], "--c": ["1/2"]}
+    return paths.get(flag) or (SMALL + extra.get(flag, [])
+                               + [str(10 ** 12)] * (flag in LARGE_OK))
+
+
+class TestArgvContract:
+    """Generated command lines keep the exit-code contract, in process: the
+    exit code is 0, 1 or 2; exit 2 writes one stderr line and no traceback;
+    exit 0 writes what the subcommand writes, a parseable report for each
+    report command."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv")
+        write(path / "g.json", json.dumps(graph_to_json(corpus.cycle(4))))
+        write(path / "group.json", json.dumps(corpus.group_z2_z3().to_json()))
+        write(path / "orbit.json", "[0, 2]")
+        return path
+
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    @settings(max_examples=60, derandomize=True, deadline=10_000)
+    @given(data=st.data())
+    def test_exit_code_contract(self, inputs, command, data):
+        flags = [f for f in cli.SUBCOMMANDS[command][3] if f[0] == "-"] + ["--out"]
+        argv = data.draw(command_lines(command, CONTRACT_ARGS[command], flags,
+                                       contract_values))
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        os.chdir(inputs)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert len(err.getvalue().splitlines()) == 1
+                assert "Traceback" not in err.getvalue()
+            if code == 0 and not out.getvalue().startswith("usage: "):
+                self.check_output(command, cli.parse(argv), out.getvalue(),
+                                  err.getvalue())
+        finally:
+            os.chdir(cwd)
+
+    @staticmethod
+    def check_output(command, args, out, err):
+        if command == "corpus":  # a graph or group file; its path on stderr
+            json.loads(pathlib.Path(err.strip()).read_text(encoding="utf-8"))
+            return
+        text = pathlib.Path(args.out).read_text(encoding="utf-8") if args.out else out
+        if command == "dot":
+            assert text.startswith("graph")
+        else:
+            report = json.loads(text)
+            validate_report(report)
+            assert report["schema"] == "hellykit-report/1"
 
 
 class TestGroupBall:
@@ -530,6 +744,9 @@ class TestErrorBoundary:
         ("analyze_max_vertices_zero", "ValueError"),
         ("hellyfy_max_vertices_negative", "ValueError"),
         ("ball_parabolic_cap_negative", "ValueError"),
+        # a 1,500-vertex path: the quasigeodesic search walks it end to end,
+        # deeper than the recursion limit, before Delta is found disconnected
+        ("quasiconvex_deep_path", "NotConnectedError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -612,6 +829,10 @@ class TestErrorBoundary:
                     "--N", "1", "--radius", "2", *sizes[case]]
         elif case.startswith(("analyze_", "hellyfy_")):
             argv = [case.partition("_")[0], c4_edge_list(tmp_path), *sizes[case]]
+        elif case == "quasiconvex_deep_path":
+            argv = ["quasiconvex", "--ambient",
+                    write(tmp_path / "p.json", json.dumps(graph_to_json(corpus.path(1500)))),
+                    "--orbit", write(tmp_path / "orbit.json", "[0, 1499]"), "--k", "1"]
         elif case.startswith("quasiconvex_"):
             argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
                     "--orbit", write(tmp_path / "orbit.json", "[0, 2]"),

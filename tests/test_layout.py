@@ -94,6 +94,20 @@ def test_cold_import_loads_only_what_it_names():
     assert not corpus & {"dataclasses", "fractions"}
 
 
+def test_cli_reads_its_flags_without_argparse(tmp_path):
+    # the flag table is read by hand: importing the CLI loads neither argparse
+    # nor the gettext and locale of its first use, and a run after the
+    # import loads no module at all
+    graph = tmp_path / "c4.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    imported = loaded_by("import hellykit.cli")
+    assert not imported & {"argparse", "gettext", "locale"}
+    run = (f"import hellykit.cli; hellykit.cli.main(['analyze', {str(graph)!r}, "
+           f"'--out', {str(tmp_path / 'a.json')!r}])")
+    assert loaded_by(run) == imported
+    assert (tmp_path / "a.json").exists()
+
+
 def test_no_module_imports_warnings():
     # bounded searches raise past their bound and are silent within it, so
     # no caller has to swap the process-wide warning filters
