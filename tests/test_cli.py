@@ -327,6 +327,16 @@ class TestUsage:
     def test_edge_readings_match_the_oracle(self, argv):
         assert parsed(cli.parse, argv) == parsed(ORACLE.parse_args, argv)
 
+    def test_joined_double_dash_is_the_value(self, tmp_path, capsys):
+        # argparse stripped a joined "--" and stored [], on which the run
+        # failed with a traceback; the table reads "--" as the value
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", c4_edge_list(tmp_path), "--max-vertices=--"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == ("hellykit analyze: UsageError: argument "
+                                           "--max-vertices: invalid int value: '--'\n")
+        assert cli.parse(["dot", "g.json", "--out=--"]).out == "--"
+
     @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
     def test_help_names_every_option_string(self, capsys, command):
         with pytest.raises(SystemExit) as info:
