@@ -56,8 +56,8 @@ from functools import cached_property
 from itertools import accumulate, chain, count, groupby, repeat
 from math import ceil
 
-from .graphs import (GEODESIC_CAP_DEFAULT, count_geodesics, enumerate_geodesics,
-                     sample_geodesic)
+from .graphs import (GEODESIC_CAP_DEFAULT, _Memo, count_geodesics,
+                     enumerate_geodesics, sample_geodesic)
 from .groups import Element, GroupError, GroupSpec, Letter
 from .reports import Rows
 
@@ -498,15 +498,3 @@ class Adjacency(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-class _Memo(dict):
-    """The values of fn by argument, each computed on its first read."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-

@@ -109,6 +109,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
+class _Memo(dict):
+    """The values of fn by argument, each computed on its first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def power_graph(g: Graph, k: int) -> Graph:
     """Same vertices, edges between distinct vertices at distance <= k.
 

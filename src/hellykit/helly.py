@@ -12,21 +12,21 @@ them finite and prunable.  A ball family {B_{r(s)}(s)} is pairwise
 intersecting exactly when r(s) + r(t) >= d(s,t) for all s,t, so extremal
 functions are the pointwise-minimal pairwise-intersecting total families.
 
-One search (`_extremal_search`) serves three callers.  Hellyfication lists
-every extremal function (`extremal_functions`).  The Helly witness and the
-coarse constant xi of a non-Helly graph stop at the first leaf that answers
-them (`_witness_search`, `coarse_helly_constant`), so neither lists the
-exponentially many functions of, say, a long cycle; both are still
-exponential in the worst case and keep the enumeration's size bound.
+One search serves three callers: `_extremal_search`, a generator on an
+explicit stack that makes each Lipschitz row on first use.  Hellyfication
+takes every leaf (`extremal_functions`); the Helly witness and the coarse
+constant xi take the first leaf at a floor (`_witness_search`,
+`coarse_helly_constant`), so neither lists the many functions of a long
+cycle, though both stay exponential in the worst case and keep the bound.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import add, and_, sub
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _Memo
 
 EXTREMAL_VERTEX_BOUND = 14
 
@@ -57,12 +57,11 @@ def extremal_functions(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND
     `_extremal_search` in BFS order from a central vertex, with floor 0."""
     _check_bound(g, max_vertices)
     order = _bfs_order(g)
-    out: list[tuple[int, ...]] = []
-    _extremal_search(g, order)(0, out.append)
     inverse = [0] * g.n
     for pos, v in enumerate(order):
         inverse[v] = pos
-    return sorted(tuple(f[inverse[v]] for v in range(g.n)) for f in out)
+    return sorted(tuple(f[inverse[v]] for v in range(g.n))
+                  for f in _extremal_search(g, order, 0))
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -74,20 +73,21 @@ def _bfs_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (full[center][v], v))
 
 
-def _extremal_search(g: Graph, order: list[int]
-                     ) -> Callable[[int, Callable], Optional[tuple[int, ...]]]:
-    """search(floor, stop): depth-first descent over the integral extremal
-    functions f with f >= floor everywhere, assigning the vertices in `order`.
-    Each leaf is the tuple of f's values in that order; the first leaf for
-    which stop is true is returned, and None once the search is exhausted.
-    Values are tried in ascending order, so leaves come in lexicographic order.
+def _extremal_search(g: Graph, order: list[int], floor: int
+                     ) -> Iterator[tuple[int, ...]]:
+    """Yield the integral extremal functions f >= floor, each as the tuple
+    of f's values in `order`, in lexicographic order: a depth-first descent
+    that assigns the vertices in `order` and tries values in ascending order.
+    It keeps a frame per assigned vertex on a list, and the vertex being
+    assigned in locals, so Python's stack does not bound its depth.
 
     The value x of vertex i ranges over [L(i), U(i)], where
     L(i) = max(floor, max_u d(u,i) - f(u), max_u f(u) - d(u,i)) and
     U(i) = min(ecc(i), min_u f(u) + d(u,i)) over the assigned u: feasibility,
     the Lipschitz property of extremal functions and the eccentricity bound.
     Lower bounds are kept only for the unassigned tail, and each assignment
-    updates them with one pass over the row of the vertex just assigned.
+    updates them with one pass over the row |d(i,u) - x| of the value just
+    tried, made the first time x is tried at vertex i.
 
     Every assigned v satisfies max_u d(u,v) - f(u) <= f(v) over the assigned
     u, by feasibility; the fixed-point identity asks for equality.  The
@@ -104,8 +104,7 @@ def _extremal_search(g: Graph, order: list[int]
     itself) and above max_u d(i,u) - L(u) over the unassigned u would be cut
     at once.
     """
-    full = g.dist()
-    n = g.n
+    full, n = g.dist(), g.n
     d = [[full[a][b] for b in order] for a in order]
     ecc = [max(row) for row in d]
     # tails list the unassigned vertices last-first, u = n-1, ..., i+1, so
@@ -113,57 +112,59 @@ def _extremal_search(g: Graph, order: list[int]
     # and map() over a longer row stops where the tail ends
     rev = [row[::-1] for row in d]
     tail = [rev[i][:n - 1 - i] for i in range(n)]
-    # |d(i,u) - x| over the tail of i, for each candidate x of vertex i
-    lip = [[[abs(du - x) for du in tail[i]] for x in range(ecc[i] + 1)]
-           for i in range(n)]
-
-    def search(floor, stop):
-        vals: list[int] = []
-        wit = [n] * n  # tail position of the hint; n is never a valid position
-
-        def dfs(i: int, lbs: list[int], pending: list[tuple]):
-            # lbs: lower bounds L(u) for u = n-1, ..., i; lbs[-1] is vertex i
-            # pending: (v, f(v), d(v,.) last-first) for each assigned vertex
-            # without a witness among the assigned
-            if i == n:
-                f = tuple(vals)
-                return f if stop(f) else None
-            di = d[i]
+    lip = [_Memo(lambda x, t=t: [abs(du - x) for du in t]) for t in tail]
+    vals: list[int] = []
+    wit = [n] * n  # tail position of the hint; n is never a valid position
+    frames = []  # (lbs, pending, own, values left) of each vertex before i
+    # lbs: L(u) for u = n-1, ..., i; lbs[-1] is vertex i.  pending: (v, f(v),
+    # d(v,.) last-first) for each assigned v without an assigned witness
+    i, lbs, pending, xs = 0, [floor] * n, [], None
+    while True:
+        if xs is None:  # vertex i is new
+            di, lips, m = d[i], lip[i], n - 1 - i  # m: tail length after i
             # x <= own has a witness already: an assigned u, or i itself at 0
             own = max(0, max(map(sub, di, vals), default=0))
             # U(i), capped where a larger x would find no witness in the tail
             hi = min(ecc[i], min(map(add, di, vals), default=ecc[i]),
                      max(own, max(map(sub, tail[i], lbs), default=0)))
-            lips = lip[i]
-            m = n - 1 - i  # tail length after assigning i
-            for x in range(lbs[-1], hi + 1):
-                nlbs = list(map(max, lbs, lips[x]))
-                npending = []
-                for entry in pending:
-                    v, fv, rv = entry
-                    if di[v] - x == fv:
-                        continue  # i witnesses v
-                    k = wit[v]
-                    if k >= m or rv[k] - nlbs[k] < fv:
-                        hope = list(map(sub, rv, nlbs))
-                        best = max(hope, default=-1)
-                        if best < fv:
+            xs = iter(range(lbs[-1], hi + 1))
+            if not m:  # last vertex: a value witnessing every pending
+                for x in xs:  # vertex is a leaf; xs ends empty: back up
+                    for v, fv, _ in pending:
+                        if di[v] - x != fv:
                             break
-                        wit[v] = hope.index(best)
-                    npending.append(entry)
-                else:
-                    if x > own:
-                        npending.append((i, x, rev[i]))
-                    vals.append(x)
-                    found = dfs(i + 1, nlbs, npending)
-                    if found is not None:
-                        return found
-                    vals.pop()
-            return None
-
-        return dfs(0, [floor] * n, [])
-
-    return search
+                    else:
+                        yield (*vals, x)
+        for x in xs:
+            nlbs = list(map(max, lbs, lips[x]))
+            npending = []
+            for entry in pending:
+                v, fv, rv = entry
+                if di[v] - x == fv:
+                    continue  # i witnesses v
+                k = wit[v]
+                if k >= m or rv[k] - nlbs[k] < fv:
+                    hope = list(map(sub, rv, nlbs))
+                    best = max(hope, default=-1)
+                    if best < fv:
+                        break
+                    wit[v] = hope.index(best)
+                npending.append(entry)
+            else:
+                if x > own:
+                    npending.append((i, x, rev[i]))
+                break
+        else:  # vertex i has no value left: back to vertex i-1
+            if not frames:
+                return
+            lbs, pending, own, xs = frames.pop()
+            vals.pop()
+            i -= 1
+            di, lips, m = d[i], lip[i], m + 1
+            continue
+        frames.append((lbs, pending, own, xs))
+        vals.append(x)
+        i, lbs, pending, xs = i + 1, nlbs, npending, None
 
 
 def decide_helly(g: Graph) -> bool:
@@ -269,7 +270,7 @@ def _witness_search(g: Graph) -> BallFamily:
     in turn, so its leaves come sorted and its first leaf is the witness.
     Called only on a graph that decide_helly rejected; the two deciders are
     independent, so finding none is a bug: AssertionError."""
-    f = _extremal_search(g, list(range(g.n)))(1, lambda f: True)
+    f = next(_extremal_search(g, list(range(g.n)), 1), None)
     if f is None:
         raise AssertionError(_DECIDERS_DISAGREE)
     return tuple(enumerate(f))
@@ -294,9 +295,8 @@ def coarse_helly_constant(g: Graph, max_vertices: int = EXTREMAL_VERTEX_BOUND) -
     if decide_helly(g):
         return 0
     _check_bound(g, max_vertices)
-    search = _extremal_search(g, _bfs_order(g))
-    xi = 0
-    while search(xi + 1, lambda f: True) is not None:
+    order, xi = _bfs_order(g), 0
+    while next(_extremal_search(g, order, xi + 1), None) is not None:
         xi += 1
     if xi == 0:
         raise AssertionError(_DECIDERS_DISAGREE)

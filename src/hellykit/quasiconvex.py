@@ -171,6 +171,8 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
             raise GraphError(
                 f"ambient coarse constant {xi} exceeds the claimed {xi_ambient}")
         xi = xi_ambient
+    # before the sweeps, so that a disconnected Delta is refused at once
+    delta, embedding, gk = build_delta(spec)
     sweep = cache(lambda q: quasiconvexity_k(ambient, spec.orbit, q, cap=cap))
 
     grid = [f"(1,{2 * xi})", "(5,0)"]
@@ -183,8 +185,6 @@ def verify_section5(spec: OrbitSpec, xi_ambient: Optional[int] = None,
     iso_hyp = {"checked": True, "pseudo_modular": pm, "qc_constant": qc5.k,
                "capped": qc5.capped,
                "holds": pm and not qc5.capped and qc5.k <= k}
-
-    delta, embedding, gk = build_delta(spec)
 
     if coarse_hyp["holds"]:
         xi_delta = coarse_helly_constant(delta, SECTION5_VERTEX_BOUND)

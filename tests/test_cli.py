@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hellykit
-from hellykit import cli, corpus, helly
+from hellykit import cli, corpus, helly, quasiconvex
 from hellykit.cli import main
 from hellykit.gamma import GammaWindow, recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
@@ -164,6 +164,19 @@ class TestAnalyze:
             env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["result"]["xi"] == 4
+
+    def test_search_past_the_recursion_limit(self, tmp_path, capsys):
+        # C5 with 1,100 pendant leaves on vertex 0: the witness and xi
+        # searches assign 1,105 vertices, past Python's recursion limit
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(0, v) for v in range(5, 1105)]
+        path = write(tmp_path / "pendant.json",
+                     json.dumps(graph_to_json(Graph(1105, edges))))
+        assert main(["analyze", path, "--max-vertices", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        result = json.loads(captured.out)["result"]
+        assert (result["xi"], result["beta"], result["pseudo_modular"]) == (1, 1, False)
 
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -754,8 +767,8 @@ class TestErrorBoundary:
         ("analyze_max_vertices_zero", "ValueError"),
         ("hellyfy_max_vertices_negative", "ValueError"),
         ("ball_parabolic_cap_negative", "ValueError"),
-        # a 1,500-vertex path: the quasigeodesic search walks it end to end,
-        # deeper than the recursion limit, before Delta is found disconnected
+        # a 1,500-vertex path whose Delta, spanned by the neighbourhoods of
+        # its two ends, is disconnected: refused before the sweeps
         ("quasiconvex_deep_path", "NotConnectedError"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
@@ -880,6 +893,20 @@ class TestErrorBoundary:
         assert lines[0].startswith(f"hellykit {argv[0]}: {error}: ")
         if case in sizes:
             assert f"{sizes[case][0]} must be >= " in lines[0]
+
+    def test_disconnected_delta_is_refused_before_the_sweeps(
+            self, tmp_path, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before Delta was built")
+
+        monkeypatch.setattr(quasiconvex, "quasiconvexity_k", sweep)
+        argv = ["quasiconvex", "--ambient",
+                write(tmp_path / "p5.json", json.dumps(graph_to_json(corpus.path(5)))),
+                "--orbit", write(tmp_path / "orbit.json", "[0, 4]"), "--k", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hellykit quasiconvex: NotConnectedError: ")
 
     def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -8,6 +8,7 @@ read off the Helly hull."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,29 @@ def box_extremal_oracle(g):
         if not any(g2 != f and all(a <= b for a, b in zip(g2, f)) for g2 in feasible):
             out.append(f)
     return sorted(out)
+
+
+def ordered_extremal_oracle(g, order):
+    """Independent enumeration in `order`, ascending: every function into the
+    eccentricity box that is feasible and 1-Lipschitz against the vertices
+    before it, kept when it satisfies the fixed-point identity.  Tuples of
+    values in `order`, so the list is in lexicographic order."""
+    d = g.dist()
+    out = []
+
+    def extend(f):
+        if len(f) == g.n:
+            if all(fv == max(d[u][v] - fu for u, fu in zip(order, f))
+                   for v, fv in zip(order, f)):
+                out.append(tuple(f))
+            return
+        v = order[len(f)]
+        for x in range(max(d[v]) + 1):
+            if all(abs(x - fu) <= d[u][v] <= x + fu for u, fu in zip(order, f)):
+                extend(f + [x])
+
+    extend([])
+    return out
 
 
 def coarse_oracle(g):
@@ -169,6 +193,55 @@ class TestExtremalFunctions:
         g = graph()
         fs = extremal_functions(g, max_vertices=g.n)
         assert hashlib.sha256(repr(fs).encode()).hexdigest() == digest
+
+
+def cycles_with_chords(count, seed):
+    """Seeded cycles on 8 to 11 vertices, each with one to three chords."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(8, 11)
+        chords = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3))]
+        out.append(Graph(n, [(i, (i + 1) % n) for i in range(n)] + chords))
+    return out
+
+
+SEARCH_INPUTS = corpus.standard_corpus() + [
+    (f"chorded{i}", g) for i, g in enumerate(cycles_with_chords(4, 37))]
+
+
+class TestExtremalSearch:
+    """The generator behind the three searches, against an independent
+    enumeration, and on inputs deeper than Python's recursion limit."""
+
+    @pytest.mark.parametrize("g", [g for _, g in SEARCH_INPUTS],
+                             ids=[name for name, _ in SEARCH_INPUTS])
+    def test_floor_t_yields_the_leaves_with_min_at_least_t(self, g):
+        for order in (helly._bfs_order(g), list(range(g.n))):
+            leaves = ordered_extremal_oracle(g, order)
+            for t in range(max(map(max, g.dist())) + 1):
+                got = list(helly._extremal_search(g, order, t))
+                assert got == [f for f in leaves if min(f) >= t]
+
+    def test_witness_past_the_recursion_limit(self):
+        g = corpus.cycle(1100)
+        helly_, witness = is_helly(g, max_vertices=1100)
+        assert not helly_
+        assert [s for s, _ in witness] == list(range(1100))
+        assert_pairwise_intersecting_without_common_vertex(g, witness)
+
+    def test_witness_search_memory(self):
+        # the Lipschitz rows are made as values are tried; making every row
+        # first, for every value up to the eccentricity, takes about 60 MiB
+        g = corpus.cycle(300)
+        g.dist()
+        tracemalloc.start()
+        try:
+            helly._witness_search(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 class TestIsHelly:

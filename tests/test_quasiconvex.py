@@ -119,6 +119,12 @@ class TestQuasiconvexityK:
         # both 4-arcs are geodesics; their middles sit 2 away from {0,4}
         assert got.k == 2
 
+    def test_walk_past_the_recursion_limit(self):
+        # the geodesic from 0 to 1499 is a walk of 1,500 vertices, deeper
+        # than Python's stack; its middle is 749 from both ends
+        got = quasiconvexity_k(corpus.path(1500), [0, 1499], QGParams(1, 0))
+        assert (got.k, got.capped) == (749, False)
+
     def test_cap_semantics(self):
         # a binding cap stops the search and flags k as a lower bound; the
         # sweep meets the covering radius after 11 prefixes, so a cap of 5
