@@ -15,7 +15,6 @@ the report.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections.abc import Iterable
@@ -27,7 +26,7 @@ from .derived import verify_derivation_theorems
 from .gamma import (WINDOW_GUARD_DEFAULT, GammaBall, GammaConfig, GammaWindow,
                     certified_clauses, recommended_n)
 from .graph_io import graph_to_json, load_graph, to_dot
-from .graphs import strict_int
+from .graphs import read_json, strict_int
 from .groups import BALL_GUARD_DEFAULT, GroupSpec
 from .helly import EXTREMAL_VERTEX_BOUND, analyze, hellyfication
 from .quasiconvex import ENUM_CAP_DEFAULT, OrbitSpec, QGParams, verify_section5
@@ -90,7 +89,7 @@ def _cmd_group(args) -> int:
         by_radius[r] += 1
     result = {"count": len(dist), "by_radius": by_radius}
     if args.list_elements:
-        result["elements"] = sorted(dist)
+        result["elements"] = list(dist)  # in increasing order
     config = {"spec": spec.to_json(), "radius": args.radius,
               "metric": args.metric, "parabolic_cap": args.parabolic_cap}
     _report("group-ball", config, result, args.out)
@@ -181,9 +180,8 @@ def _fraction(text: str, flag: str) -> Fraction:
 def _read_orbit(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return [strict_int(v, "an orbit vertex") for v in json.loads(text)]
+    if text.lstrip().startswith("["):
+        return [strict_int(v, "an orbit vertex") for v in read_json(text)]
     return [int(tok) for tok in text.split()]
 
 

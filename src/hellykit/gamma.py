@@ -21,7 +21,7 @@ Windows are truncated balls around the identity free vertex: a vertex's
 neighbour set is materialized exactly when its distance from the base is < R.
 
 A window (GammaWindow) is a ball that lists itself whole off the closed form
-for d(., base) below, with no search: the free vertices of cost <= R, in order;
+for d(., base) below, with no BFS: the free vertices of cost <= R, in order;
 then by factor j and by free rep of cost <= R - 1 without a leading factor-j
 syllable, copy (j, rep), the model ball of radius N(R - 1 - cost(rep)) around
 project(rep, j); then the medial vertices, each made once from an end of cost
@@ -40,9 +40,9 @@ is left at q b, q = coset_rep(rep b^-1, j), model vertex t = project(q b, j):
 leaving elsewhere adds a factor-j syllable of norm c, costing >= ceil(c/N), to
 save <= ceil(c/N) inside.  The closed form is exact in the infinite graph, so
 the ball answers every pair whose target is free, wherever its geodesics run:
-R picks the endpoints and nothing else.  The ball samples, enumerates and
-counts them on one geodesic DAG, its neighbour memo and the row d(., v) taken
-as graphs' (adj, dv).
+R picks the endpoints and nothing else.  Its free vertices are the group's
+syllable walk on these costs.  It samples, enumerates and counts geodesics on
+one DAG: its neighbour memo and the row d(., v) as graphs' (adj, dv).
 """
 
 from __future__ import annotations
@@ -214,33 +214,11 @@ class GammaBall:
         return row
 
     def free_vertices(self) -> list[GammaVertex]:
-        """The free vertices within R in tuple order, by a DFS over syllables."""
-        r, spec, cost = self.radius, self.config.spec, self._costs
-        cap = max(r // 2, self.config.n_thick * (r - 2))  # longer ones cost > R
-        too_many = WindowError(f"ball exceeds {self.max_free} free vertices at R={r}")
-        if any(f.ball_size(cap) > self.max_free for f in spec.factors):
-            raise too_many  # each element within cap is a free vertex
-        groups = [[("p", j, h) for h in factor.nontrivial_elements(cap)]
-                  for j, factor in enumerate(spec.factors)]
-        letters = [x for i in range(1, spec.free_rank + 1) for x in (i, -i)]
-        words, free = [(x,) for x in letters], []
-        while words and 2 * len(words[0]) <= r and len(free) <= self.max_free:
-            free += [("f", w) for w in words]  # each one free vertex
-            words = [w + (x,) for w in words for x in letters if w[-1] != -x]
-        lists = [sorted((cost[s], s) for s in g) for g in groups + [free]]
-        found: list[Element] = []
-
-        def grow(g: Element, last: int, budget: int) -> None:
-            found.append(g)
-            if len(found) > self.max_free:
-                raise too_many
-            for key, costed in enumerate(lists):
-                for c, syl in costed if key != last else ():
-                    if c > budget:
-                        break
-                    grow(g + (syl,), key, budget - c)
-        grow((), -1, r)
-        return sorted(("free", g) for g in found)
+        """The free vertices within R in tuple order, by the group's syllable walk."""
+        r = self.radius
+        return [("free", g) for g in self.config.spec.syllable_walk(
+            r, self._costs.__getitem__, max(r // 2, self.config.n_thick * (r - 2)),
+            self.max_free, WindowError(f"ball exceeds {self.max_free} free vertices at R={r}"))]
 
     def window_distance(self, u: GammaVertex, v: GammaVertex) -> tuple[int, bool]:
         """(d(u, v), True), the distance in the infinite graph, v free."""

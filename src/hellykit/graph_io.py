@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from .graphs import Graph, GraphError, strict_int
+from .graphs import Graph, GraphError, read_json, strict_int
 
 
 def read_edge_list(text: str) -> Graph:
@@ -60,9 +59,8 @@ def load_graph(path: str) -> Graph:
     """Load a graph file, sniffing JSON vs edge-list by the first character."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return graph_from_json(json.loads(text))
+    if text.lstrip().startswith("{"):
+        return graph_from_json(read_json(text))
     return read_edge_list(text)
 
 

@@ -8,6 +8,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Optional, Sequence
 
 GEODESIC_CAP_DEFAULT = 100_000
@@ -30,6 +31,14 @@ def strict_int(value, what: str, error: type = GraphError) -> int:
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def read_json(text: str, error: type = GraphError):
+    """json.loads(text), with nesting past the parser's depth raising `error`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error("JSON nested too deeply to read") from None
 
 
 def bfs_row(adj: Sequence[Sequence[int]], source: int) -> list[int]:

@@ -23,14 +23,13 @@ here, so no multi-edge bookkeeping is needed.
 
 from __future__ import annotations
 
-import json
-from collections import deque
+from bisect import bisect
 from itertools import chain, product as iproduct
 from math import comb
 from operator import add, neg, sub
 from typing import Iterable, Optional
 
-from .graphs import bfs_row, strict_int
+from .graphs import _Memo, bfs_row, read_json, strict_int
 
 Element = tuple  # tuple of syllables
 Letter = tuple
@@ -171,17 +170,7 @@ class FreeAbelianFactor:
         self.rank = rank
         self.gen_style = gen_style
         self.identity = (0,) * rank
-        if gen_style == "square":
-            gens = []
-            for i in range(rank):
-                e = [0] * rank
-                e[i] = 1
-                gens.append(tuple(e))
-                e[i] = -1
-                gens.append(tuple(e))
-        else:
-            gens = [v for v in iproduct((-1, 0, 1), repeat=rank) if any(v)]
-        self.generators = sorted(gens)
+        self.generators = self.nontrivial_elements(1)  # the norm-1 elements, in order
         self._offsets: dict[int, list[tuple]] = {}
 
     def mul(self, a, b):
@@ -367,20 +356,12 @@ class GroupSpec:
     # -- letters -----------------------------------------------------------
 
     def x_letters(self) -> list[Letter]:
-        letters: list[Letter] = []
-        for j, factor in enumerate(self.factors):
-            letters.extend(("xg", j, h) for h in factor.generators)
-        for i in range(1, self.free_rank + 1):
-            letters.append(("xf", i))
-            letters.append(("xf", -i))
-        return letters
+        return ([("xg", j, h) for j, f in enumerate(self.factors) for h in f.generators]
+                + [("xf", x) for i in range(1, self.free_rank + 1) for x in (i, -i)])
 
     def h_letters(self, parabolic_cap: Optional[int] = None) -> list[Letter]:
-        letters: list[Letter] = []
-        for j, factor in enumerate(self.factors):
-            cap = None if factor.is_finite else parabolic_cap
-            letters.extend(("h", j, h) for h in factor.nontrivial_elements(cap))
-        return letters
+        return [("h", j, h) for j, f in enumerate(self.factors)
+                for h in f.nontrivial_elements(parabolic_cap)]
 
     def rel_letters(self, parabolic_cap: Optional[int] = None) -> tuple[Letter, ...]:
         """The relative alphabet, X-letters first; built once per cap."""
@@ -428,41 +409,76 @@ class GroupSpec:
 
     # -- balls ---------------------------------------------------------------
 
+    def syllable_walk(self, radius: int, cost, cap: int, guard: int,
+                      too_many: Exception) -> dict[Element, int]:
+        """The elements whose syllable costs sum to at most radius, mapped to the
+        sum, in increasing tuple order.  A syllable of norm > cap must cost more
+        than radius, and a free word's cost must grow with its length alone.
+        Raises too_many iff the ball holds more than guard elements: a factor's
+        ball of norm cap is counted before it is listed, the free words as they
+        are, and every other element as soon as its parent is reached."""
+        if max((f.ball_size(cap) for f in self.factors), default=1) > guard:
+            raise too_many
+        keyed = [[("p", j, h) for h in f.nontrivial_elements(cap)]
+                 for j, f in enumerate(self.factors)]
+        letters = [x for i in range(1, self.free_rank + 1) for x in (i, -i)]
+        words, free = [(x,) for x in letters], []
+        while words and cost(("f", words[0])) <= radius and len(free) < guard:
+            free += [("f", w) for w in words]
+            words = [w + (x,) for w in words for x in letters if w[-1] != -x]
+        keyed = [sorted(syls, key=cost) for syls in keyed + [free]]
+        costs = [list(map(cost, syls)) for syls in keyed]
+
+        def step(state: tuple) -> list:  # ((syllable,), state after it), largest first
+            last, budget = state
+            return sorted((((syl,), same[key, budget - c]) for key, syls in enumerate(keyed)
+                           if key != last for c, syl in
+                           zip(costs[key], syls[:bisect(costs[key], budget)])), reverse=True)
+        steps, same = _Memo(step), _Memo(lambda state: state)
+        # depth first: a stack of (parent, (syllable,), state), popped in tuple order
+        found, stack = {}, [((), (), (-1, radius))]
+        while stack:
+            g, tail, state = stack.pop()
+            g += tail
+            found[g] = radius - state[1]
+            for tail, after in steps[state]:
+                stack.append((g, tail, after))
+            if len(found) + len(stack) > guard:  # each a distinct element
+                raise too_many
+        return found
+
     def enumerate_ball(self, radius: int, metric: str = "rel",
                        parabolic_cap: Optional[int] = None,
                        max_elements: int = BALL_GUARD_DEFAULT) -> dict[Element, int]:
-        """Elements within `radius` of the identity, mapped to their BFS
-        distance over the chosen letter set.
+        """Elements within `radius` of the identity, mapped to their distance
+        over the chosen letter set, in increasing order: normal forms are
+        geodesics, so the syllable walk sums the syllables' distances.
 
-        metric "abs" uses the X-letters (exact d_X ball).  metric "rel" uses X
-        plus parabolic letters; free-abelian factors have infinitely many
-        parabolic letters, so those are truncated at norm parabolic_cap and the
-        result is the ball of the truncated relative graph.
-        """
+        metric "abs" uses the X-letters (exact d_X ball): h costs |h|_j.  metric
+        "rel" uses X plus parabolic letters: a finite-factor syllable costs 1
+        and a free word its length.  Free-abelian factors have infinitely many
+        parabolic letters, so those are truncated at norm parabolic_cap, giving
+        the ball of the truncated relative graph: h costs ceil(|h| / cap),
+        exact for the king (linf) and square (l1) balls."""
         if radius < 0:
             raise GroupError(f"radius must be >= 0, got {radius}")
         if metric == "abs":
-            letters = self.x_letters()
+            cost, cap = (lambda syl: self.x_length((syl,))), radius
         elif metric == "rel":
-            letters = self.rel_letters(parabolic_cap)
+            if parabolic_cap is None and not all(f.is_finite for f in self.factors):
+                raise GroupError("free-abelian letters need a norm cap")
+            unit = max(parabolic_cap or 1, 1)  # a cap below 1 leaves X alone
+
+            def cost(syl: tuple) -> int:
+                if syl[0] == "f":
+                    return len(syl[1])
+                factor = self.factors[syl[1]]
+                return 1 if factor.is_finite else -(-factor.word_length(syl[2]) // unit)
+            cap = radius * unit
         else:
             raise GroupError("metric must be 'rel' or 'abs'")
-        images = [self.letter_image(l) for l in letters]
-        dist: dict[Element, int] = {self.identity: 0}
-        queue = deque([self.identity])
-        while queue:
-            g = queue.popleft()
-            if dist[g] == radius:
-                continue
-            for img in images:
-                h = self.multiply(img, g)
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    if len(dist) > max_elements:
-                        raise BallExplosion(
-                            f"ball exceeds {max_elements} elements at radius {radius}")
-                    queue.append(h)
-        return dist
+        return self.syllable_walk(radius, cost, cap, max_elements, BallExplosion(
+            f"ball exceeds {max_elements} elements at radius {radius}"))
 
     # -- io ------------------------------------------------------------------
 
@@ -481,7 +497,7 @@ class GroupSpec:
     @staticmethod
     def load(path: str) -> "GroupSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return GroupSpec.from_json(json.load(fh))
+            return GroupSpec.from_json(read_json(fh.read(), GroupError))
 
 
 def random_element(spec: GroupSpec, rng, letter_budget: int,

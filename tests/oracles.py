@@ -13,7 +13,9 @@ route to the coarse Helly constant that shares no search code with it; and
 the plain definitions that tests read and no program path runs: hop
 distances, rows and diameter of a graph, the relative distance and
 normal-form check of a group, the elements of a finite factor and the copies
-a Γ path visits; and the derived word by three cases, with the segments it
+a Γ path visits; and a group's ball found by a BFS over its letters, the
+reference of the syllable walk `GroupSpec.enumerate_ball` and Γ's free
+vertices share; and the derived word by three cases, with the segments it
 read and the ends it extended, the reference of the cut rule in
 `hellykit.derived`; and the argparse parser the CLI had, the reference of
 the flag table that `hellykit.cli.parse` reads."""
@@ -29,7 +31,7 @@ from hellykit.cli import (SUBCOMMANDS, _cmd_analyze, _cmd_corpus, _cmd_derive,
 from hellykit.derived import z_path
 from hellykit.gamma import WINDOW_GUARD_DEFAULT, GammaBall, GammaWindow, WindowError
 from hellykit.graphs import bfs_row, enumerate_geodesics, sample_geodesic
-from hellykit.groups import BALL_GUARD_DEFAULT, GroupError
+from hellykit.groups import BALL_GUARD_DEFAULT, BallExplosion, GroupError
 from hellykit.helly import (EXTREMAL_VERTEX_BOUND, SizeBoundExceeded, _bits,
                             _closed_neighbourhoods, hellyfication)
 from hellykit.quasiconvex import ENUM_CAP_DEFAULT
@@ -95,6 +97,40 @@ def validate_normal_form(spec, a):
 def factor_elements(factor):
     """The elements 0..order-1 of a finite factor."""
     return list(range(factor.order))
+
+
+def ball_bfs(spec, radius, metric="rel", parabolic_cap=None,
+             max_elements=BALL_GUARD_DEFAULT):
+    """The ball `GroupSpec.enumerate_ball` lists, found by a BFS over the
+    letter set that multiplies each element by every letter image: elements
+    within `radius` of the identity, mapped to their BFS distance.  metric
+    "abs" uses the X-letters, metric "rel" X plus the parabolic letters, those
+    of a free-abelian factor truncated at norm parabolic_cap.  Raises
+    BallExplosion once it has found more than max_elements elements."""
+    if radius < 0:
+        raise GroupError(f"radius must be >= 0, got {radius}")
+    if metric == "abs":
+        letters = spec.x_letters()
+    elif metric == "rel":
+        letters = spec.rel_letters(parabolic_cap)
+    else:
+        raise GroupError("metric must be 'rel' or 'abs'")
+    images = [spec.letter_image(letter) for letter in letters]
+    dist = {spec.identity: 0}
+    queue = deque([spec.identity])
+    while queue:
+        g = queue.popleft()
+        if dist[g] == radius:
+            continue
+        for img in images:
+            h = spec.multiply(img, g)
+            if h not in dist:
+                dist[h] = dist[g] + 1
+                if len(dist) > max_elements:
+                    raise BallExplosion(
+                        f"ball exceeds {max_elements} elements at radius {radius}")
+                queue.append(h)
+    return dist
 
 
 def penetration_profile(ball, path):

@@ -27,7 +27,8 @@ from hellykit.quasiconvex import (OrbitSpec, QGParams, quasiconvexity_k,
                                  verify_section5)
 from hellykit.relwords import (analyze_word, geodesic_word, measure_bcp,
                                measure_triangles)
-from oracles import EDGE_KINDS, _witness, helly_oracle_bruteforce, parent_window
+from oracles import (EDGE_KINDS, _witness, ball_bfs, helly_oracle_bruteforce,
+                     parent_window)
 
 
 def window_neighbors(w, v):
@@ -159,7 +160,7 @@ def test_criterion_5_relative_cayley_sanity():
     checked_total = 0
     for name, spec in example_groups():
         cap = 2
-        dist = spec.enumerate_ball(4, metric="rel", parabolic_cap=cap)
+        dist = ball_bfs(spec, 4, metric="rel", parabolic_cap=cap)
         mismatches = 0
         checked = 0
         for g, d in dist.items():

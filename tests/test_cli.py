@@ -24,7 +24,7 @@ from hellykit.cli import main
 from hellykit.gamma import GammaWindow, recommended_n
 from hellykit.graph_io import graph_from_json, graph_to_json, load_graph
 from hellykit.graphs import Graph
-from hellykit.groups import FreeAbelianFactor, GroupSpec
+from hellykit.groups import CyclicFactor, FreeAbelianFactor, GroupSpec
 from hellykit.reports import ReportError, dumps, render, validate_report
 from oracles import EDGE_KINDS, build_parser, parent_window
 
@@ -466,6 +466,25 @@ class TestGroupBall:
         assert report["result"]["count"] == 5
         assert report["result"]["by_radius"] == [1, 2, 2]
 
+    # sha256 of the group ball report with its elements listed, computed when
+    # the ball was a BFS over letter products
+    @pytest.mark.parametrize("group, flags, digest", [
+        (corpus.group_z2_z3, ["--radius", "12"],
+         "c546f0575ba0591dbb1f7b91c39357349da64211110b252539f64e2e5ef4186e"),
+        (corpus.group_zsq_z2, ["--radius", "3"],
+         "60daf55c499064bc6dc9e0dc353a3f0a5d28ad2dcd43646eb47fdf86b8adaaa9"),
+        (corpus.group_zsq_z2, ["--radius", "4", "--metric", "abs"],
+         "5b699d39ffe888d1a3abe873243e84463b31b5958d1b2b1c25b475d1a511560e"),
+        (lambda: GroupSpec([CyclicFactor(2), FreeAbelianFactor(1)], 1),
+         ["--radius", "4", "--parabolic-cap", "3"],
+         "a213353f3be39d53035fd14ebf34e3823b8dab3dcc6a4b76a49a39d7530f8398"),
+    ], ids=["z2_z3", "zsq_z2_rel", "zsq_z2_abs", "z2_z_f1"])
+    def test_pinned_report_digest(self, tmp_path, group, flags, digest):
+        out = tmp_path / "b.json"
+        assert main(["group", "ball", "--spec", group_file(tmp_path, group()),
+                     *flags, "--list-elements", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestGamma:
     def test_build_and_dot(self, tmp_path):
@@ -483,6 +502,21 @@ class TestGamma:
         assert report["result"]["recommended_n"] == 1
         assert report["result"]["assumption_clauses"]["quotient_radius"] is True
         assert dot.read_text().startswith("graph")
+
+    def test_deep_ball(self, tmp_path, capsys):
+        # Z/2 * Z/2 at N=1, R=2100: free vertices of up to 1,050 syllables,
+        # more than Python's stack holds frames.  The report is about 300 MB,
+        # so only its ends are read, and the file is removed
+        group, out = group_file(tmp_path, corpus.group_z2_z2()), tmp_path / "w.json"
+        assert main(["gamma", "build", "--group", group, "--N", "1",
+                     "--radius", "2100", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        with open(out, "rb") as fh:
+            head = fh.read(64)
+            fh.seek(-64, os.SEEK_END)
+            tail = fh.read()
+        out.unlink()
+        assert head.startswith(b'{\n  "command": "gamma-build"') and tail.endswith(b"\n}\n")
 
     def test_determinism(self, tmp_path):
         path = group_file(tmp_path, corpus.group_z2_z3())
@@ -595,6 +629,15 @@ class TestDerive:
                      "--seed", "2024", "--out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_deep_ball(self, tmp_path, capsys):
+        # Z/2 * Z/2 at N=1, R=2100: geodesics between free vertices of up to
+        # 1,050 syllables, more than Python's stack holds frames
+        assert main(["derive", "--group", group_file(tmp_path, corpus.group_z2_z2()),
+                     "--N", "1", "--radius", "2100", "--samples", "2"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["result"]["violations"] == 0
+        assert captured.err == ""
 
     def test_builds_no_window(self, tmp_path, monkeypatch):
         # derive reads Γ off the closed-form ball; a window would be refused
@@ -770,6 +813,14 @@ class TestErrorBoundary:
         # a 1,500-vertex path whose Delta, spanned by the neighbourhoods of
         # its two ends, is disconnected: refused before the sweeps
         ("quasiconvex_deep_path", "NotConnectedError"),
+        # files nested 1,000 deep, past the JSON parser's recursion: read by
+        # each of the three loaders as its input error
+        ("deep_graph", "GraphError"),
+        ("deep_group", "GroupError"),
+        ("deep_orbit", "GraphError"),
+        # Z^2 * Z/2 at radius 10^6: its lattice is counted, not listed
+        ("ball_lattice_rel", "BallExplosion"),
+        ("ball_lattice_abs", "BallExplosion"),
     ])
     def test_exit_2(self, tmp_path, capsys, case, error):
         graphs = {"malformed": "0 1\n1 x\n", "three_tokens": "0 1 2\n",
@@ -830,8 +881,20 @@ class TestErrorBoundary:
                    # a tree on 0 vertices; a king grid of (-1) x (-1) = 1 vertex
                    "corpus_tree_n_zero": ["tree-random", "--param", "n=0"],
                    "corpus_king_negative": ["king-grid", "--param=w=-1", "--param=h=-1"]}
+        deep = "[" * 1000 + "]" * 1000
         if case in corpora:
             argv = ["corpus", *corpora[case], "--out", str(tmp_path / "c.json")]
+        elif case == "deep_graph":
+            argv = ["analyze", write(tmp_path / "g.json", f'{{"n": {deep}}}')]
+        elif case == "deep_group":
+            argv = ["derive", "--group", write(tmp_path / "group.json",
+                                               f'{{"factors": {deep}}}'), "--N", "1"]
+        elif case == "deep_orbit":
+            argv = ["quasiconvex", "--ambient", c4_edge_list(tmp_path),
+                    "--orbit", write(tmp_path / "orbit.json", deep), "--k", "1"]
+        elif case.startswith("ball_lattice"):
+            argv = ["group", "ball", "--spec", group_file(tmp_path, corpus.group_zsq_z2()),
+                    "--radius", "1000000", "--metric", case[-3:]]
         elif case == "ball_negative_radius":
             argv = ["group", "ball", "--spec",
                     group_file(tmp_path, corpus.group_z2_z3()), "--radius", "-1"]

@@ -796,8 +796,17 @@ class TestBall:
             outside += max(map(base.__getitem__, path)) > radius
         assert kinds == {"free", "med", "int"} and outside > 0
 
+    def test_deep_ball(self):
+        # Z/2 * Z/2 at N=1: every syllable costs 2, so the free vertices
+        # within R=2100 are the 2,101 alternating words of up to 1,050
+        # syllables, more than Python's stack holds frames
+        config = GammaConfig(corpus.group_z2_z2(), 1)
+        free = GammaBall(config, 2100).free_vertices()
+        assert len(free) == 2101 and free == sorted(free)
+        assert max(len(v[1]) for v in free) == 1050
+
     def test_guard_boundary(self):
-        # the guard counts free vertices as the DFS meets them
+        # the guard counts free vertices as the walk meets them
         config = GammaConfig(corpus.group_zsq_z2("king"), 2)
         n = len(GammaBall(config, 6).free_vertices())
         assert len(GammaBall(config, 6, max_free=n).free_vertices()) == n

@@ -4,6 +4,7 @@ projections, ball enumeration, serialization."""
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hellykit import corpus
 from hellykit.groups import (BallExplosion, CyclicFactor, FiniteFactor,
                              FreeAbelianFactor, GroupError, GroupSpec,
                              random_element)
-from oracles import d_rel, factor_elements, validate_normal_form
+from oracles import ball_bfs, d_rel, factor_elements, validate_normal_form
 
 
 @pytest.fixture(autouse=True)
@@ -229,14 +230,14 @@ class TestLengths:
 
     def test_rel_length_matches_truncated_bfs(self):
         for spec in (corpus.group_z2_z3(), corpus.group_z2_z2()):
-            dist = spec.enumerate_ball(4, metric="rel")
+            dist = ball_bfs(spec, 4, metric="rel")
             for g, d in dist.items():
                 assert spec.rel_length(g) == d
 
     def test_rel_length_matches_truncated_bfs_abelian(self):
         spec = corpus.group_zsq_z2()
         cap = 2
-        dist = spec.enumerate_ball(4, metric="rel", parabolic_cap=cap)
+        dist = ball_bfs(spec, 4, metric="rel", parabolic_cap=cap)
         checked = 0
         for g, d in dist.items():
             in_window = all(syl[0] != "p" or spec.factors[syl[1]].is_finite
@@ -248,13 +249,13 @@ class TestLengths:
 
     def test_x_length_matches_bfs(self):
         spec = corpus.group_z2_z3()
-        dist = spec.enumerate_ball(5, metric="abs")
+        dist = ball_bfs(spec, 5, metric="abs")
         for g, d in dist.items():
             assert spec.x_length(g) == d
 
     def test_x_length_matches_bfs_sampled(self):
         spec = corpus.group_zsq_z2()
-        dist = spec.enumerate_ball(4, metric="abs")
+        dist = ball_bfs(spec, 4, metric="abs")
         rng = random.Random(4)
         sample = rng.sample(sorted(dist), 200)
         for g in sample:
@@ -281,6 +282,19 @@ class TestLengths:
                     assert rel_row(h) == d_rel(spec, g, h)
 
 
+# the groups the syllable walk is checked on against the BFS: finite, lattice
+# (king and square) and free factors, alone and mixed
+BALL_GROUPS = {
+    "z2_z3": corpus.group_z2_z3,
+    "z2_z2": corpus.group_z2_z2,
+    "zsq_king_z2": lambda: corpus.group_zsq_z2("king"),
+    "zsq_square_z2": lambda: corpus.group_zsq_z2("square"),
+    "z2_z_f1": lambda: GroupSpec([CyclicFactor(2), FreeAbelianFactor(1)], 1),
+    "z4_z3_f2": lambda: GroupSpec([CyclicFactor(4), CyclicFactor(3)], 2),
+    "z3_king": lambda: GroupSpec([FreeAbelianFactor(3, "king")]),
+}
+
+
 class TestEnumerateBall:
     def test_radius_zero(self):
         spec = corpus.group_z2_z3()
@@ -296,6 +310,70 @@ class TestEnumerateBall:
         spec = corpus.group_zsq_z2()
         with pytest.raises(BallExplosion):
             spec.enumerate_ball(6, metric="rel", parabolic_cap=3, max_elements=500)
+
+    @pytest.mark.parametrize("metric", ["rel", "abs"])
+    @pytest.mark.parametrize("name", sorted(BALL_GROUPS))
+    def test_walk_matches_the_bfs(self, name, metric):
+        # the syllable walk against the BFS over letter products, on caps 1-3
+        # and radii 0-4, in increasing tuple order; the guard trips exactly
+        # when the ball holds more than max_elements elements
+        spec = BALL_GROUPS[name]()
+        bfs = ball_bfs(spec, 4, metric) if metric == "abs" else None
+        for cap in (1, 2, 3):
+            full = bfs or ball_bfs(spec, 4, metric, cap)
+            for radius in range(5):
+                want = {g: d for g, d in full.items() if d <= radius}
+                got = spec.enumerate_ball(radius, metric, cap)
+                assert got == want and list(got) == sorted(want), (cap, radius)
+                assert spec.enumerate_ball(radius, metric, cap, len(want)) == want
+                with pytest.raises(BallExplosion, match=(
+                        f"ball exceeds {len(want) - 1} elements at radius {radius}$")):
+                    spec.enumerate_ball(radius, metric, cap, len(want) - 1)
+
+    @pytest.mark.parametrize("name", ["z2_z3", "z4_z3_f2"])
+    def test_finite_factors_need_no_cap(self, name):
+        spec = BALL_GROUPS[name]()
+        assert spec.enumerate_ball(4) == ball_bfs(spec, 4)
+
+    def test_a_lattice_needs_a_cap(self):
+        with pytest.raises(GroupError, match="need a norm cap"):
+            corpus.group_zsq_z2().enumerate_ball(2)
+
+    @pytest.mark.parametrize("metric", ["rel", "abs"])
+    def test_a_lattice_past_the_guard_is_refused_before_listing(
+            self, metric, monkeypatch):
+        # the Z^2 elements of norm <= R (abs) or 2R (rel, cap 2) all lie in
+        # the ball, so their count refuses it before any of them is listed
+        spec = corpus.group_zsq_z2()
+
+        def refuse(cap=None):
+            raise AssertionError(f"listed the elements of norm <= {cap}")
+
+        monkeypatch.setattr(spec.factors[0], "nontrivial_elements", refuse)
+        with pytest.raises(BallExplosion, match="exceeds 1000000 elements at radius 1000000"):
+            spec.enumerate_ball(10 ** 6, metric, parabolic_cap=2)
+
+    def test_guard_counts_elements_as_their_parents_are_reached(self):
+        # Z/2001 * Z/2 over X: up to 2,000 syllables follow each Z/2 syllable,
+        # so counting them as they are listed trips the guard after a few
+        # elements are reached, and little is held; counting only the elements
+        # reached would hold about a million pending ones first
+        spec = GroupSpec([CyclicFactor(2001), CyclicFactor(2)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BallExplosion, match="exceeds 5000 elements"):
+                spec.enumerate_ball(1000, "abs", max_elements=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_free_words_past_the_guard_are_refused_as_listed(self):
+        # F2 has 2 * (3^8 - 1) = 13,120 words of length 1..8
+        spec = GroupSpec([], 2)
+        assert len(spec.enumerate_ball(8, "abs", max_elements=13_121)) == 13_121
+        with pytest.raises(BallExplosion, match="exceeds 13120 elements"):
+            spec.enumerate_ball(8, "abs", max_elements=13_120)
 
     @pytest.mark.parametrize("spec", [GroupSpec([CyclicFactor(3)]),
                                       corpus.group_z2_z3()], ids=["z3", "z2_z3"])
